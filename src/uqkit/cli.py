@@ -191,6 +191,8 @@ def cmd_datastore(args) -> int:
     if args.action == "from-csv":
         lines = Path(args.path).read_text(encoding="utf-8").splitlines()
         rows = [row for row in csv.reader(line for line in lines if not line.startswith("#"))]
+        if not rows:
+            raise ValueError(f"{args.path}: empty CSV, expected a header row")
         header, body = rows[0], rows[1:]
         dim = len(header) - 1
         store = Datastore(dim)

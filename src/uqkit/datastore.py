@@ -64,6 +64,8 @@ class Datastore:
         arr = np.asarray(latent, dtype=np.float32).ravel()
         if arr.size != self.dim:
             raise ValueError(f"latent dimension {arr.size} does not match store dimension {self.dim}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("latent must be finite")
         return arr
 
     def add(self, latent, score: float) -> None:
@@ -82,6 +84,8 @@ class Datastore:
             raise ValueError(f"latent dimension does not match store dimension {self.dim}")
         if lat.shape[0] != sco.size:
             raise ValueError("latents and scores must have equal length")
+        if not np.all(np.isfinite(lat)):
+            raise ValueError("latents must be finite")
         if not np.all(np.isfinite(sco)):
             raise ValueError("scores must be finite")
         self._latents = np.vstack([self._latents, lat])
@@ -147,14 +151,15 @@ class Datastore:
             raise DatastoreFormatError("bad magic")
         if version != _VERSION:
             raise DatastoreFormatError(f"unsupported version {version}")
-        if dim < 1:
-            raise DatastoreFormatError("invalid dimension 0")
-        store = cls(dim)
+        record_size = 4 * dim + 8  # Python ints, so a huge header cannot overflow
+        if dim < 1 or record_size > np.iinfo(np.int32).max:  # numpy's record size limit
+            raise DatastoreFormatError(f"invalid dimension {dim}")
         body = raw[_HEADER.size:]
-        expected = count * store._record_dtype().itemsize
+        expected = count * record_size
         if len(body) != expected:
             raise DatastoreFormatError(
                 f"truncated file: expected {expected} record bytes, found {len(body)}")
+        store = cls(dim)
         records = np.frombuffer(body, dtype=store._record_dtype(), count=count)
         store._latents = np.ascontiguousarray(records["latent"]).reshape(count, dim)
         store._scores = records["score"].astype(np.float64)

@@ -1,8 +1,10 @@
 """Distribution samplers and the Type I / Type II error-rate Monte Carlo harness.
 
-Each trial draws fresh score samples, runs one configured test, and records the
-rejection decision. Per-trial RNG streams are derived by hashing (master seed,
-trial index), so rates are bit-identical regardless of worker count and adding
+Each trial draws fresh score samples and computes the configured test's
+statistic once (eps_min for ASO, the p-value otherwise); that statistic is then
+compared with every requested threshold, since the draws never depend on the
+threshold. Per-trial RNG streams are derived by hashing (master seed, trial
+index), so rates are bit-identical regardless of worker count and adding
 trials never reshuffles earlier ones. The worker count is capped by the
 UQKIT_THREADS environment variable.
 """
@@ -120,13 +122,15 @@ class TestSpec:
         if self.kind != "aso" and self.kind not in CLASSIC_TEST_KINDS:
             raise ValueError(f"unknown test kind: {self.kind!r}")
 
-    def rejects(self, a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> bool:
+    def statistic(self, a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> float:
+        """eps_min for ASO, the one-sided p-value otherwise; small values reject."""
         if self.kind == "aso":
-            result = aso(a, b, alpha=self.alpha, num_bootstrap=self.num_bootstrap,
-                         dt=self.dt, rng=rng, threshold=self.threshold)
-            return result.reject
-        result = classic_test(self.kind, a, b, resamples=self.resamples, rng=rng)
-        return result.p_value < self.threshold
+            return aso(a, b, alpha=self.alpha, num_bootstrap=self.num_bootstrap, dt=self.dt,
+                       rng=rng).eps_min
+        return classic_test(self.kind, a, b, resamples=self.resamples, rng=rng).p_value
+
+    def rejects(self, a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> bool:
+        return self.statistic(a, b, rng) < self.threshold
 
 
 @dataclass(frozen=True)
@@ -152,46 +156,50 @@ def worker_count() -> int:
     return 1
 
 
-def _run_trials(decide, trials: int, seed: int) -> np.ndarray:
+def error_rates(test: TestSpec, dist_a: DistSpec, dist_b: DistSpec | None, n: int,
+                thresholds: list[float], trials: int, seed: int) -> list[ErrorRateReport]:
+    """Error rates of `test` at each threshold, one report per threshold.
+
+    With dist_b None both samples come from dist_a and the rate is the fraction
+    of rejections (Type I); otherwise `a` comes from dist_a, `b` from dist_b,
+    and the rate is the fraction of non-rejections (Type II). `test.threshold`
+    is not used here: each trial's statistic is compared with every entry of
+    `thresholds`.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+    def statistic(trial: int) -> float:
+        rng = derive_rng(seed, trial)
+        a = sample_dist(dist_a, n, rng)
+        b = sample_dist(dist_a if dist_b is None else dist_b, n, rng)
+        return test.statistic(a, b, rng)
+
     workers = worker_count()
     if workers == 1:
-        return np.array([decide(t) for t in range(trials)], dtype=bool)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.array(list(pool.map(decide, range(trials))), dtype=bool)
+        stats = np.array([statistic(t) for t in range(trials)], dtype=float)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            stats = np.array(list(pool.map(statistic, range(trials))), dtype=float)
+
+    reports = []
+    for threshold in thresholds:
+        rejected = stats < threshold
+        rate = float((rejected if dist_b is None else ~rejected).mean())
+        reports.append(ErrorRateReport(
+            test=test.kind, dist=dist_a.label(), n=n, threshold=threshold, trials=trials,
+            rate=rate, se=float(np.sqrt(rate * (1 - rate) / trials)), seed=seed,
+            error_kind="type1" if dist_b is None else "type2",
+            dist_b="" if dist_b is None else dist_b.label()))
+    return reports
 
 
 def type1_rate(test: TestSpec, dist: DistSpec, n: int, trials: int, seed: int) -> ErrorRateReport:
     """Fraction of rejections when both samples come from the same distribution."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-    def decide(trial: int) -> bool:
-        rng = derive_rng(seed, trial)
-        a = sample_dist(dist, n, rng)
-        b = sample_dist(dist, n, rng)
-        return test.rejects(a, b, rng)
-
-    rejections = _run_trials(decide, trials, seed)
-    rate = float(rejections.mean())
-    return ErrorRateReport(test=test.kind, dist=dist.label(), n=n, threshold=test.threshold,
-                           trials=trials, rate=rate, se=float(np.sqrt(rate * (1 - rate) / trials)),
-                           seed=seed, error_kind="type1")
+    return error_rates(test, dist, None, n, [test.threshold], trials, seed)[0]
 
 
 def type2_rate(test: TestSpec, dist_a: DistSpec, dist_b: DistSpec, n: int, trials: int,
                seed: int) -> ErrorRateReport:
     """Fraction of non-rejections when dist_a stochastically dominates dist_b."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-    def decide(trial: int) -> bool:
-        rng = derive_rng(seed, trial)
-        a = sample_dist(dist_a, n, rng)
-        b = sample_dist(dist_b, n, rng)
-        return not test.rejects(a, b, rng)
-
-    misses = _run_trials(decide, trials, seed)
-    rate = float(misses.mean())
-    return ErrorRateReport(test=test.kind, dist=dist_a.label(), n=n, threshold=test.threshold,
-                           trials=trials, rate=rate, se=float(np.sqrt(rate * (1 - rate) / trials)),
-                           seed=seed, error_kind="type2", dist_b=dist_b.label())
+    return error_rates(test, dist_a, dist_b, n, [test.threshold], trials, seed)[0]

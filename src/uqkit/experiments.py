@@ -17,7 +17,7 @@ from .conformal import (WeightedCalibration, build_set_adaptive,
                         conformal_generate_step, is_full_set, split_quantile,
                         temperature_search, weighted_quantile)
 from .datastore import Datastore
-from .error_sim import DistSpec, TestSpec, type1_rate, type2_rate
+from .error_sim import DistSpec, TestSpec, error_rates
 from .metrics import coverage_report, predictive_entropy
 from .seeds import derive_rng
 from .synthetic import generate, inject_noise, new_model, nonconformity, step_probs
@@ -34,23 +34,25 @@ def run_aso_grid(tests: list[str], dists: list[DistSpec], sizes: list[int],
                  thresholds: list[float], trials: int, seed: int, alpha: float = 0.05,
                  num_bootstrap: int = 1000, resamples: int = 1000,
                  dist_b: DistSpec | None = None) -> list[dict]:
-    """Type I (or, with dist_b, Type II) error rates over the full grid."""
-    conditions = sorted(
-        (test, n, threshold) for test in tests for n in sizes for threshold in thresholds)
+    """Type I (or, with dist_b, Type II) error rates over the full grid.
+
+    Each (test, n, dist) condition runs its trials once; every threshold reuses
+    the same per-trial statistics.
+    """
+    if not thresholds:
+        return []
     records = []
-    for index, (test_kind, n, threshold) in enumerate(conditions):
-        spec = TestSpec(kind=test_kind, threshold=threshold, alpha=alpha,
+    for test_kind in tests:
+        spec = TestSpec(kind=test_kind, threshold=thresholds[0], alpha=alpha,
                         num_bootstrap=num_bootstrap, resamples=resamples)
-        for dist in dists:
-            if dist_b is None:
-                report = type1_rate(spec, dist, n, trials, seed)
-            else:
-                report = type2_rate(spec, dist, dist_b, n, trials, seed)
-            records.append({
-                "test": report.test, "dist": report.dist, "n": report.n,
-                "threshold": report.threshold, "trials": report.trials,
-                "rate": report.rate, "se": report.se, "seed": report.seed,
-            })
+        for n in sizes:
+            for dist in dists:
+                for report in error_rates(spec, dist, dist_b, n, thresholds, trials, seed):
+                    records.append({
+                        "test": report.test, "dist": report.dist, "n": report.n,
+                        "threshold": report.threshold, "trials": report.trials,
+                        "rate": report.rate, "se": report.se, "seed": report.seed,
+                    })
     records.sort(key=lambda r: (r["test"], r["dist"], r["n"], r["threshold"]))
     return records
 

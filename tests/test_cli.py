@@ -157,6 +157,25 @@ class TestDatastoreCli:
         assert result.returncode == 3
         assert "bad magic" in result.stderr
 
+    @pytest.mark.parametrize("text", ["", "# schema=uqkit.datastore.csv.v1\n"])
+    def test_from_csv_empty_exit_code(self, tmp_path, text):
+        src = tmp_path / "empty.csv"
+        src.write_text(text)
+        result = run_cli(["datastore", "from-csv", str(src), str(tmp_path / "out.uqds")])
+        assert result.returncode == 3
+        assert result.stderr.startswith("error:")
+        assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_from_csv_non_finite_latent_exit_code(self, tmp_path, value):
+        src = tmp_path / "bad.csv"
+        src.write_text(f"score,latent0,latent1\n0.5,1.0,{value}\n")
+        dest = tmp_path / "out.uqds"
+        result = run_cli(["datastore", "from-csv", str(src), str(dest)])
+        assert result.returncode == 3
+        assert "finite" in result.stderr
+        assert not dest.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         result = run_cli(["datastore", "info", str(tmp_path / "nothere.uqds")])
         assert result.returncode == 3

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,21 @@ class TestAddQuery:
         store = Datastore(2)
         with pytest.raises(ValueError):
             store.add([0.0, 0.0], float("nan"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_latent_must_be_finite(self, bad):
+        store = Datastore(2)
+        with pytest.raises(ValueError, match="finite"):
+            store.add([bad, 1.0], 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            store.add_batch([[0.0, 0.0], [bad, 1.0]], [0.1, 0.2])
+        assert len(store) == 0
+        store.add_batch([[0.0, 1.0], [1.0, 0.0]], [0.1, 0.2])
+        with pytest.raises(ValueError, match="finite"):
+            store.query([bad, 1.0], 1)
+        store.build_ivf(1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="finite"):
+            store.query_ivf([1.0, bad], 1)
 
     @pytest.mark.parametrize("metric", ["l2", "ip", "cos"])
     def test_matches_linear_scan_oracle(self, metric):
@@ -150,6 +167,13 @@ class TestPersistence:
             Datastore.load(path)
         path.write_bytes(raw[:10])
         with pytest.raises(DatastoreFormatError, match="truncated"):
+            Datastore.load(path)
+
+    @pytest.mark.parametrize("dim, count", [(2**31, 0), (2**31, 1), (2**32 - 1, 3), (2, 2**63)])
+    def test_oversized_header(self, tmp_path, dim, count):
+        path = tmp_path / "huge.uqds"
+        path.write_bytes(struct.pack("<4sIIQ", b"UQDS", 1, dim, count) + bytes(24))
+        with pytest.raises(DatastoreFormatError):
             Datastore.load(path)
 
     def test_little_endian_layout(self, tmp_path):

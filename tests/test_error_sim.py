@@ -5,6 +5,7 @@ import pytest
 
 from uqkit.error_sim import (Laplace, Normal, NormalMixture, Rayleigh, TestSpec,
                              sample_dist, type1_rate, type2_rate)
+from uqkit.experiments import run_aso_grid
 
 
 class TestSamplers:
@@ -46,11 +47,16 @@ class TestRates:
         assert first == second
 
     def test_worker_count_does_not_change_rates(self, monkeypatch):
-        spec = TestSpec(kind="mann_whitney", threshold=0.05)
+        def rates():
+            return (type1_rate(TestSpec(kind="mann_whitney", threshold=0.05),
+                               Normal(0.0, 1.5), 10, 60, seed=5),
+                    type2_rate(TestSpec(kind="aso", threshold=0.2),
+                               Normal(0.5, 1.5), Normal(0.0, 1.5), 10, 30, seed=5))
+
         monkeypatch.setenv("UQKIT_THREADS", "1")
-        serial = type1_rate(spec, Normal(0.0, 1.5), 10, 60, seed=5)
+        serial = rates()
         monkeypatch.setenv("UQKIT_THREADS", "4")
-        parallel = type1_rate(spec, Normal(0.0, 1.5), 10, 60, seed=5)
+        parallel = rates()
         assert serial == parallel
 
     def test_adding_trials_never_reshuffles_earlier_ones(self):
@@ -97,3 +103,32 @@ class TestRates:
             type1_rate(spec, Normal(0.0, 1.5), 10, 0, seed=0)
         with pytest.raises(ValueError):
             TestSpec(kind="anova", threshold=0.05)
+
+
+class TestGridMatchesPerThresholdRates:
+    """run_aso_grid computes each trial once for all thresholds; its rows must
+    equal the rates of running every threshold on its own."""
+
+    FIELDS = ("test", "dist", "n", "threshold", "trials", "rate", "se", "seed")
+
+    @pytest.mark.parametrize("kind", ["aso", "bootstrap"])
+    @pytest.mark.parametrize("dist_b", [None, Normal(-0.5, 1.5)], ids=["type1", "type2"])
+    def test_grid_equals_per_threshold_rates(self, kind, dist_b):
+        dists, sizes, thresholds = [Normal(0.0, 1.5), Laplace(0.0, 1.5)], [5, 8], [0.05, 0.3, 0.6]
+        records = run_aso_grid([kind], dists, sizes, thresholds, trials=12, seed=13,
+                               num_bootstrap=200, resamples=200, dist_b=dist_b)
+        expected = []
+        for dist in dists:
+            for n in sizes:
+                for threshold in thresholds:
+                    spec = TestSpec(kind=kind, threshold=threshold, num_bootstrap=200,
+                                    resamples=200)
+                    if dist_b is None:
+                        expected.append(type1_rate(spec, dist, n, 12, seed=13))
+                    else:
+                        expected.append(type2_rate(spec, dist, dist_b, n, 12, seed=13))
+        expected.sort(key=lambda r: (r.test, r.dist, r.n, r.threshold))
+        assert [tuple(r[f] for f in self.FIELDS) for r in records] == \
+            [tuple(getattr(r, f) for f in self.FIELDS) for r in expected]
+        # the thresholds must actually separate some trials for the check to bite
+        assert len({r["rate"] for r in records}) > 1

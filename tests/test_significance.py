@@ -3,10 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from uqkit.empirical import quantile_function
 from uqkit.significance import (aso, bonferroni, classic_test, violation_ratio)
+
+# Bounded finite score samples of size 1..30 for the property tests.
+finite_samples = st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                                    allow_infinity=False), min_size=1, max_size=30)
 
 
 def brute_force_violation_ratio(a, b, dt):
@@ -60,6 +65,19 @@ class TestViolationRatio:
             b = rng.normal(0.0, 1.0, 30)
             total = violation_ratio(a, b, dt=0.005) + violation_ratio(b, a, dt=0.005)
             assert total == pytest.approx(1.0, abs=0.05)
+
+    @given(finite_samples, finite_samples)
+    @settings(max_examples=200, deadline=None)
+    def test_antisymmetry_property(self, a, b):
+        grid = np.arange(0.005, 1.0, 0.005)
+        assume(not np.array_equal(quantile_function(a)(grid), quantile_function(b)(grid)))
+        total = violation_ratio(a, b) + violation_ratio(b, a)
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+    @given(finite_samples)
+    @settings(max_examples=200, deadline=None)
+    def test_identical_samples_property(self, a):
+        assert violation_ratio(a, a) == 0.5
 
 
 class TestAso:
