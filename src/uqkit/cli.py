@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .datastore import Datastore, DatastoreFormatError
-from .error_sim import DistSpec, Laplace, Normal, NormalMixture, Rayleigh
+from .error_sim import DistSpec, Laplace, Normal, NormalMixture, Rayleigh, worker_count
 from .experiments import (ASO_SIM_SCHEMA, ConformalEvalConfig, run_aso_grid,
                           run_conformal_eval, run_dirichlet_check)
 
@@ -108,6 +108,10 @@ def _svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str,
 
 
 def cmd_aso_sim(args) -> int:
+    try:
+        worker_count()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     dists = [parse_dist(d) for d in _split_list(args.dist, str)]
     dist_b = parse_dist(args.dist_b) if args.dist_b else None
     records = run_aso_grid(

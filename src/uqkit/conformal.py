@@ -194,6 +194,13 @@ def build_set_threshold(probs, q_hat) -> PredictionSet:
     return PredictionSet(indices=tuple(int(i) for i in keep), q_hat=q)
 
 
+def knn_set(neighbors, probs, alpha: float, tau: float, metric: str = "l2") -> PredictionSet:
+    """The tau-dependent half of a step: weight retrieved neighbors, find q_hat, build the set."""
+    weights = rbf_weights(neighbors.keys, tau, metric=metric)
+    q_hat = weighted_quantile(WeightedCalibration(scores=neighbors.scores, weights=weights), alpha)
+    return build_set_adaptive(probs, q_hat)
+
+
 def conformal_generate_step(store, latent, probs, alpha: float, k: int, tau: float,
                             metric: str = "l2") -> PredictionSet:
     """One generation step: retrieve neighbors, weight, find q_hat, build the set."""
@@ -201,13 +208,7 @@ def conformal_generate_step(store, latent, probs, alpha: float, k: int, tau: flo
         raise ValueError("empty datastore")
     if k > len(store):
         logger.warning("k=%d exceeds datastore size %d; using the entire store", k, len(store))
-        k = len(store)
-    neighbors = store.query(latent, k, metric=metric)
-    keys = np.array([nb.key for nb in neighbors])
-    scores = np.array([nb.score for nb in neighbors])
-    weights = rbf_weights(keys, tau, metric=metric)
-    q_hat = weighted_quantile(WeightedCalibration(scores=scores, weights=weights), alpha)
-    return build_set_adaptive(probs, q_hat)
+    return knn_set(store.query(latent, k, metric=metric), probs, alpha, tau, metric=metric)
 
 
 def temperature_search(coverage_eval, alpha: float, tau_min: float, tau_max: float,

@@ -3,7 +3,8 @@
 Latents are held at 32-bit precision, scores at 64-bit. Exact search supports
 squared l2 distance (ascending), inner product normalized by sqrt(dim)
 (descending), and cosine similarity (descending); an optional inverted-file
-index accelerates large stores at a measurable recall cost.
+index accelerates large stores at a measurable recall cost. A query returns one
+`Neighbors` result: aligned best-first arrays of keys, scores and record ids.
 
 File format "UQDS" v1 (little-endian, bit-exact round trip):
     magic "UQDS" (4 bytes) | u32 version | u32 dim | u64 count |
@@ -29,12 +30,15 @@ class DatastoreFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class Neighbor:
-    """One retrieved record: its ordering key (distance or similarity) and score."""
+class Neighbors:
+    """Retrieved records as aligned best-first arrays of keys, scores and record ids."""
 
-    key: float
-    score: float
-    index: int
+    keys: np.ndarray
+    scores: np.ndarray
+    ids: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ids.size
 
 
 class Datastore:
@@ -112,12 +116,12 @@ class Datastore:
         return np.argsort(keys if metric == "l2" else -keys, kind="stable")
 
     def _neighbors(self, candidate_ids: np.ndarray, keys: np.ndarray, k: int,
-                   metric: str) -> list[Neighbor]:
+                   metric: str) -> Neighbors:
         order = self._best_first(keys, metric)[:k]
-        return [Neighbor(key=float(keys[i]), score=float(self._scores[candidate_ids[i]]),
-                         index=int(candidate_ids[i])) for i in order]
+        ids = candidate_ids[order]
+        return Neighbors(keys[order], self._scores[ids], ids)
 
-    def query(self, latent, k: int, metric: str = "l2") -> list[Neighbor]:
+    def query(self, latent, k: int, metric: str = "l2") -> Neighbors:
         """Exact top-min(k, count) records, best-first under the metric."""
         if len(self) == 0:
             raise ValueError("empty datastore")
@@ -188,7 +192,7 @@ class Datastore:
         self._centroids = centroids.astype(np.float32)
         self._lists = [np.nonzero(assignment == c)[0] for c in range(num_clusters)]
 
-    def query_ivf(self, latent, k: int, metric: str = "l2", nprobe: int = 1) -> list[Neighbor]:
+    def query_ivf(self, latent, k: int, metric: str = "l2", nprobe: int = 1) -> Neighbors:
         """Approximate query scanning only the nprobe closest centroid lists."""
         if self._centroids is None or self._lists is None:
             raise ValueError("no IVF index built; call build_ivf first")
@@ -198,7 +202,5 @@ class Datastore:
         centroid_keys = self._keys(q, self._centroids, metric)
         probe = self._best_first(centroid_keys, metric)[:min(nprobe, len(self._lists))]
         candidate_ids = np.concatenate([self._lists[c] for c in probe])
-        if candidate_ids.size == 0:
-            return []
         keys = self._keys(q, self._latents[candidate_ids], metric)
         return self._neighbors(candidate_ids, keys, min(k, candidate_ids.size), metric)

@@ -150,10 +150,14 @@ class ErrorRateReport:
 
 
 def worker_count() -> int:
+    """Trial worker count: UQKIT_THREADS, at least 1; 1 when unset or empty."""
     cap = os.environ.get("UQKIT_THREADS")
-    if cap:
+    if not cap:
+        return 1
+    try:
         return max(1, int(cap))
-    return 1
+    except ValueError:
+        raise ValueError(f"UQKIT_THREADS must be an integer, got {cap!r}") from None
 
 
 def error_rates(test: TestSpec, dist_a: DistSpec, dist_b: DistSpec | None, n: int,

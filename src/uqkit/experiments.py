@@ -8,19 +8,22 @@ order, and results are returned as plain records ready for CSV/JSON emission.
 from __future__ import annotations
 
 import hashlib
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dirichlet as dr
 from .conformal import (WeightedCalibration, build_set_adaptive,
-                        conformal_generate_step, is_full_set, split_quantile,
+                        conformal_generate_step, is_full_set, knn_set, split_quantile,
                         temperature_search, weighted_quantile)
 from .datastore import Datastore
 from .error_sim import DistSpec, TestSpec, error_rates
 from .metrics import coverage_report, predictive_entropy
 from .seeds import derive_rng
 from .synthetic import generate, inject_noise, new_model, nonconformity, step_probs
+
+logger = logging.getLogger(__name__)
 
 ASO_SIM_SCHEMA = "uqkit.aso-sim.csv.v1"
 CONFORMAL_EVAL_SCHEMA = "uqkit.conformal-eval.json.v1"
@@ -91,11 +94,9 @@ def _median_neighbor_distance(store, metric: str, k: int, seed: int) -> float:
     """Median best-first neighbor key magnitude over a probe subset of the store."""
     rng = derive_rng(seed, 901)
     probe = rng.choice(len(store), size=min(200, len(store)), replace=False)
-    keys = []
-    for i in probe:
-        neighbors = store.query(store.latents[i], min(k + 1, len(store)), metric=metric)
-        keys.extend(abs(nb.key) for nb in neighbors[1:])  # skip the self match
-    med = float(np.median(keys))
+    keys = [store.query(store.latents[i], k + 1, metric=metric).keys[1:]  # skip the self match
+            for i in probe]
+    med = float(np.median(np.abs(np.concatenate(keys))))
     return med if med > 0 else 1.0
 
 
@@ -109,13 +110,12 @@ def resolve_tau(store, cal_steps, cfg: ConformalEvalConfig, metric: str,
         return float(tau_request)
     scale = _median_neighbor_distance(store, metric, cfg.k, seed)
     batch = cal_steps[: cfg.search_batch]
+    retrieved = [store.query(step.latent, cfg.k, metric=metric) for step in batch]
 
     def coverage_eval(tau: float) -> float:
         hits = 0
-        for step in batch:
-            pset = conformal_generate_step(store, step.latent, step.probs, cfg.alpha,
-                                           cfg.k, tau, metric=metric)
-            hits += step.gold in pset
+        for step, neighbors in zip(batch, retrieved):
+            hits += step.gold in knn_set(neighbors, step.probs, cfg.alpha, tau, metric=metric)
         return hits / len(batch)
 
     return temperature_search(coverage_eval, cfg.alpha, tau_min=0.1 * scale,
@@ -142,15 +142,17 @@ def run_conformal_condition(cfg: ConformalEvalConfig, method: str, metric: str,
     store.add_batch(np.stack([s.latent for s in cal]),
                     np.array([nonconformity(cfg.score_kind, s.probs, s.gold) for s in cal]))
 
-    tau_value = None
+    tau_value, k = None, min(cfg.k, len(store))
     if method == "knn":
+        if k < cfg.k:
+            logger.warning("k=%d exceeds datastore size %d; using the entire store", cfg.k, k)
         tau_value = resolve_tau(store, cal, cfg, metric, tau, seed)
 
     latent_std = float(np.stack([s.latent for s in cal]).std())
     sigma = noise * latent_std
     noise_rng = derive_rng(seed, 2)
     split_q = split_quantile(store.scores, cfg.alpha)
-    unit_cal = WeightedCalibration(scores=store.scores, weights=np.ones(len(store)))
+    unit_q = weighted_quantile(WeightedCalibration(store.scores, np.ones(len(store))), cfg.alpha)
 
     sets, labels, q_values = [], [], []
     for step in test:
@@ -160,11 +162,11 @@ def run_conformal_condition(cfg: ConformalEvalConfig, method: str, metric: str,
             q_hat = split_q
             pset = build_set_adaptive(probs, q_hat)
         elif method == "knn":
-            pset = conformal_generate_step(store, corrupted, probs, cfg.alpha, cfg.k,
+            pset = conformal_generate_step(store, corrupted, probs, cfg.alpha, k,
                                            tau_value, metric=metric)
             q_hat = pset.q_hat
         elif method == "knn_unit":
-            q_hat = weighted_quantile(unit_cal, cfg.alpha)
+            q_hat = unit_q
             pset = build_set_adaptive(probs, q_hat)
         else:
             raise ValueError(f"unknown method: {method!r}")

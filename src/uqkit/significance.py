@@ -85,7 +85,9 @@ def aso(a, b, alpha: float = 0.05, num_bootstrap: int = 1000, dt: float = 0.005,
     eps_min = eps - sqrt((N+M)/(N*M)) * sigma_hat * Phi^-1(alpha), clamped into
     [0, 1], where sigma_hat is the standard deviation of the rescaled bootstrap
     violation ratios sqrt(N*M/(N+M)) * (eps* - eps). The null "a is not almost
-    stochastically larger than b" is rejected when eps_min < threshold.
+    stochastically larger than b" is rejected when eps_min < threshold. Each
+    sample needs at least two observations: with one, every bootstrap resample
+    equals the sample, sigma_hat is 0 and eps_min carries no uncertainty.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -96,6 +98,8 @@ def aso(a, b, alpha: float = 0.05, num_bootstrap: int = 1000, dt: float = 0.005,
     arr_a = as_sample(a)
     arr_b = as_sample(b)
     n, m = arr_a.size, arr_b.size
+    if n < 2 or m < 2:
+        raise ValueError("ASO needs at least two observations per sample")
 
     eps = violation_ratio(arr_a, arr_b, dt)
 

@@ -202,7 +202,7 @@ def test_criterion_09_datastore_correctness(tmp_path):
     for metric in ("l2", "ip", "cos"):
         for _ in range(10):
             query = rng.random(8).astype(np.float32)
-            got = [nb.index for nb in store.query(query, 10, metric=metric)]
+            got = store.query(query, 10, metric=metric).ids.tolist()
             expected = linear_scan_oracle(store.latents, query, 10, metric)
             scan_ok &= got == expected
 
@@ -218,8 +218,8 @@ def test_criterion_09_datastore_correctness(tmp_path):
     hits = 0
     for _ in range(50):
         query = rng.random(8).astype(np.float32)
-        exact = {nb.index for nb in big.query(query, 10)}
-        approx = {nb.index for nb in big.query_ivf(query, 10, nprobe=16)}
+        exact = set(big.query(query, 10).ids.tolist())
+        approx = set(big.query_ivf(query, 10, nprobe=16).ids.tolist())
         hits += len(exact & approx)
     recall = hits / 500
     passed = scan_ok and roundtrip_ok and recall >= 0.95

@@ -51,6 +51,20 @@ class TestAsoSim:
         assert result.returncode == 2
         assert "usage error" in result.stderr
 
+    def test_aso_single_observation_data_error(self):
+        result = run_cli(["aso-sim", "--test", "aso", "--n", "1", "--trials", "2"])
+        assert result.returncode == 3
+        assert result.stderr.startswith("error:")
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_malformed_thread_count_usage(self):
+        result = run_cli(["aso-sim", "--test", "student_t", "--trials", "1"],
+                         env_extra={"UQKIT_THREADS": "abc"})
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert "error:" in result.stderr
+        assert "UQKIT_THREADS" in result.stderr and "'abc'" in result.stderr
+
     def test_plot_written(self, tmp_path):
         svg = tmp_path / "rates.svg"
         result = run_cli(["aso-sim", "--test", "student_t", "--n", "5,10", "--tau", "0.05",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from uqkit.conformal import (FULL_SET, WeightedCalibration, build_set_adaptive,
                              rbf_weights, score_adaptive, score_simple, split_quantile,
                              temperature_search, weighted_quantile)
 from uqkit.datastore import Datastore
+from uqkit.experiments import ConformalEvalConfig, resolve_tau, run_conformal_condition
 from uqkit.seeds import derive_rng
+from uqkit.synthetic import generate, new_model, nonconformity
 
 
 def random_prob_vector(rng, size):
@@ -106,6 +109,20 @@ class TestWeightedQuantile:
             value = math.inf if is_full_set(q) else q
             assert value <= previous + 1e-12
             previous = value
+
+    @given(st.lists(st.tuples(st.integers(0, 8).map(lambda i: i / 8),
+                              st.integers(0, 12).map(lambda i: i * 0.25)),
+                    min_size=1, max_size=40),
+           st.sampled_from([0.05, 0.1, 0.2, 0.5]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_invariant_to_joint_permutation(self, pairs, alpha, data):
+        # Few distinct scores force ties; quarter weights keep every weight sum exact.
+        order = data.draw(st.permutations(range(len(pairs))))
+        scores, weights = np.array(pairs).T
+        original = weighted_quantile(WeightedCalibration(scores=scores, weights=weights), alpha)
+        permuted = weighted_quantile(
+            WeightedCalibration(scores=scores[order], weights=weights[order]), alpha)
+        assert original == permuted
 
 
 class TestRbfWeights:
@@ -237,6 +254,38 @@ class TestConformalGenerateStep:
                                   test_steps=1000)
         record = run_conformal_condition(cfg, "knn", "l2", 0.0, "heuristic", seed=77)
         assert record["coverage"] >= 0.85
+
+
+class TestConformalEvalDriver:
+    CFG = ConformalEvalConfig(vocab_size=20, latent_dim=4, cal_steps=30, test_steps=40,
+                              k=10, burn_in=10, search_batch=12)
+
+    @pytest.mark.parametrize("search_steps", [1, 6])
+    def test_auto_tau_queries_each_latent_once(self, monkeypatch, search_steps):
+        cfg = replace(self.CFG, search_steps=search_steps)
+        cal = generate(new_model(cfg.vocab_size, cfg.latent_dim, seed=3), cfg.cal_steps,
+                       derive_rng(3, 1))
+        store = Datastore(cfg.latent_dim)
+        store.add_batch(np.stack([s.latent for s in cal]),
+                        [nonconformity(cfg.score_kind, s.probs, s.gold) for s in cal])
+        calls = []
+        query = Datastore.query
+
+        def counting_query(self, *args, **kwargs):
+            calls.append(args)
+            return query(self, *args, **kwargs)
+
+        monkeypatch.setattr(Datastore, "query", counting_query)
+        resolve_tau(store, cal, cfg, "l2", "auto", seed=3)
+        probe_size = min(200, len(store))  # heuristic scale probes
+        assert len(calls) == probe_size + cfg.search_batch
+
+    def test_k_exceeding_store_warns_once_per_condition(self, caplog):
+        cfg = replace(self.CFG, k=50, search_steps=3)
+        with caplog.at_level("WARNING"):
+            run_conformal_condition(cfg, "knn", "l2", 0.0, "auto", seed=2)
+        warnings = [r for r in caplog.records if "exceeds datastore size" in r.getMessage()]
+        assert len(warnings) == 1
 
 
 class TestTemperatureSearch:

@@ -40,8 +40,8 @@ class TestAddQuery:
         store.add(vec, 0.5)
         assert len(store) == 1
         result = store.query(vec, 1)
-        assert result[0].key == 0.0
-        assert result[0].score == 0.5
+        assert result.keys[0] == 0.0
+        assert result.scores[0] == 0.5
 
     def test_count_grows(self):
         store = Datastore(3)
@@ -64,7 +64,7 @@ class TestAddQuery:
         store = Datastore(2)
         store.add([1.0, 0.0], 0.1)
         result = store.query([0.0, 1.0], 1, metric="cos")
-        assert result[0].key == pytest.approx(0.0)
+        assert result.keys[0] == pytest.approx(0.0)
 
     def test_score_must_be_finite(self):
         store = Datastore(2)
@@ -94,7 +94,11 @@ class TestAddQuery:
             query = rng.normal(size=8).astype(np.float32)
             got = store.query(query, 10, metric=metric)
             expected = linear_scan(store.latents, store.scores, query, 10, metric, 8)
-            assert [nb.index for nb in got] == [i for _, i, _ in expected]
+            assert got.ids.tolist() == [i for _, i, _ in expected]
+            # float32 arithmetic in the store, float64 in the oracle
+            np.testing.assert_allclose(got.keys, [key for key, _, _ in expected],
+                                       rtol=1e-5, atol=1e-6)
+            assert got.scores.tolist() == [score for _, _, score in expected]
 
     @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=10),
            st.integers(min_value=0, max_value=2**31), st.sampled_from(["l2", "ip", "cos"]))
@@ -104,7 +108,7 @@ class TestAddQuery:
         store = make_store(rng, count, 5)
         result = store.query(rng.normal(size=5), k, metric=metric)
         assert len(result) == min(k, count)
-        keys = [nb.key for nb in result]
+        keys = result.keys.tolist()
         if metric == "l2":
             assert keys == sorted(keys)
         else:
@@ -196,8 +200,8 @@ class TestIvf:
         store = make_store(rng, 300, 6)
         store.build_ivf(8, np.random.default_rng(0))
         query = rng.normal(size=6)
-        exact = [nb.index for nb in store.query(query, 10)]
-        approx = [nb.index for nb in store.query_ivf(query, 10, nprobe=8)]
+        exact = store.query(query, 10).ids.tolist()
+        approx = store.query_ivf(query, 10, nprobe=8).ids.tolist()
         assert exact == approx
 
     def test_single_cluster_matches_exact(self):
@@ -205,8 +209,8 @@ class TestIvf:
         store = make_store(rng, 200, 5)
         store.build_ivf(1, np.random.default_rng(0))
         query = rng.normal(size=5)
-        exact = [nb.index for nb in store.query(query, 10)]
-        approx = [nb.index for nb in store.query_ivf(query, 10, nprobe=1)]
+        exact = store.query(query, 10).ids.tolist()
+        approx = store.query_ivf(query, 10, nprobe=1).ids.tolist()
         assert exact == approx
 
     def test_recall_at_10(self):
@@ -216,8 +220,8 @@ class TestIvf:
         hits = total = 0
         for _ in range(50):
             query = rng.normal(size=8)
-            exact = {nb.index for nb in store.query(query, 10)}
-            approx = {nb.index for nb in store.query_ivf(query, 10, nprobe=16)}
+            exact = set(store.query(query, 10).ids.tolist())
+            approx = set(store.query_ivf(query, 10, nprobe=16).ids.tolist())
             hits += len(exact & approx)
             total += 10
         assert hits / total >= 0.95

@@ -115,6 +115,11 @@ class TestAso:
         with pytest.raises(ValueError):
             aso([1.0, 2.0], [1.0, 2.0], alpha=1.5)
 
+    @pytest.mark.parametrize("a, b", [([1.0], [1.0, 2.0]), ([1.0, 2.0], [3.0]), ([1.0], [2.0])])
+    def test_needs_two_observations_per_sample(self, a, b):
+        with pytest.raises(ValueError, match="two observations"):
+            aso(a, b, num_bootstrap=10, rng=np.random.default_rng(0))
+
     def test_result_fields_in_range(self):
         rng = np.random.default_rng(8)
         result = aso(rng.normal(size=10), rng.normal(size=12), rng=np.random.default_rng(4))

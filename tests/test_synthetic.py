@@ -115,9 +115,9 @@ class TestCalibrationStore:
     def test_stored_latent_self_query(self):
         model = new_model(20, 5, seed=15)
         store = build_calibration_store(model, 100, "simple", derive_rng(16))
-        hit = store.query(store.latents[17], 1, metric="l2")[0]
-        assert hit.key == 0.0
-        assert hit.index == 17
+        hit = store.query(store.latents[17], 1, metric="l2")
+        assert hit.keys[0] == 0.0
+        assert hit.ids[0] == 17
 
     def test_unknown_score_kind(self):
         model = new_model(5, 3, seed=0)
