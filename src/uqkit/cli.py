@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -141,13 +142,21 @@ def cmd_aso_sim(args) -> int:
 
 
 def cmd_conformal_eval(args) -> int:
-    cfg = ConformalEvalConfig(vocab_size=args.vocab, latent_dim=args.dim,
-                              cal_steps=args.cal_steps, test_steps=args.test_steps,
-                              alpha=args.alpha, k=args.k, score_kind=args.score)
+    for option, value in (("--cal-steps", args.cal_steps), ("--test-steps", args.test_steps),
+                          ("--k", args.k)):
+        if value < 1:
+            raise UsageError(f"{option} must be >= 1, got {value}")
+    if not 0.0 < args.alpha < 1.0:
+        raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha!r}")
     try:
         tau = args.tau if args.tau in ("auto", "heuristic") else float(args.tau)
     except ValueError as exc:
         raise UsageError(f"cannot parse --tau {args.tau!r}") from exc
+    if isinstance(tau, float) and not (math.isfinite(tau) and tau > 0.0):
+        raise UsageError(f"--tau must be a finite number > 0, got {args.tau!r}")
+    cfg = ConformalEvalConfig(vocab_size=args.vocab, latent_dim=args.dim,
+                              cal_steps=args.cal_steps, test_steps=args.test_steps,
+                              alpha=args.alpha, k=args.k, score_kind=args.score)
     records = run_conformal_eval(cfg, methods=_split_list(args.method, str),
                                  metrics=_split_list(args.metric, str),
                                  noises=_split_list(args.noise, float), tau=tau,

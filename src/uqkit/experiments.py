@@ -94,9 +94,13 @@ def _median_neighbor_distance(store, metric: str, k: int, seed: int) -> float:
     """Median best-first neighbor key magnitude over a probe subset of the store."""
     rng = derive_rng(seed, 901)
     probe = rng.choice(len(store), size=min(200, len(store)), replace=False)
-    keys = [store.query(store.latents[i], k + 1, metric=metric).keys[1:]  # skip the self match
-            for i in probe]
-    med = float(np.median(np.abs(np.concatenate(keys))))
+    keys = np.concatenate([store.query(store.latents[i], k + 1, metric=metric).keys[1:]
+                           for i in probe])  # [1:] skips the self match
+    if keys.size == 0:
+        logger.warning("store has %d record(s), so no neighbor keys to take the median of; "
+                       "using tau = 1.0", len(store))
+        return 1.0
+    med = float(np.median(np.abs(keys)))
     return med if med > 0 else 1.0
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.special import logsumexp
 
 from .conformal import PredictionSet, as_prob_vector
@@ -121,6 +120,8 @@ def auroc(scores, labels) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("undefined: labels contain a single class")
+    from scipy import stats
+
     ranks = stats.rankdata(s)
     return float((ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -152,6 +153,8 @@ def kendall_tau(x, y) -> float:
     ya = np.asarray(y, dtype=float).ravel()
     if xa.size != ya.size or xa.size < 2:
         raise ValueError("inputs must be equal-length with at least two elements")
+    from scipy import stats
+
     tau = stats.kendalltau(xa, ya, variant="b").statistic
     if not math.isfinite(tau):
         raise ValueError("undefined: a list is entirely tied")

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import ndtri
+# scipy.stats is imported inside the functions that need it: it is ~1 s of CLI start.
+from scipy.special import ndtr, ndtri, stdtr
 
 from .empirical import as_sample, quantile_function
 
@@ -141,7 +141,7 @@ def _student_t(a: np.ndarray, b: np.ndarray) -> TestResult:
     if pooled_var == 0.0:
         raise ValueError("degenerate variance")
     t_stat = (a.mean() - b.mean()) / math.sqrt(pooled_var * (1.0 / n + 1.0 / m))
-    return TestResult(statistic=float(t_stat), p_value=float(stats.t.sf(t_stat, df=n + m - 2)))
+    return TestResult(statistic=float(t_stat), p_value=float(stdtr(n + m - 2, -t_stat)))
 
 
 def _bootstrap_test(a: np.ndarray, b: np.ndarray, resamples: int,
@@ -176,6 +176,8 @@ def _wilcoxon(a: np.ndarray, b: np.ndarray) -> TestResult:
     if np.all(a == b):
         # Every difference is zero: no evidence in either direction.
         return TestResult(statistic=0.0, p_value=1.0)
+    from scipy import stats
+
     res = stats.wilcoxon(a, b, zero_method="wilcox", alternative="greater")
     return TestResult(statistic=float(res.statistic), p_value=float(res.pvalue))
 
@@ -207,6 +209,8 @@ def _mann_whitney(a: np.ndarray, b: np.ndarray) -> TestResult:
     ties are present; otherwise the normal approximation with tie correction
     and continuity correction.
     """
+    from scipy import stats
+
     n, m = a.size, b.size
     pooled = np.concatenate([a, b])
     ranks = stats.rankdata(pooled)
@@ -224,7 +228,7 @@ def _mann_whitney(a: np.ndarray, b: np.ndarray) -> TestResult:
     if var_u == 0.0:
         return TestResult(statistic=float(u_stat), p_value=1.0)
     z = (u_stat - mean_u - 0.5) / math.sqrt(var_u)
-    return TestResult(statistic=float(u_stat), p_value=float(stats.norm.sf(z)))
+    return TestResult(statistic=float(u_stat), p_value=float(ndtr(-z)))
 
 
 def classic_test(kind: str, a, b, resamples: int = 1000,

@@ -201,3 +201,49 @@ class TestUsageErrors:
 
     def test_missing_required(self):
         assert run_cli([]).returncode == 2
+
+
+class TestConformalEvalValidation:
+    @pytest.mark.parametrize("option, value", [
+        ("--cal-steps", "0"), ("--test-steps", "0"), ("--k", "0"), ("--tau", "nan"),
+        ("--tau", "-1"), ("--alpha", "0"), ("--alpha", "1.5"),
+    ])
+    def test_bad_option_is_usage_error(self, option, value):
+        result = run_cli(["conformal-eval", "--vocab", "10", "--dim", "3", option, value])
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage error:")
+        assert len(result.stderr.splitlines()) == 1
+        assert option in result.stderr
+        assert result.stdout == ""
+
+
+def test_cli_runs_without_scipy_stats(tmp_path):
+    """The CLI's import and its common subcommands never load scipy.stats."""
+    import os
+    from pathlib import Path
+
+    store = Datastore(3)
+    store.add_batch(np.arange(12, dtype=np.float32).reshape(4, 3), np.linspace(0, 1, 4))
+    store.save(tmp_path / "s.uqds")
+    script = f"""
+import sys
+import uqkit.cli
+calls = [
+    ["datastore", "info", {str(tmp_path / "s.uqds")!r}],
+    ["dirichlet-check", "--num-random", "2", "--samples", "2000"],
+    ["aso-sim", "--test", "aso,student_t", "--trials", "2"],
+    ["conformal-eval", "--vocab", "10", "--dim", "3", "--cal-steps", "30",
+     "--test-steps", "10", "--k", "5", "--method", "split,knn"],
+]
+for argv in calls:
+    assert uqkit.cli.main(argv + ["--out", {str(tmp_path / "out")!r}]) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats."))
+print(loaded)
+"""
+    env = dict(os.environ)
+    env.pop("UQKIT_THREADS", None)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

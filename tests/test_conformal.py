@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -185,7 +186,9 @@ class TestPredictionSets:
         lo, hi = sorted((q1, q2))
         small = set(build_set_adaptive(p, lo).indices)
         large = set(build_set_adaptive(p, hi).indices)
-        assert small <= large
+        full = build_set_adaptive(p, FULL_SET).indices
+        assert small <= large <= set(full)
+        assert sorted(full) == list(range(len(p)))
 
     @given(prob_vectors, st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=100)
@@ -286,6 +289,15 @@ class TestConformalEvalDriver:
             run_conformal_condition(cfg, "knn", "l2", 0.0, "auto", seed=2)
         warnings = [r for r in caplog.records if "exceeds datastore size" in r.getMessage()]
         assert len(warnings) == 1
+
+    def test_heuristic_tau_on_one_record_store_falls_back_once(self, caplog):
+        cfg = ConformalEvalConfig(vocab_size=10, latent_dim=3, cal_steps=1, test_steps=5)
+        with warnings.catch_warnings(), caplog.at_level("WARNING"):
+            warnings.simplefilter("error")
+            record = run_conformal_condition(cfg, "knn", "l2", 0.0, "heuristic", seed=0)
+        assert record["tau"] == 1.0
+        fallbacks = [r for r in caplog.records if "tau = 1.0" in r.getMessage()]
+        assert len(fallbacks) == 1
 
 
 class TestTemperatureSearch:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from uqkit.empirical import quantile_function
 from uqkit.significance import (aso, bonferroni, classic_test, violation_ratio)
@@ -179,6 +180,40 @@ class TestClassicTests:
         b = rng.normal(0.0, 1.0, 30)
         assert classic_test("student_t", b + 2.0, b).p_value < 0.01
         assert classic_test("student_t", b - 2.0, b).p_value > 0.95
+
+    @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=30),
+           st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_student_t_p_value_matches_scipy_stats(self, a, b):
+        try:
+            forward = classic_test("student_t", a, b)
+        except ValueError:
+            assume(False)
+        backward = classic_test("student_t", b, a)
+        df = len(a) + len(b) - 2
+        assert forward.p_value == float(stats.t.sf(forward.statistic, df))
+        assert backward.p_value == float(stats.t.sf(backward.statistic, df))
+        assert abs(forward.p_value + backward.p_value - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["ties", "n_above_exact_limit"])
+    def test_mann_whitney_normal_branch_matches_scipy_stats(self, case):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            if case == "ties":
+                a = rng.integers(0, 6, 9).astype(float)
+                b = rng.integers(0, 5, 7).astype(float)
+            else:
+                a = rng.normal(0.3, 1.0, 15)
+                b = rng.normal(0.0, 1.0, 13)
+            result = classic_test("mann_whitney", a, b)
+            n, m = a.size, b.size
+            _, tie_counts = np.unique(np.concatenate([a, b]), return_counts=True)
+            tie_term = float(((tie_counts ** 3) - tie_counts).sum())
+            var_u = n * m / 12.0 * (n + m + 1 - tie_term / ((n + m) * (n + m - 1)))
+            z = (result.statistic - n * m / 2.0 - 0.5) / math.sqrt(var_u)
+            assert result.p_value == float(stats.norm.sf(z))
+            reference = stats.mannwhitneyu(a, b, alternative="greater", method="asymptotic")
+            assert result.p_value == pytest.approx(reference.pvalue, rel=1e-12)
 
     def test_wilcoxon_requires_equal_lengths(self):
         with pytest.raises(ValueError):
