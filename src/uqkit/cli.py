@@ -62,6 +62,17 @@ def _split_list(text: str, cast):
         raise UsageError(f"cannot parse list {text!r}: {exc}") from exc
 
 
+def _require_positive(*options: tuple[str, int]) -> None:
+    for option, value in options:
+        if value < 1:
+            raise UsageError(f"{option} must be >= 1, got {value}")
+
+
+def _require_unit_interval(option: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise UsageError(f"{option} must lie in (0, 1), got {value!r}")
+
+
 def _emit(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
@@ -115,9 +126,16 @@ def cmd_aso_sim(args) -> int:
         raise UsageError(str(exc)) from exc
     dists = [parse_dist(d) for d in _split_list(args.dist, str)]
     dist_b = parse_dist(args.dist_b) if args.dist_b else None
+    sizes = _split_list(args.n, int)
+    thresholds = _split_list(args.tau, float)
+    _require_positive(("--trials", args.trials), ("--bootstrap", args.bootstrap),
+                      ("--resamples", args.resamples), *(("--n", n) for n in sizes))
+    _require_unit_interval("--alpha", args.alpha)
+    if not all(math.isfinite(t) for t in thresholds):
+        raise UsageError(f"--tau values must be finite, got {args.tau!r}")
     records = run_aso_grid(
-        tests=_split_list(args.test, str), dists=dists, sizes=_split_list(args.n, int),
-        thresholds=_split_list(args.tau, float), trials=args.trials, seed=args.seed,
+        tests=_split_list(args.test, str), dists=dists, sizes=sizes,
+        thresholds=thresholds, trials=args.trials, seed=args.seed,
         alpha=args.alpha, num_bootstrap=args.bootstrap, resamples=args.resamples,
         dist_b=dist_b)
     buffer = io.StringIO()
@@ -142,12 +160,9 @@ def cmd_aso_sim(args) -> int:
 
 
 def cmd_conformal_eval(args) -> int:
-    for option, value in (("--cal-steps", args.cal_steps), ("--test-steps", args.test_steps),
-                          ("--k", args.k)):
-        if value < 1:
-            raise UsageError(f"{option} must be >= 1, got {value}")
-    if not 0.0 < args.alpha < 1.0:
-        raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha!r}")
+    _require_positive(("--cal-steps", args.cal_steps), ("--test-steps", args.test_steps),
+                      ("--k", args.k))
+    _require_unit_interval("--alpha", args.alpha)
     try:
         tau = args.tau if args.tau in ("auto", "heuristic") else float(args.tau)
     except ValueError as exc:
@@ -175,6 +190,9 @@ def cmd_conformal_eval(args) -> int:
 
 def cmd_dirichlet_check(args) -> int:
     explicit = _split_list(args.alpha, float) if args.alpha else None
+    _require_positive(("--samples", args.samples))
+    if explicit is None:
+        _require_positive(("--num-random", args.num_random))
     records = run_dirichlet_check(num_random=args.num_random, num_samples=args.samples,
                                   seed=args.seed, explicit_alpha=explicit)
     overall = max(record["max_abs_z"] for record in records)

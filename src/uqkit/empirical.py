@@ -52,6 +52,26 @@ def empirical_quantile(sample, p: float) -> float:
     return float(quantile_function(sample)(p))
 
 
+def rankdata(values) -> tuple[np.ndarray, np.ndarray]:
+    """Mid-ranks (1-based, ties averaged) of finite values, and each distinct value's count.
+
+    The tie counts are in ascending order of value and sum to the input size.
+    Every mid-rank is an exact half-integer, so the ranks equal
+    `scipy.stats.rankdata(values)` bit for bit.
+    """
+    arr = np.asarray(values, dtype=float).ravel()
+    order = np.argsort(arr, kind="stable")
+    srt = arr[order]
+    run_start = np.empty(arr.size, dtype=bool)
+    run_start[:1] = True
+    run_start[1:] = srt[1:] != srt[:-1]
+    starts = np.flatnonzero(run_start)
+    counts = np.diff(starts, append=arr.size)
+    ranks = np.empty(arr.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks, counts
+
+
 def bootstrap_resample(sample, m: int, rng: np.random.Generator) -> np.ndarray:
     """Inverse-transform bootstrap: draw p ~ U(0,1) and map through the quantile function.
 

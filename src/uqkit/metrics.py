@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .conformal import PredictionSet, as_prob_vector
+from .empirical import rankdata
 
 
 def _bin_index(values: np.ndarray, upper: float, num_bins: int) -> np.ndarray:
@@ -120,9 +121,9 @@ def auroc(scores, labels) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("undefined: labels contain a single class")
-    from scipy import stats
-
-    ranks = stats.rankdata(s)
+    if np.isnan(s).any():
+        raise ValueError("scores must not be NaN")
+    ranks, _ = rankdata(s)
     return float((ranks[y].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -8,19 +8,25 @@ plain (statistic, p-value) pair.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-# scipy.stats is imported inside the functions that need it: it is ~1 s of CLI start.
+# Normal and t tails come from scipy.special and the rank tests are native:
+# scipy.stats would add ~1 s to every CLI call that runs them.
 from scipy.special import ndtr, ndtri, stdtr
 
-from .empirical import as_sample, quantile_function
+from .empirical import as_sample, quantile_function, rankdata
 
 CLASSIC_TEST_KINDS = ("student_t", "bootstrap", "permutation", "wilcoxon", "mann_whitney")
 
 # Exact Mann-Whitney enumeration is used up to this per-group size (no ties).
 _MW_EXACT_LIMIT = 12
+# Wilcoxon p-values are exact up to this many pairs, or up to the second limit when a
+# difference is zero or tied (scipy.stats.wilcoxon's rule), and normal beyond.
+_WILCOXON_EXACT_LIMIT = 50
+_WILCOXON_EXACT_LIMIT_TIED = 13
 
 
 @dataclass(frozen=True)
@@ -169,17 +175,56 @@ def _permutation_test(a: np.ndarray, b: np.ndarray, resamples: int,
     return TestResult(statistic=float(observed), p_value=(exceed + 1) / (resamples + 1))
 
 
+@functools.lru_cache(maxsize=256)
+def _sign_pattern_counts(doubled_ranks: tuple[int, ...]) -> np.ndarray:
+    """Number of sign patterns of the ranks per doubled positive-rank sum.
+
+    Doubling makes mid-ranks integers. Each rank is positive in half of the
+    patterns, so each step adds the counts so far to themselves shifted by it.
+    """
+    counts = np.zeros(sum(doubled_ranks) + 1, dtype=np.int64)
+    counts[0] = 1
+    for r in doubled_ranks:
+        counts[r:] += counts[:-r].copy()
+    counts.flags.writeable = False
+    return counts
+
+
 def _wilcoxon(a: np.ndarray, b: np.ndarray) -> TestResult:
-    """Paired Wilcoxon signed-rank test; zero differences dropped, ties mid-ranked."""
+    """One-sided paired Wilcoxon signed-rank test for H1: `a` tends larger than `b`.
+
+    Zero differences are dropped and tied |differences| mid-ranked; the
+    statistic is the rank sum of the positive differences. The p-value equals
+    scipy.stats.wilcoxon(zero_method="wilcox", alternative="greater") to the
+    bit. For at most 50 pairs without zero or tied differences, or at most 13
+    pairs with them, it is the exact share of the 2**count equally likely
+    sign patterns whose positive-rank sum reaches the observed one (scipy
+    enumerates these patterns in the tied case); beyond that it is the
+    tie-corrected normal approximation without continuity correction.
+    """
     if a.size != b.size:
         raise ValueError("Wilcoxon signed-rank test requires paired samples of equal length")
     if np.all(a == b):
         # Every difference is zero: no evidence in either direction.
         return TestResult(statistic=0.0, p_value=1.0)
-    from scipy import stats
+    d = a - b
+    d = d[d != 0.0]
+    count = d.size
+    ranks, tie_counts = rankdata(np.abs(d))
+    r_plus = float(ranks[d > 0.0].sum())
 
-    res = stats.wilcoxon(a, b, zero_method="wilcox", alternative="greater")
-    return TestResult(statistic=float(res.statistic), p_value=float(res.pvalue))
+    untied = tie_counts.size == count == a.size
+    if a.size <= (_WILCOXON_EXACT_LIMIT if untied else _WILCOXON_EXACT_LIMIT_TIED):
+        doubled = tuple(np.sort(2 * ranks).astype(np.int64).tolist())
+        reached = _sign_pattern_counts(doubled)[int(2 * r_plus):].sum()
+        p = reached / 2 ** count
+    else:
+        tie_term = float((tie_counts ** 3 - tie_counts).sum())
+        mean = count * (count + 1.0) * 0.25
+        var24 = count * (count + 1.0) * (2.0 * count + 1.0)
+        z = (r_plus - mean) / math.sqrt((var24 - tie_term / 2) / 24)
+        p = ndtr(-z)
+    return TestResult(statistic=r_plus, p_value=float(p))
 
 
 def _mann_whitney_exact_p(n: int, m: int, u_obs: float) -> float:
@@ -209,19 +254,16 @@ def _mann_whitney(a: np.ndarray, b: np.ndarray) -> TestResult:
     ties are present; otherwise the normal approximation with tie correction
     and continuity correction.
     """
-    from scipy import stats
-
     n, m = a.size, b.size
     pooled = np.concatenate([a, b])
-    ranks = stats.rankdata(pooled)
+    ranks, tie_counts = rankdata(pooled)
     u_stat = ranks[:n].sum() - n * (n + 1) / 2.0
 
-    has_ties = np.unique(pooled).size < pooled.size
+    has_ties = tie_counts.size < pooled.size
     if not has_ties and max(n, m) <= _MW_EXACT_LIMIT:
         return TestResult(statistic=float(u_stat), p_value=_mann_whitney_exact_p(n, m, u_stat))
 
     mean_u = n * m / 2.0
-    _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = float(((tie_counts ** 3) - tie_counts).sum())
     total = n + m
     var_u = n * m / 12.0 * (total + 1 - tie_term / (total * (total - 1)))

@@ -217,6 +217,31 @@ class TestConformalEvalValidation:
         assert result.stdout == ""
 
 
+ASO_SIM_T = ["aso-sim", "--test", "student_t", "--trials", "5", "--n", "10"]
+DIRICHLET = ["dirichlet-check", "--samples", "100"]
+
+
+class TestAsoSimDirichletValidation:
+    @pytest.mark.parametrize("command, option, value", [
+        (ASO_SIM_T, "--tau", "nan,0.05"), (ASO_SIM_T, "--tau", "inf"),
+        (ASO_SIM_T, "--trials", "0"), (ASO_SIM_T, "--n", "5,0"),
+        (ASO_SIM_T, "--bootstrap", "0"), (ASO_SIM_T, "--resamples", "0"),
+        (ASO_SIM_T, "--alpha", "0"), (ASO_SIM_T, "--alpha", "1.5"),
+        (DIRICHLET, "--samples", "0"), (DIRICHLET, "--num-random", "0"),
+    ])
+    def test_bad_option_is_usage_error(self, command, option, value):
+        result = run_cli(command + [option, value])
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage error:")
+        assert len(result.stderr.splitlines()) == 1
+        assert option in result.stderr
+        assert result.stdout == ""
+
+    def test_dirichlet_check_num_random_unused_with_alpha_list(self):
+        result = run_cli(DIRICHLET + ["--alpha", "1,2", "--num-random", "0"])
+        assert result.returncode == 0, result.stderr
+
+
 def test_cli_runs_without_scipy_stats(tmp_path):
     """The CLI's import and its common subcommands never load scipy.stats."""
     import os
@@ -232,6 +257,7 @@ calls = [
     ["datastore", "info", {str(tmp_path / "s.uqds")!r}],
     ["dirichlet-check", "--num-random", "2", "--samples", "2000"],
     ["aso-sim", "--test", "aso,student_t", "--trials", "2"],
+    ["aso-sim", "--test", "wilcoxon,mann_whitney", "--n", "5,20", "--trials", "2"],
     ["conformal-eval", "--vocab", "10", "--dim", "3", "--cal-steps", "30",
      "--test-steps", "10", "--k", "5", "--method", "split,knn"],
 ]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uqkit.datastore import Datastore, DatastoreFormatError
 
@@ -134,6 +135,26 @@ class TestPersistence:
         store.save(first)
         Datastore.load(first).save(second)
         assert first.read_bytes() == second.read_bytes()
+
+    @given(st.data(), st.integers(min_value=1, max_value=32),
+           st.integers(min_value=0, max_value=64))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_property(self, tmp_path_factory, data, dim, count):
+        latents = data.draw(hnp.arrays(np.float32, (count, dim), elements=st.floats(
+            width=32, allow_nan=False, allow_infinity=False)))
+        scores = data.draw(hnp.arrays(np.float64, count, elements=st.floats(
+            allow_nan=False, allow_infinity=False)))
+        store = Datastore(dim)
+        store.add_batch(latents, scores)
+        path = tmp_path_factory.mktemp("uqds") / "store.uqds"
+        store.save(path)
+        loaded = Datastore.load(path)
+        assert loaded.dim == dim and len(loaded) == count
+        # Bytes, not values: signed zeros must survive too.
+        assert loaded.latents.dtype == np.float32 and loaded.scores.dtype == np.float64
+        assert loaded.latents.shape == (count, dim)
+        assert loaded.latents.tobytes() == latents.tobytes()
+        assert loaded.scores.tobytes() == scores.tobytes()
 
     def test_empty_store_roundtrip(self, tmp_path):
         store = Datastore(7)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from uqkit.empirical import (as_sample, bootstrap_resample, empirical_cdf,
-                             empirical_quantile, quantile_function)
+                             empirical_quantile, quantile_function, rankdata)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 samples = st.lists(finite_floats, min_size=1, max_size=50)
@@ -85,3 +86,23 @@ def test_quantile_function_vectorizes():
     qf = quantile_function([3.0, 1.0, 2.0])
     grid = np.array([0.2, 0.5, 0.9])
     assert np.array_equal(qf(grid), [1.0, 2.0, 3.0])
+
+
+@given(st.one_of(samples, st.lists(st.integers(min_value=-3, max_value=3).map(float),
+                                   min_size=1, max_size=50)))
+@settings(max_examples=200)
+def test_rankdata_matches_scipy_stats(values):
+    ranks, tie_counts = rankdata(values)
+    reference = stats.rankdata(values)
+    assert ranks.dtype == reference.dtype == np.float64
+    assert np.array_equal(ranks, reference)
+    _, unique_counts = np.unique(values, return_counts=True)
+    assert np.array_equal(tie_counts, unique_counts)
+
+
+def test_rankdata_mid_ranks_and_empty_input():
+    ranks, tie_counts = rankdata([3.0, 1.0, 3.0, 2.0, 3.0])
+    assert ranks.tolist() == [4.0, 1.0, 4.0, 2.0, 4.0]
+    assert tie_counts.tolist() == [1, 1, 3]
+    ranks, tie_counts = rankdata([])
+    assert ranks.size == 0 and tie_counts.size == 0

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from oracles import (aupr_oracle, auroc_pair_oracle, coverage_oracle, ece_oracle,
                      kendall_oracle, mi_oracle)
@@ -144,6 +145,24 @@ class TestDiscrimination:
         labels = rng.integers(0, 2, 50)
         base = auroc(scores, labels)
         assert auroc(np.exp(3 * scores), labels) == pytest.approx(base, abs=1e-12)
+
+    @given(st.lists(st.tuples(st.one_of(st.floats(min_value=-1e6, max_value=1e6),
+                                        st.sampled_from([0.0, 0.25, 0.5])),
+                              st.booleans()), min_size=2, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_auroc_matches_scipy_rankdata_formula(self, pairs):
+        scores = np.array([s for s, _ in pairs])
+        labels = np.array([y for _, y in pairs])
+        n_pos = int(labels.sum())
+        assume(0 < n_pos < labels.size)
+        ranks = stats.rankdata(scores)
+        expected = float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) /
+                         (n_pos * (labels.size - n_pos)))
+        assert auroc(scores, labels) == expected
+
+    def test_auroc_rejects_nan_scores(self):
+        with pytest.raises(ValueError, match="NaN"):
+            auroc([0.1, float("nan"), 0.3], [1, 0, 1])
 
     def test_aupr_perfect_separation(self):
         assert aupr([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == pytest.approx(1.0)

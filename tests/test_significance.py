@@ -144,6 +144,13 @@ def mann_whitney_enumeration_p(a, b):
     return at_least / total
 
 
+def wilcoxon_branch(n, tied_or_zero):
+    """Which null distribution scipy.stats.wilcoxon's default method picks."""
+    if not tied_or_zero and n <= 50:
+        return "exact"
+    return "sign_flip" if n <= 13 else "asymptotic"
+
+
 class TestClassicTests:
     def test_mann_whitney_exact_small(self):
         result = classic_test("mann_whitney", [4, 5, 6], [1, 2, 3])
@@ -222,6 +229,49 @@ class TestClassicTests:
     def test_wilcoxon_identical_pairs(self):
         result = classic_test("wilcoxon", [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert result.p_value == 1.0
+
+    @pytest.mark.parametrize("n, case, branch", [
+        (1, "continuous", "exact"), (2, "continuous", "exact"), (20, "continuous", "exact"),
+        (50, "continuous", "exact"), (51, "continuous", "asymptotic"),
+        (69, "continuous", "asymptotic"), (2, "zeros", "sign_flip"), (6, "ties", "sign_flip"),
+        (13, "ties", "sign_flip"), (13, "zeros", "sign_flip"), (14, "ties", "asymptotic"),
+        (14, "zeros", "asymptotic"), (50, "ties", "asymptotic"), (60, "ties", "asymptotic"),
+    ])
+    def test_wilcoxon_matches_scipy_stats_on_each_branch(self, n, case, branch):
+        rng = np.random.default_rng(n)
+        checked = 0
+        # scipy's sign-flip branch takes ~1.5 s per call at n = 13, so few shifts.
+        for shift in (-0.8, 0.0, 0.4, 1.2):
+            a = rng.normal(shift, 1.0, n)
+            b = rng.normal(0.0, 1.0, n)
+            if case == "ties":
+                a, b = np.round(a), np.round(b)
+            elif case == "zeros":
+                b[: max(1, n // 4)] = a[: max(1, n // 4)]
+            d = (a - b)[a != b]
+            if d.size == 0:
+                continue
+            tied = np.unique(np.abs(d)).size < d.size
+            assert wilcoxon_branch(n, tied or d.size < n) == branch
+            result = classic_test("wilcoxon", a, b)
+            reference = stats.wilcoxon(a, b, zero_method="wilcox", alternative="greater")
+            assert result.statistic == float(reference.statistic)
+            assert result.p_value == float(reference.pvalue)
+            checked += 1
+        assert checked >= 3
+
+    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=2**31),
+           st.sampled_from([2, 5, 40]))
+    @settings(max_examples=150, deadline=None)
+    def test_wilcoxon_matches_scipy_stats_on_integer_pairs(self, n, seed, levels):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, levels, n).astype(float)
+        b = rng.integers(0, levels, n).astype(float)
+        assume(np.any(a != b))
+        result = classic_test("wilcoxon", a, b)
+        reference = stats.wilcoxon(a, b, zero_method="wilcox", alternative="greater")
+        assert result.statistic == float(reference.statistic)
+        assert result.p_value == float(reference.pvalue)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown test kind"):
