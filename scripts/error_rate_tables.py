@@ -10,11 +10,10 @@ Usage:
 """
 
 import argparse
-import csv
 from pathlib import Path
 
 from uqkit.error_sim import Laplace, Normal, NormalMixture, Rayleigh
-from uqkit.experiments import ASO_SIM_SCHEMA, run_aso_grid
+from uqkit.experiments import aso_sim_csv, run_aso_grid
 
 TESTS = ["aso", "student_t", "bootstrap", "permutation", "wilcoxon", "mann_whitney"]
 SIZES = [5, 10, 15, 20]
@@ -34,11 +33,7 @@ TYPE2_PAIRS = {
 
 
 def write_csv(path: Path, records: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# schema={ASO_SIM_SCHEMA}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(records[0].keys()))
-        writer.writeheader()
-        writer.writerows(records)
+    path.write_text(aso_sim_csv(records), encoding="utf-8")
     print(f"wrote {path} ({len(records)} rows)")
 
 

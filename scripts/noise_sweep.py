@@ -12,7 +12,7 @@ Usage:
 
 import argparse
 
-from uqkit.experiments import ConformalEvalConfig, run_conformal_condition
+from uqkit.experiments import ConformalEvalConfig, run_conformal_eval
 
 
 def main() -> None:
@@ -31,9 +31,10 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for seed in args.seeds:
+        records = run_conformal_eval(cfg, ["knn", "split"], [args.metric], args.noise, tau, seed)
+        by_condition = {(r["method"], r["noise"]): r for r in records}
         for noise in args.noise:
-            knn = run_conformal_condition(cfg, "knn", args.metric, noise, tau, seed=seed)
-            split = run_conformal_condition(cfg, "split", "-", noise, tau, seed=seed)
+            knn, split = by_condition["knn", noise], by_condition["split", noise]
             print(f"{seed:>5} {noise:>6.3f} | {knn['coverage']:>8.4f} "
                   f"{knn['mean_set_size']:>9.1f} {knn['tau']:>8.3f} | "
                   f"{split['coverage']:>9.4f} {split['mean_set_size']:>10.1f}")

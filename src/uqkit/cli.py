@@ -23,8 +23,9 @@ import numpy as np
 
 from .datastore import Datastore, DatastoreFormatError
 from .error_sim import DistSpec, Laplace, Normal, NormalMixture, Rayleigh, worker_count
-from .experiments import (ASO_SIM_SCHEMA, ConformalEvalConfig, run_aso_grid,
-                          run_conformal_eval, run_dirichlet_check)
+from .experiments import (CONFORMAL_METHODS, ConformalEvalConfig, aso_sim_csv,
+                          run_aso_grid, run_conformal_eval, run_dirichlet_check)
+from .significance import CLASSIC_TEST_KINDS
 
 DATASTORE_CSV_SCHEMA = "uqkit.datastore.csv.v1"
 
@@ -62,10 +63,17 @@ def _split_list(text: str, cast):
         raise UsageError(f"cannot parse list {text!r}: {exc}") from exc
 
 
-def _require_positive(*options: tuple[str, int]) -> None:
+def _require_at_least(minimum: int, *options: tuple[str, int]) -> None:
     for option, value in options:
-        if value < 1:
-            raise UsageError(f"{option} must be >= 1, got {value}")
+        if value < minimum:
+            raise UsageError(f"{option} must be >= {minimum}, got {value}")
+
+
+def _require_choices(option: str, values: list[str], choices: tuple[str, ...]) -> None:
+    for value in values:
+        if value not in choices:
+            raise UsageError(f"{option}: unknown name {value!r}; expected one of "
+                             f"{','.join(choices)}")
 
 
 def _require_unit_interval(option: str, value: float) -> None:
@@ -128,27 +136,18 @@ def cmd_aso_sim(args) -> int:
     dist_b = parse_dist(args.dist_b) if args.dist_b else None
     sizes = _split_list(args.n, int)
     thresholds = _split_list(args.tau, float)
-    _require_positive(("--trials", args.trials), ("--bootstrap", args.bootstrap),
+    tests = _split_list(args.test, str)
+    _require_choices("--test", tests, ("aso", *CLASSIC_TEST_KINDS))
+    _require_at_least(1, ("--trials", args.trials), ("--bootstrap", args.bootstrap),
                       ("--resamples", args.resamples), *(("--n", n) for n in sizes))
     _require_unit_interval("--alpha", args.alpha)
     if not all(math.isfinite(t) for t in thresholds):
         raise UsageError(f"--tau values must be finite, got {args.tau!r}")
     records = run_aso_grid(
-        tests=_split_list(args.test, str), dists=dists, sizes=sizes,
-        thresholds=thresholds, trials=args.trials, seed=args.seed,
-        alpha=args.alpha, num_bootstrap=args.bootstrap, resamples=args.resamples,
-        dist_b=dist_b)
-    buffer = io.StringIO()
-    buffer.write(f"# schema={ASO_SIM_SCHEMA}\n")
-    writer = csv.DictWriter(buffer, fieldnames=["test", "dist", "n", "threshold", "trials",
-                                                "rate", "se", "seed"], lineterminator="\n")
-    writer.writeheader()
-    for record in records:
-        formatted = dict(record)
-        formatted["rate"] = f"{record['rate']:.6f}"
-        formatted["se"] = f"{record['se']:.6f}"
-        writer.writerow(formatted)
-    _emit(buffer.getvalue(), args.out)
+        tests=tests, dists=dists, sizes=sizes, thresholds=thresholds, trials=args.trials,
+        seed=args.seed, alpha=args.alpha, num_bootstrap=args.bootstrap,
+        resamples=args.resamples, dist_b=dist_b)
+    _emit(aso_sim_csv(records), args.out)
     if args.plot:
         series = {}
         for record in records:
@@ -160,9 +159,17 @@ def cmd_aso_sim(args) -> int:
 
 
 def cmd_conformal_eval(args) -> int:
-    _require_positive(("--cal-steps", args.cal_steps), ("--test-steps", args.test_steps),
+    _require_at_least(1, ("--cal-steps", args.cal_steps), ("--test-steps", args.test_steps),
                       ("--k", args.k))
+    _require_at_least(2, ("--vocab", args.vocab), ("--dim", args.dim))
     _require_unit_interval("--alpha", args.alpha)
+    methods = _split_list(args.method, str)
+    metrics = _split_list(args.metric, str)
+    noises = _split_list(args.noise, float)
+    _require_choices("--method", methods, CONFORMAL_METHODS)
+    _require_choices("--metric", metrics, ("l2", "ip", "cos"))
+    if not all(math.isfinite(noise) and noise >= 0.0 for noise in noises):
+        raise UsageError(f"--noise values must be finite and >= 0, got {args.noise!r}")
     try:
         tau = args.tau if args.tau in ("auto", "heuristic") else float(args.tau)
     except ValueError as exc:
@@ -172,10 +179,8 @@ def cmd_conformal_eval(args) -> int:
     cfg = ConformalEvalConfig(vocab_size=args.vocab, latent_dim=args.dim,
                               cal_steps=args.cal_steps, test_steps=args.test_steps,
                               alpha=args.alpha, k=args.k, score_kind=args.score)
-    records = run_conformal_eval(cfg, methods=_split_list(args.method, str),
-                                 metrics=_split_list(args.metric, str),
-                                 noises=_split_list(args.noise, float), tau=tau,
-                                 seed=args.seed)
+    records = run_conformal_eval(cfg, methods=methods, metrics=metrics, noises=noises,
+                                 tau=tau, seed=args.seed)
     _emit(json.dumps(records, sort_keys=True, indent=2) + "\n", args.out)
     if args.plot:
         series = {}
@@ -190,9 +195,9 @@ def cmd_conformal_eval(args) -> int:
 
 def cmd_dirichlet_check(args) -> int:
     explicit = _split_list(args.alpha, float) if args.alpha else None
-    _require_positive(("--samples", args.samples))
+    _require_at_least(1, ("--samples", args.samples))
     if explicit is None:
-        _require_positive(("--num-random", args.num_random))
+        _require_at_least(1, ("--num-random", args.num_random))
     records = run_dirichlet_check(num_random=args.num_random, num_samples=args.samples,
                                   seed=args.seed, explicit_alpha=explicit)
     overall = max(record["max_abs_z"] for record in records)

@@ -49,7 +49,7 @@ def as_prob_vector(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=float).ravel()
     if p.size < 2:
         raise ValueError("probability vector needs at least two classes")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not (p.min() >= 0.0 and p.max() <= 1.0):  # written so that NaN fails it
         raise ValueError("probabilities must lie in [0, 1]")
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError("probabilities must sum to 1")

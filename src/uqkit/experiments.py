@@ -7,7 +7,9 @@ order, and results are returned as plain records ready for CSV/JSON emission.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import logging
 from dataclasses import dataclass
 
@@ -28,6 +30,7 @@ logger = logging.getLogger(__name__)
 ASO_SIM_SCHEMA = "uqkit.aso-sim.csv.v1"
 CONFORMAL_EVAL_SCHEMA = "uqkit.conformal-eval.json.v1"
 DIRICHLET_CHECK_SCHEMA = "uqkit.dirichlet-check.json.v1"
+CONFORMAL_METHODS = ("split", "knn", "knn_unit")
 
 
 # -- error-rate grids ---------------------------------------------------------
@@ -58,6 +61,17 @@ def run_aso_grid(tests: list[str], dists: list[DistSpec], sizes: list[int],
                     })
     records.sort(key=lambda r: (r["test"], r["dist"], r["n"], r["threshold"]))
     return records
+
+
+def aso_sim_csv(records: list[dict]) -> str:
+    """`run_aso_grid` records as the schema-tagged CSV, with rate and se at 6 decimals."""
+    buffer = io.StringIO()
+    buffer.write(f"# schema={ASO_SIM_SCHEMA}\n")
+    writer = csv.DictWriter(buffer, fieldnames=["test", "dist", "n", "threshold", "trials",
+                                                "rate", "se", "seed"], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({**r, "rate": f"{r['rate']:.6f}", "se": f"{r['se']:.6f}"} for r in records)
+    return buffer.getvalue()
 
 
 # -- conformal coverage study -------------------------------------------------
@@ -129,86 +143,69 @@ def resolve_tau(store, cal_steps, cfg: ConformalEvalConfig, metric: str,
 
 def run_conformal_condition(cfg: ConformalEvalConfig, method: str, metric: str,
                             noise: float, tau, seed: int) -> dict:
-    """Evaluate one (method, metric, noise) condition; returns a result record.
+    """Evaluate one (method, metric, noise) condition; returns a result record."""
+    return run_conformal_eval(cfg, [method], [metric], [noise], tau, seed)[0]
 
-    `noise` is the injected latent noise expressed as a fraction of the
-    calibration latents' per-coordinate standard deviation. Gold tokens always
-    come from the clean emission distribution; prediction sets are built from
-    the corrupted one, mirroring a shifted-representation deployment.
+
+def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: list[str],
+                       noises: list[float], tau, seed: int) -> list[dict]:
+    """All requested conditions in canonical order, one result record each.
+
+    `noise` is the injected latent noise as a fraction of the calibration
+    latents' per-coordinate standard deviation. Gold tokens always come from the
+    clean emission distribution; sets are built from the corrupted one, mirroring
+    a shifted-representation deployment. Only the test loop depends on the
+    condition: everything else is built once per call, and tau once per metric.
     """
+    if not set(methods) <= set(CONFORMAL_METHODS):
+        raise ValueError(f"unknown method in {methods!r}; expected {CONFORMAL_METHODS}")
+    conditions = [(method, metric, noise) for method in sorted(methods) for noise in sorted(noises)
+                  for metric in (sorted(metrics) if method == "knn" else ["-"])]
+
     model = new_model(cfg.vocab_size, cfg.latent_dim, seed=seed,
                       temperature=cfg.temperature, noise_std=cfg.process_noise)
     chain = generate(model, cfg.burn_in + cfg.cal_steps + cfg.test_steps, derive_rng(seed, 1))
     cal = chain[cfg.burn_in: cfg.burn_in + cfg.cal_steps]
     test = chain[cfg.burn_in + cfg.cal_steps:]
 
+    cal_latents = np.stack([s.latent for s in cal])
     store = Datastore(cfg.latent_dim)
-    store.add_batch(np.stack([s.latent for s in cal]),
+    store.add_batch(cal_latents,
                     np.array([nonconformity(cfg.score_kind, s.probs, s.gold) for s in cal]))
+    latent_std = float(cal_latents.std())
+    fixed_q = {"split": split_quantile(store.scores, cfg.alpha),
+               "knn_unit": weighted_quantile(
+                   WeightedCalibration(store.scores, np.ones(len(store))), cfg.alpha)}
 
-    tau_value, k = None, min(cfg.k, len(store))
-    if method == "knn":
-        if k < cfg.k:
-            logger.warning("k=%d exceeds datastore size %d; using the entire store", cfg.k, k)
-        tau_value = resolve_tau(store, cal, cfg, metric, tau, seed)
+    k = min(cfg.k, len(store))
+    knn_metrics = sorted({metric for method, metric, _ in conditions if method == "knn"})
+    if knn_metrics and k < cfg.k:
+        logger.warning("k=%d exceeds datastore size %d; using the entire store", cfg.k, k)
+    taus = {metric: resolve_tau(store, cal, cfg, metric, tau, seed) for metric in knn_metrics}
 
-    latent_std = float(np.stack([s.latent for s in cal]).std())
-    sigma = noise * latent_std
-    noise_rng = derive_rng(seed, 2)
-    split_q = split_quantile(store.scores, cfg.alpha)
-    unit_q = weighted_quantile(WeightedCalibration(store.scores, np.ones(len(store))), cfg.alpha)
-
-    sets, labels, q_values = [], [], []
-    for step in test:
-        corrupted = inject_noise(step.latent, sigma, noise_rng)
-        probs = step_probs(model, corrupted)
-        if method == "split":
-            q_hat = split_q
-            pset = build_set_adaptive(probs, q_hat)
-        elif method == "knn":
-            pset = conformal_generate_step(store, corrupted, probs, cfg.alpha, k,
-                                           tau_value, metric=metric)
-            q_hat = pset.q_hat
-        elif method == "knn_unit":
-            q_hat = unit_q
-            pset = build_set_adaptive(probs, q_hat)
-        else:
-            raise ValueError(f"unknown method: {method!r}")
-        sets.append(pset)
-        labels.append(step.gold)
-        q_values.append(q_hat)
-
-    report = coverage_report(sets, labels, cfg.alpha, num_size_bins=cfg.num_size_bins,
-                             vocab_size=cfg.vocab_size)
-    return {
-        "schema": CONFORMAL_EVAL_SCHEMA,
-        "method": method,
-        "metric": metric if method == "knn" else "-",
-        "tau": round(tau_value, 6) if tau_value is not None else None,
-        "alpha": cfg.alpha,
-        "noise": noise,
-        "coverage": round(report.coverage, 6),
-        "width": round(report.mean_width_fraction, 6),
-        "ssc": round(report.ssc, 6),
-        "ecg": round(report.ecg, 6),
-        "seed": seed,
-        "q_digest": _q_digest(q_values),
-        "mean_set_size": round(report.mean_width_fraction * cfg.vocab_size, 6),
-    }
-
-
-def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: list[str],
-                       noises: list[float], tau, seed: int) -> list[dict]:
-    """All requested conditions in canonical order."""
-    conditions = []
-    for method in sorted(methods):
-        for noise in sorted(noises):
+    records = []
+    for method, metric, noise in conditions:
+        noise_rng = derive_rng(seed, 2)
+        sets = []
+        for step in test:
+            corrupted = inject_noise(step.latent, noise * latent_std, noise_rng)
+            probs = step_probs(model, corrupted)
             if method == "knn":
-                conditions.extend((method, metric, noise) for metric in sorted(metrics))
+                sets.append(conformal_generate_step(store, corrupted, probs, cfg.alpha, k,
+                                                    taus[metric], metric=metric))
             else:
-                conditions.append((method, "-", noise))
-    records = [run_conformal_condition(cfg, method, metric, noise, tau, seed)
-               for method, metric, noise in conditions]
+                sets.append(build_set_adaptive(probs, fixed_q[method]))
+        report = coverage_report(sets, [step.gold for step in test], cfg.alpha,
+                                 num_size_bins=cfg.num_size_bins, vocab_size=cfg.vocab_size)
+        records.append({
+            "schema": CONFORMAL_EVAL_SCHEMA, "method": method, "metric": metric,
+            "tau": round(taus[metric], 6) if method == "knn" else None,
+            "alpha": cfg.alpha, "noise": noise, "seed": seed,
+            "coverage": round(report.coverage, 6), "width": round(report.mean_width_fraction, 6),
+            "ssc": round(report.ssc, 6), "ecg": round(report.ecg, 6),
+            "q_digest": _q_digest([pset.q_hat for pset in sets]),
+            "mean_set_size": round(report.mean_width_fraction * cfg.vocab_size, 6),
+        })
     return records
 
 

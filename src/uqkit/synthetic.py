@@ -103,7 +103,7 @@ def generate(model: SynthModel, num_steps: int, rng: np.random.Generator,
 
 def inject_noise(latent: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Add isotropic N(0, sigma^2) noise per coordinate."""
-    if sigma < 0:
+    if not sigma >= 0:  # written so that NaN fails it
         raise ValueError("sigma must be non-negative")
     arr = np.asarray(latent, dtype=float)
     return arr + rng.normal(0.0, 1.0, size=arr.shape) * sigma

@@ -73,6 +73,27 @@ class TestAsoSim:
         assert result.returncode == 0
         assert svg.read_text().startswith("<svg")
 
+    def test_tables_script_csv_matches_cli(self, tmp_path):
+        """scripts/error_rate_tables.py and `aso-sim` write one CSV format, byte for byte."""
+        import os
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env.pop("UQKIT_THREADS", None)
+        env["PYTHONPATH"] = str(root / "src")
+        script = subprocess.run([sys.executable, str(root / "scripts" / "error_rate_tables.py"),
+                                 "--out-dir", str(tmp_path), "--trials", "2", "--seed", "7"],
+                                capture_output=True, text=True, env=env)
+        assert script.returncode == 0, script.stderr
+        cli = run_cli(["aso-sim", "--test",
+                       "aso,student_t,bootstrap,permutation,wilcoxon,mann_whitney",
+                       "--n", "5,10,15,20", "--tau", "0.05,0.1,0.2,0.3,0.4,0.5",
+                       "--dist", "normal:0:1.5", "--trials", "2", "--seed", "7",
+                       "--out", str(tmp_path / "cli.csv")])
+        assert cli.returncode == 0, cli.stderr
+        assert (tmp_path / "type1_normal.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
+
     def test_small_sample_aso_rate_band(self, tmp_path):
         out = tmp_path / "cell.csv"
         result = run_cli(["aso-sim", "--dist", "normal:0:1.5", "--n", "5", "--test", "aso",
@@ -206,7 +227,9 @@ class TestUsageErrors:
 class TestConformalEvalValidation:
     @pytest.mark.parametrize("option, value", [
         ("--cal-steps", "0"), ("--test-steps", "0"), ("--k", "0"), ("--tau", "nan"),
-        ("--tau", "-1"), ("--alpha", "0"), ("--alpha", "1.5"),
+        ("--tau", "-1"), ("--alpha", "0"), ("--alpha", "1.5"), ("--method", "foo"),
+        ("--metric", "foo"), ("--noise", "nan"), ("--noise", "0,-0.1"), ("--noise", "inf"),
+        ("--vocab", "1"), ("--dim", "1"),
     ])
     def test_bad_option_is_usage_error(self, option, value):
         result = run_cli(["conformal-eval", "--vocab", "10", "--dim", "3", option, value])
@@ -214,6 +237,14 @@ class TestConformalEvalValidation:
         assert result.stderr.startswith("usage error:")
         assert len(result.stderr.splitlines()) == 1
         assert option in result.stderr
+        assert result.stdout == ""
+
+    def test_split_only_nan_noise_is_usage_error(self):
+        result = run_cli(["conformal-eval", "--vocab", "10", "--dim", "3", "--method", "split",
+                          "--noise", "nan"])
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage error:") and "--noise" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
         assert result.stdout == ""
 
 
@@ -228,6 +259,7 @@ class TestAsoSimDirichletValidation:
         (ASO_SIM_T, "--bootstrap", "0"), (ASO_SIM_T, "--resamples", "0"),
         (ASO_SIM_T, "--alpha", "0"), (ASO_SIM_T, "--alpha", "1.5"),
         (DIRICHLET, "--samples", "0"), (DIRICHLET, "--num-random", "0"),
+        (ASO_SIM_T, "--test", "aso,foo"),
     ])
     def test_bad_option_is_usage_error(self, command, option, value):
         result = run_cli(command + [option, value])

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqkit.conformal import (FULL_SET, WeightedCalibration, build_set_adaptive,
-                             build_set_threshold, conformal_generate_step, is_full_set,
-                             rbf_weights, score_adaptive, score_simple, split_quantile,
-                             temperature_search, weighted_quantile)
+from uqkit import experiments
+from uqkit.conformal import (FULL_SET, WeightedCalibration, as_prob_vector,
+                             build_set_adaptive, build_set_threshold, conformal_generate_step,
+                             is_full_set, rbf_weights, score_adaptive, score_simple,
+                             split_quantile, temperature_search, weighted_quantile)
 from uqkit.datastore import Datastore
-from uqkit.experiments import ConformalEvalConfig, resolve_tau, run_conformal_condition
+from uqkit.experiments import (ConformalEvalConfig, resolve_tau, run_conformal_condition,
+                               run_conformal_eval)
 from uqkit.seeds import derive_rng
 from uqkit.synthetic import generate, new_model, nonconformity
 
@@ -52,6 +54,16 @@ class TestScores:
             score_simple([0.5, 0.6], 0)  # does not sum to 1
         with pytest.raises(ValueError):
             score_simple([1.0], 0)  # single class
+
+    @pytest.mark.parametrize("probs", [[math.nan, math.nan], [math.nan, 0.5, 0.5],
+                                       [0.5, 0.5, math.nan], [math.inf, 0.0]])
+    def test_rejects_non_finite_entries(self, probs):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            as_prob_vector(probs)
+
+    def test_adaptive_set_rejects_nan_probs(self):
+        with pytest.raises(ValueError):
+            build_set_adaptive([math.nan] * 3, 0.5)
 
 
 class TestSplitQuantile:
@@ -283,12 +295,56 @@ class TestConformalEvalDriver:
         probe_size = min(200, len(store))  # heuristic scale probes
         assert len(calls) == probe_size + cfg.search_batch
 
+    def test_shared_pass_generates_once_and_resolves_tau_once_per_metric(self, monkeypatch):
+        calls = {"generate": 0, "resolve_tau": 0}
+
+        def counting(name):
+            original = getattr(experiments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name, counting(name))
+        cfg = replace(self.CFG, search_steps=2)
+        records = run_conformal_eval(cfg, ["knn", "split"], ["l2", "cos"], [0.0, 0.1],
+                                     "auto", seed=3)
+        assert len(records) == 6
+        assert calls == {"generate": 1, "resolve_tau": 2}
+
+    def test_shared_pass_matches_one_condition_calls(self):
+        cfg = replace(self.CFG, search_steps=2)
+        records = run_conformal_eval(cfg, ["split", "knn", "knn_unit"], ["ip", "l2"],
+                                     [0.1, 0.0], "auto", seed=4)
+        assert [(r["method"], r["metric"], r["noise"]) for r in records] == [
+            ("knn", "ip", 0.0), ("knn", "l2", 0.0), ("knn", "ip", 0.1), ("knn", "l2", 0.1),
+            ("knn_unit", "-", 0.0), ("knn_unit", "-", 0.1), ("split", "-", 0.0),
+            ("split", "-", 0.1)]
+        for record in records:
+            assert record == run_conformal_condition(cfg, record["method"], record["metric"],
+                                                     record["noise"], "auto", seed=4)
+
+    def test_unknown_method_rejected_before_generation(self, monkeypatch):
+        monkeypatch.setattr(experiments, "generate", None)  # any call would raise TypeError
+        with pytest.raises(ValueError, match="unknown method"):
+            run_conformal_eval(self.CFG, ["split", "foo"], ["l2"], [0.0], "auto", seed=0)
+
     def test_k_exceeding_store_warns_once_per_condition(self, caplog):
         cfg = replace(self.CFG, k=50, search_steps=3)
         with caplog.at_level("WARNING"):
             run_conformal_condition(cfg, "knn", "l2", 0.0, "auto", seed=2)
         warnings = [r for r in caplog.records if "exceeds datastore size" in r.getMessage()]
         assert len(warnings) == 1
+
+    @pytest.mark.parametrize("methods, expected", [(["knn", "split"], 1), (["split"], 0)])
+    def test_k_exceeding_store_warns_once_per_call_with_knn(self, caplog, methods, expected):
+        cfg = replace(self.CFG, k=50, search_steps=2)
+        with caplog.at_level("WARNING"):
+            run_conformal_eval(cfg, methods, ["l2", "cos"], [0.0, 0.1], "auto", seed=2)
+        warnings = [r for r in caplog.records if "exceeds datastore size" in r.getMessage()]
+        assert len(warnings) == expected
 
     def test_heuristic_tau_on_one_record_store_falls_back_once(self, caplog):
         cfg = ConformalEvalConfig(vocab_size=10, latent_dim=3, cal_steps=1, test_steps=5)

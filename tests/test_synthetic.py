@@ -103,6 +103,10 @@ class TestInjectNoise:
         with pytest.raises(ValueError):
             inject_noise(np.zeros(2), -0.1, derive_rng(0))
 
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ValueError):
+            inject_noise(np.zeros(2), float("nan"), derive_rng(0))
+
 
 class TestCalibrationStore:
     def test_count_and_score_range(self):
