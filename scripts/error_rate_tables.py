@@ -12,6 +12,7 @@ Usage:
 import argparse
 from pathlib import Path
 
+from uqkit.cli import number
 from uqkit.error_sim import Laplace, Normal, NormalMixture, Rayleigh
 from uqkit.experiments import aso_sim_csv, run_aso_grid
 
@@ -40,7 +41,7 @@ def write_csv(path: Path, records: list[dict]) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results", type=Path)
-    parser.add_argument("--trials", type=int, default=500)
+    parser.add_argument("--trials", type=number(int, at_least=1), default=500)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,26 +12,28 @@ Usage:
 
 import argparse
 
+from uqkit.cli import number, rbf_tau
 from uqkit.experiments import ConformalEvalConfig, run_conformal_eval
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--noise", type=float, nargs="+", default=[0.0, 0.05, 0.1])
-    parser.add_argument("--tau", default="heuristic")
+    parser.add_argument("--noise", type=number(float, at_least=0.0), nargs="+",
+                        default=[0.0, 0.05, 0.1])
+    parser.add_argument("--tau", type=rbf_tau, default="heuristic")
     parser.add_argument("--metric", default="l2", choices=["l2", "ip", "cos"])
-    parser.add_argument("--k", type=int, default=50)
+    parser.add_argument("--k", type=number(int, at_least=1), default=50)
     args = parser.parse_args()
 
     cfg = ConformalEvalConfig(k=args.k)
-    tau = args.tau if args.tau in ("auto", "heuristic") else float(args.tau)
 
     header = f"{'seed':>5} {'noise':>6} | {'knn cov':>8} {'knn size':>9} {'tau':>8} | {'split cov':>9} {'split size':>10}"
     print(header)
     print("-" * len(header))
     for seed in args.seeds:
-        records = run_conformal_eval(cfg, ["knn", "split"], [args.metric], args.noise, tau, seed)
+        records = run_conformal_eval(cfg, ["knn", "split"], [args.metric], args.noise,
+                                     args.tau, seed)
         by_condition = {(r["method"], r["noise"]): r for r in records}
         for noise in args.noise:
             knn, split = by_condition["knn", noise], by_condition["split", noise]

@@ -16,69 +16,100 @@ import csv
 import io
 import json
 import math
+import operator
 import sys
+from argparse import ArgumentTypeError
 from pathlib import Path
 
 import numpy as np
 
-from .datastore import Datastore, DatastoreFormatError
+from .datastore import Datastore
+from .dirichlet import DirichletParams
 from .error_sim import DistSpec, Laplace, Normal, NormalMixture, Rayleigh, worker_count
 from .experiments import (CONFORMAL_METHODS, ConformalEvalConfig, aso_sim_csv,
                           run_aso_grid, run_conformal_eval, run_dirichlet_check)
 from .significance import CLASSIC_TEST_KINDS
 
 DATASTORE_CSV_SCHEMA = "uqkit.datastore.csv.v1"
+ASO_SIM_TESTS = ("aso", *CLASSIC_TEST_KINDS)
 
 
 class UsageError(ValueError):
     """Malformed command-line value; exits with code 2."""
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing usage and exiting; subparsers inherit it."""
+    def error(self, message):
+        raise UsageError(message)
+
+
+# -- option types: each option is parsed and checked where it is declared ------
+
+
+def number(cast, *, at_least=None, above=None, below=None):
+    """`type=` parser for one int or finite float; `at_least` is closed, `above`/`below` open."""
+    bounds = [(op, test, b) for op, test, b in ((">=", operator.ge, at_least),
+              (">", operator.gt, above), ("<", operator.lt, below)) if b is not None]
+    expected = " ".join(["an integer" if cast is int else "a finite number",
+                         " and ".join(f"{op} {b}" for op, _, b in bounds)]).rstrip()
+    def parse(text: str):
+        try:
+            value = cast(text)
+            if (cast is int or math.isfinite(value)) and \
+                    all(test(value, b) for _, test, b in bounds):
+                return value
+        except ValueError:
+            pass
+        raise ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+def comma_list(item):
+    """`type=` parser for a non-empty comma list with no empty item; `item` parses each."""
+    def parse(text: str) -> list:
+        if "" in text.split(","):
+            raise ArgumentTypeError(f"expected a comma list with no empty item, got {text!r}")
+        return [item(part) for part in text.split(",")]
+    return parse
+
+
+def names(choices: tuple[str, ...]):
+    """`type=` parser for a comma list of names out of `choices`."""
+    def name(text: str) -> str:
+        if text not in choices:
+            raise ArgumentTypeError(f"unknown name {text!r}; expected one of {','.join(choices)}")
+        return text
+    return comma_list(name)
+
+
 def parse_dist(text: str) -> DistSpec:
+    """`type=` parser for one distribution spec, e.g. `normal:0:1.5`."""
+    kind, *fields = text.split(":")
     try:
-        parts = text.split(":")
-        kind = parts[0]
-        values = [float(p) for p in parts[1:]]
-        if kind == "normal" and len(values) == 2:
-            return Normal(values[0], values[1])
-        if kind == "laplace" and len(values) == 2:
-            return Laplace(values[0], values[1])
-        if kind == "rayleigh" and len(values) == 1:
-            return Rayleigh(values[0])
-        if kind == "mixture" and len(values) >= 6 and len(values) % 3 == 0:
-            components = tuple((values[i], values[i + 1]) for i in range(0, len(values), 3))
-            weights = tuple(values[i + 2] for i in range(0, len(values), 3))
-            return NormalMixture(components, weights)
-    except UsageError:
-        raise
+        v = [float(field) for field in fields]
+        if kind in ("normal", "laplace") and len(v) == 2:
+            return (Normal if kind == "normal" else Laplace)(*v)
+        if kind == "rayleigh" and len(v) == 1:
+            return Rayleigh(v[0])
+        if kind == "mixture" and len(v) >= 6 and len(v) % 3 == 0:
+            return NormalMixture(tuple(zip(v[0::3], v[1::3])), tuple(v[2::3]))
+        raise ValueError("unknown kind or wrong number of parameters")
     except ValueError as exc:
-        raise UsageError(f"cannot parse distribution spec {text!r}: {exc}") from exc
-    raise UsageError(f"cannot parse distribution spec {text!r}")
+        raise ArgumentTypeError(f"cannot parse distribution spec {text!r}: {exc}") from exc
 
 
-def _split_list(text: str, cast):
+def concentrations(text: str) -> list[float]:
+    """`type=` parser for Dirichlet concentrations; `DirichletParams` holds the rules."""
     try:
-        return [cast(part) for part in text.split(",") if part]
+        return DirichletParams(comma_list(float)(text)).alpha.tolist()
     except ValueError as exc:
-        raise UsageError(f"cannot parse list {text!r}: {exc}") from exc
+        raise ArgumentTypeError(str(exc)) from exc
 
 
-def _require_at_least(minimum: int, *options: tuple[str, int]) -> None:
-    for option, value in options:
-        if value < minimum:
-            raise UsageError(f"{option} must be >= {minimum}, got {value}")
-
-
-def _require_choices(option: str, values: list[str], choices: tuple[str, ...]) -> None:
-    for value in values:
-        if value not in choices:
-            raise UsageError(f"{option}: unknown name {value!r}; expected one of "
-                             f"{','.join(choices)}")
-
-
-def _require_unit_interval(option: str, value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise UsageError(f"{option} must lie in (0, 1), got {value!r}")
+def rbf_tau(text: str):
+    """`type=` parser for a conformal RBF scale: auto, heuristic or a finite number > 0."""
+    return text if text in ("auto", "heuristic") else number(float, above=0.0)(text)
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -91,9 +122,12 @@ def _emit(payload: str, out: str | None) -> None:
 # -- tiny self-contained SVG emitter ------------------------------------------
 
 
-def _svg_line_chart(series: dict[str, list[tuple[float, float]]], title: str,
+def _svg_line_chart(records: list[dict], name, x: str, y: str, title: str,
                     width: int = 640, height: int = 400) -> str:
-    """Minimal multi-series line chart; enough to eyeball rate curves."""
+    """Minimal chart of `y` against `x`, one line per `name(record)`; enough to eyeball curves."""
+    series = {}
+    for record in records:
+        series.setdefault(name(record), []).append((record[x], record[y]))
     pad = 50.0
     points = [pt for pts in series.values() for pt in pts]
     xs = [p[0] for p in points] or [0.0, 1.0]
@@ -132,147 +166,113 @@ def cmd_aso_sim(args) -> int:
         worker_count()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    dists = [parse_dist(d) for d in _split_list(args.dist, str)]
-    dist_b = parse_dist(args.dist_b) if args.dist_b else None
-    sizes = _split_list(args.n, int)
-    thresholds = _split_list(args.tau, float)
-    tests = _split_list(args.test, str)
-    _require_choices("--test", tests, ("aso", *CLASSIC_TEST_KINDS))
-    _require_at_least(1, ("--trials", args.trials), ("--bootstrap", args.bootstrap),
-                      ("--resamples", args.resamples), *(("--n", n) for n in sizes))
-    _require_unit_interval("--alpha", args.alpha)
-    if not all(math.isfinite(t) for t in thresholds):
-        raise UsageError(f"--tau values must be finite, got {args.tau!r}")
     records = run_aso_grid(
-        tests=tests, dists=dists, sizes=sizes, thresholds=thresholds, trials=args.trials,
-        seed=args.seed, alpha=args.alpha, num_bootstrap=args.bootstrap,
-        resamples=args.resamples, dist_b=dist_b)
+        tests=args.test, dists=args.dist, sizes=args.n, thresholds=args.tau,
+        trials=args.trials, seed=args.seed, alpha=args.alpha, num_bootstrap=args.bootstrap,
+        resamples=args.resamples, dist_b=args.dist_b)
     _emit(aso_sim_csv(records), args.out)
     if args.plot:
-        series = {}
-        for record in records:
-            key = f"{record['test']} tau={record['threshold']:g}"
-            series.setdefault(key, []).append((record["n"], record["rate"]))
-        Path(args.plot).write_text(
-            _svg_line_chart(series, "error rate vs sample size"), encoding="utf-8")
+        _emit(_svg_line_chart(records, lambda r: f"{r['test']} tau={r['threshold']:g}", "n",
+                              "rate", "error rate vs sample size"), args.plot)
     return 0
 
 
 def cmd_conformal_eval(args) -> int:
-    _require_at_least(1, ("--cal-steps", args.cal_steps), ("--test-steps", args.test_steps),
-                      ("--k", args.k))
-    _require_at_least(2, ("--vocab", args.vocab), ("--dim", args.dim))
-    _require_unit_interval("--alpha", args.alpha)
-    methods = _split_list(args.method, str)
-    metrics = _split_list(args.metric, str)
-    noises = _split_list(args.noise, float)
-    _require_choices("--method", methods, CONFORMAL_METHODS)
-    _require_choices("--metric", metrics, ("l2", "ip", "cos"))
-    if not all(math.isfinite(noise) and noise >= 0.0 for noise in noises):
-        raise UsageError(f"--noise values must be finite and >= 0, got {args.noise!r}")
-    try:
-        tau = args.tau if args.tau in ("auto", "heuristic") else float(args.tau)
-    except ValueError as exc:
-        raise UsageError(f"cannot parse --tau {args.tau!r}") from exc
-    if isinstance(tau, float) and not (math.isfinite(tau) and tau > 0.0):
-        raise UsageError(f"--tau must be a finite number > 0, got {args.tau!r}")
     cfg = ConformalEvalConfig(vocab_size=args.vocab, latent_dim=args.dim,
                               cal_steps=args.cal_steps, test_steps=args.test_steps,
                               alpha=args.alpha, k=args.k, score_kind=args.score)
-    records = run_conformal_eval(cfg, methods=methods, metrics=metrics, noises=noises,
-                                 tau=tau, seed=args.seed)
+    records = run_conformal_eval(cfg, methods=args.method, metrics=args.metric,
+                                 noises=args.noise, tau=args.tau, seed=args.seed)
     _emit(json.dumps(records, sort_keys=True, indent=2) + "\n", args.out)
     if args.plot:
-        series = {}
-        for record in records:
-            name = record["method"] if record["metric"] == "-" else \
-                f"{record['method']}/{record['metric']}"
-            series.setdefault(name, []).append((record["noise"], record["coverage"]))
-        Path(args.plot).write_text(
-            _svg_line_chart(series, "coverage vs injected noise"), encoding="utf-8")
+        _emit(_svg_line_chart(
+            records, lambda r: r["method"] + ("" if r["metric"] == "-" else "/" + r["metric"]),
+            "noise", "coverage", "coverage vs injected noise"), args.plot)
     return 0
 
 
 def cmd_dirichlet_check(args) -> int:
-    explicit = _split_list(args.alpha, float) if args.alpha else None
-    _require_at_least(1, ("--samples", args.samples))
-    if explicit is None:
-        _require_at_least(1, ("--num-random", args.num_random))
+    if args.alpha is None and args.num_random < 1:
+        raise UsageError(f"argument --num-random: expected an integer >= 1, got {args.num_random}")
     records = run_dirichlet_check(num_random=args.num_random, num_samples=args.samples,
-                                  seed=args.seed, explicit_alpha=explicit)
+                                  seed=args.seed, explicit_alpha=args.alpha)
     overall = max(record["max_abs_z"] for record in records)
-    payload = json.dumps({"records": records, "overall_max_abs_z": overall},
-                         sort_keys=True, indent=2) + "\n"
-    _emit(payload, args.out)
+    _emit(json.dumps({"records": records, "overall_max_abs_z": overall},
+                     sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_datastore(args) -> int:
-    if args.action == "info":
-        store = Datastore.load(args.path)
-        _emit(json.dumps({"schema": DATASTORE_CSV_SCHEMA, "dim": store.dim,
-                          "count": len(store), "version": 1}, sort_keys=True) + "\n",
-              args.out)
-        return 0
-    if args.action == "dump":
-        store = Datastore.load(args.path)
-        buffer = io.StringIO()
-        buffer.write(f"# schema={DATASTORE_CSV_SCHEMA}\n")
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["score"] + [f"latent{i}" for i in range(store.dim)])
-        for latent, score in zip(store.latents, store.scores):
-            writer.writerow([repr(float(score))] + [repr(float(x)) for x in latent])
-        _emit(buffer.getvalue(), args.out)
-        return 0
     if args.action == "from-csv":
         lines = Path(args.path).read_text(encoding="utf-8").splitlines()
         rows = [row for row in csv.reader(line for line in lines if not line.startswith("#"))]
         if not rows:
             raise ValueError(f"{args.path}: empty CSV, expected a header row")
         header, body = rows[0], rows[1:]
-        dim = len(header) - 1
-        store = Datastore(dim)
+        store = Datastore(len(header) - 1)
         if body:
             latents = np.array([[float(x) for x in row[1:]] for row in body], dtype=np.float32)
             scores = np.array([float(row[0]) for row in body])
             store.add_batch(latents, scores)
         store.save(args.dest)
         return 0
-    raise ValueError(f"unknown datastore action {args.action!r}")
+    store = Datastore.load(args.path)
+    if args.action == "info":
+        _emit(json.dumps({"schema": DATASTORE_CSV_SCHEMA, "dim": store.dim,
+                          "count": len(store), "version": 1}, sort_keys=True) + "\n",
+              args.out)
+        return 0
+    buffer = io.StringIO()
+    buffer.write(f"# schema={DATASTORE_CSV_SCHEMA}\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["score"] + [f"latent{i}" for i in range(store.dim)])
+    for latent, score in zip(store.latents, store.scores):
+        writer.writerow([repr(float(score))] + [repr(float(x)) for x in latent])
+    _emit(buffer.getvalue(), args.out)
+    return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="uqkit", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(prog="uqkit", description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    at_least_1 = number(int, at_least=1)
+    unit_interval = number(float, above=0.0, below=1.0)
 
     p = sub.add_parser("aso-sim", help="Type I/II error-rate grids")
-    p.add_argument("--test", default="aso", help="comma list: aso,student_t,bootstrap,permutation,wilcoxon,mann_whitney")
-    p.add_argument("--dist", default="normal:0:1.5", help="comma list of distribution specs")
-    p.add_argument("--dist-b", default=None, dest="dist_b",
+    p.add_argument("--test", default="aso", type=names(ASO_SIM_TESTS),
+                   help=f"comma list: {','.join(ASO_SIM_TESTS)}")
+    p.add_argument("--dist", default="normal:0:1.5", type=comma_list(parse_dist),
+                   help="comma list of distribution specs")
+    p.add_argument("--dist-b", default=None, dest="dist_b", type=parse_dist,
                    help="second distribution; switches to Type II mode (--dist is the better system)")
-    p.add_argument("--n", default="5", help="comma list of sample sizes")
-    p.add_argument("--tau", default="0.2", help="comma list of decision thresholds")
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--n", default="5", type=comma_list(at_least_1),
+                   help="comma list of sample sizes")
+    p.add_argument("--tau", default="0.2", type=comma_list(number(float)),
+                   help="comma list of decision thresholds")
+    p.add_argument("--trials", type=at_least_1, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.05, help="ASO confidence level")
-    p.add_argument("--bootstrap", type=int, default=1000)
-    p.add_argument("--resamples", type=int, default=1000)
+    p.add_argument("--alpha", type=unit_interval, default=0.05, help="ASO confidence level")
+    p.add_argument("--bootstrap", type=at_least_1, default=1000)
+    p.add_argument("--resamples", type=at_least_1, default=1000)
     p.add_argument("--out", default=None)
     p.add_argument("--plot", default=None, help="write an SVG chart to this path")
     p.set_defaults(func=cmd_aso_sim)
 
     p = sub.add_parser("conformal-eval", help="synthetic-model conformal coverage study")
-    p.add_argument("--vocab", type=int, default=100)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--cal-steps", type=int, default=2000, dest="cal_steps")
-    p.add_argument("--test-steps", type=int, default=2000, dest="test_steps")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--method", default="split,knn", help="comma list: split,knn,knn_unit")
-    p.add_argument("--metric", default="l2", help="comma list: l2,ip,cos")
-    p.add_argument("--noise", default="0", help="comma list of noise levels (fractions of latent std)")
-    p.add_argument("--k", type=int, default=50)
-    p.add_argument("--tau", default="auto",
+    p.add_argument("--vocab", type=number(int, at_least=2), default=100)
+    p.add_argument("--dim", type=number(int, at_least=2), default=16)
+    p.add_argument("--cal-steps", type=at_least_1, default=2000, dest="cal_steps")
+    p.add_argument("--test-steps", type=at_least_1, default=2000, dest="test_steps")
+    p.add_argument("--alpha", type=unit_interval, default=0.1)
+    p.add_argument("--method", default="split,knn", type=names(CONFORMAL_METHODS),
+                   help=f"comma list: {','.join(CONFORMAL_METHODS)}")
+    p.add_argument("--metric", default="l2", type=names(("l2", "ip", "cos")),
+                   help="comma list: l2,ip,cos")
+    p.add_argument("--noise", default="0", type=comma_list(number(float, at_least=0.0)),
+                   help="comma list of noise levels (fractions of latent std)")
+    p.add_argument("--k", type=at_least_1, default=50)
+    p.add_argument("--tau", default="auto", type=rbf_tau,
                    help='"auto" (stochastic search), "heuristic" (median neighbor key), '
                         "or a numeric RBF scale")
     p.add_argument("--score", default="adaptive", choices=["adaptive", "simple"])
@@ -282,9 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_conformal_eval)
 
     p = sub.add_parser("dirichlet-check", help="closed forms vs Monte Carlo oracles")
-    p.add_argument("--alpha", default=None, help="explicit comma list of concentrations")
+    p.add_argument("--alpha", default=None, type=concentrations,
+                   help="explicit comma list of concentrations")
     p.add_argument("--num-random", type=int, default=20, dest="num_random")
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=at_least_1, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dirichlet_check)
@@ -299,18 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "datastore" and args.action == "from-csv" and not args.dest:
-        build_parser().error("from-csv requires a destination path")
     try:
+        args = build_parser().parse_args(argv)
+        if args.command == "datastore" and args.action == "from-csv" and not args.dest:
+            raise UsageError("argument dest: from-csv requires a destination path")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DatastoreFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # DatastoreFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

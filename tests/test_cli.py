@@ -1,11 +1,18 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uqkit.cli import build_parser, main
 from uqkit.datastore import Datastore
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, env_extra=None, cwd=None):
@@ -215,6 +222,32 @@ class TestDatastoreCli:
         result = run_cli(["datastore", "info", str(tmp_path / "nothere.uqds")])
         assert result.returncode == 3
 
+    @given(st.integers(min_value=1, max_value=8).flatmap(lambda dim: st.lists(
+        st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                  st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                           min_size=dim, max_size=dim)),
+        max_size=20).map(lambda rows: (dim, rows))))
+    @settings(max_examples=60, deadline=None)
+    def test_csv_roundtrip_property(self, case):
+        """from-csv -> dump -> from-csv reproduces the UQDS bytes and the dump bytes."""
+        dim, rows = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            lines = ["score," + ",".join(f"latent{i}" for i in range(dim))]
+            lines += [",".join(repr(v) for v in (score, *latent)) for score, latent in rows]
+            (tmp / "in.csv").write_text("\n".join(lines) + "\n")
+            for src, store, dump in [("in.csv", "a.uqds", "a.csv"), ("a.csv", "b.uqds", "b.csv")]:
+                assert main(["datastore", "from-csv", str(tmp / src), str(tmp / store)]) == 0
+                assert main(["datastore", "dump", str(tmp / store), "--out", str(tmp / dump)]) == 0
+            assert (tmp / "a.uqds").read_bytes() == (tmp / "b.uqds").read_bytes()
+            assert (tmp / "a.csv").read_bytes() == (tmp / "b.csv").read_bytes()
+            loaded = Datastore.load(tmp / "a.uqds")
+            assert loaded.latents.shape == (len(rows), dim)
+            assert np.array_equal(loaded.scores, np.array([score for score, _ in rows]))
+            assert np.array_equal(loaded.latents,
+                                  np.array([latent for _, latent in rows], dtype=np.float32)
+                                  .reshape(len(rows), dim))
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):
@@ -222,6 +255,57 @@ class TestUsageErrors:
 
     def test_missing_required(self):
         assert run_cli([]).returncode == 2
+
+    @pytest.mark.parametrize("argv, name", [
+        (["aso-sim", "--test=,"], "--test"), (["aso-sim", "--n=,"], "--n"),
+        (["aso-sim", "--tau=,"], "--tau"), (["aso-sim", "--dist=,"], "--dist"),
+        (["conformal-eval", "--method=,"], "--method"),
+        (["conformal-eval", "--metric=,"], "--metric"),
+        (["conformal-eval", "--noise=,"], "--noise"),
+        (["dirichlet-check", "--alpha=,"], "--alpha"),
+        (["dirichlet-check", "--alpha=1,nan"], "--alpha"),
+        (["dirichlet-check", "--alpha=-1,2"], "--alpha"),
+        (["dirichlet-check", "--alpha=0.5"], "--alpha"),
+        (["aso-sim", "--n=5,,10"], "--n"), (["aso-sim", "--tau=0.05,"], "--tau"),
+        (["aso-sim", "--dist-b=normal:0"], "--dist-b"),
+        (["frobnicate"], "command"), ([], "command"),
+        (["aso-sim", "--frobnicate", "1"], "--frobnicate"),
+        (["datastore", "from-csv", "in.csv"], "dest"),
+    ])
+    def test_one_line_naming_the_option(self, argv, name, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error:") and name in err
+        assert len(err.splitlines()) == 1
+
+    def test_string_defaults_pass_the_option_types(self):
+        parser = build_parser()
+        aso_sim = parser.parse_args(["aso-sim"])
+        assert (aso_sim.test, aso_sim.n, aso_sim.tau) == (["aso"], [5], [0.2])
+        assert [d.label() for d in aso_sim.dist] == ["normal:0:1.5"] and aso_sim.dist_b is None
+        conformal = parser.parse_args(["conformal-eval"])
+        assert (conformal.method, conformal.metric, conformal.noise, conformal.tau) == \
+            (["split", "knn"], ["l2"], [0.0], "auto")
+        assert parser.parse_args(["dirichlet-check", "--alpha", "1,2.5"]).alpha == [1.0, 2.5]
+
+
+class TestScripts:
+    @pytest.mark.parametrize("script, args, option", [
+        ("noise_sweep.py", ["--tau", "nan", "--seeds", "1", "--noise", "0"], "--tau"),
+        ("noise_sweep.py", ["--k", "0", "--seeds", "1", "--noise", "0"], "--k"),
+        ("error_rate_tables.py", ["--trials", "0"], "--trials"),
+    ])
+    def test_bad_option_exits_2_without_traceback(self, script, args, option, tmp_path):
+        import os
+
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                                capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert f"argument {option}:" in result.stderr
+        assert result.stdout == ""
 
 
 class TestConformalEvalValidation:

@@ -6,6 +6,7 @@ Regenerate (only in a change that says why in CHANGES.md; see golden/README.md):
 """
 
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -15,10 +16,15 @@ import pytest
 from uqkit.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+RECORDS_CSV = GOLDEN_DIR / "datastore_records.csv"
+STORE = "<store>"
 
 _EVAL = ["conformal-eval", "--vocab", "20", "--dim", "4", "--k", "10"]
 _ALL = ["--method", "split,knn,knn_unit", "--metric", "l2,ip,cos", "--noise", "0,0.1",
         "--cal-steps", "120", "--test-steps", "60"]
+_ASO = ["aso-sim", "--test", "aso,student_t,bootstrap,permutation,wilcoxon,mann_whitney",
+        "--n", "5,12,13,14,50,51", "--tau", "0.05,0.2", "--trials", "3",
+        "--bootstrap", "200", "--resamples", "200"]
 
 CASES = {
     "conformal_eval_tau_auto": _EVAL + _ALL + ["--tau", "auto", "--seed", "3"],
@@ -31,23 +37,40 @@ CASES = {
         "--method", "knn,knn_unit", "--metric", "l2,cos", "--noise", "0,0.1",
         "--cal-steps", "8", "--test-steps", "30", "--alpha", "0.3", "--tau", "auto",
         "--seed", "7"],
+    # n 12/13 straddle the exact Mann-Whitney limit, 50/51 the untied Wilcoxon one.
+    "aso_sim_type1": _ASO + ["--dist", "normal:0:1.5,laplace:0:1.5"],
+    "aso_sim_type2": _ASO + ["--dist", "normal:0.5:1.5", "--dist-b", "normal:0:1.5"],
+    "dirichlet_check": ["dirichlet-check", "--num-random", "2", "--samples", "2000"],
+    "datastore_dump": ["datastore", "dump", STORE],
 }
+
+_SUFFIX = {"conformal-eval": ".json", "aso-sim": ".csv", "dirichlet-check": ".json",
+           "datastore": ".csv"}
+
+
+def golden_path(name: str) -> Path:
+    return GOLDEN_DIR / f"{name}{_SUFFIX[CASES[name][0]]}"
 
 
 def run_case(argv) -> str:
+    """Stdout of `main(argv)`; STORE names a store built by `from-csv` from RECORDS_CSV."""
     buffer = StringIO()
-    with redirect_stdout(buffer):
-        assert main(argv) == 0, argv
+    with tempfile.TemporaryDirectory() as tmp:
+        store = str(Path(tmp) / "records.uqds")
+        if STORE in argv:
+            assert main(["datastore", "from-csv", str(RECORDS_CSV), store]) == 0
+        argv = [store if arg == STORE else arg for arg in argv]
+        with redirect_stdout(buffer):
+            assert main(argv) == 0, argv
     return buffer.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_golden(name):
-    expected = (GOLDEN_DIR / f"{name}.json").read_bytes()
-    assert run_case(CASES[name]).encode("utf-8") == expected
+    assert run_case(CASES[name]).encode("utf-8") == golden_path(name).read_bytes()
 
 
 if __name__ == "__main__":
     for name, argv in sorted(CASES.items()):
-        (GOLDEN_DIR / f"{name}.json").write_text(run_case(argv), encoding="utf-8")
-        print(f"wrote {name}.json", file=sys.stderr)
+        golden_path(name).write_text(run_case(argv), encoding="utf-8")
+        print(f"wrote {golden_path(name).name}", file=sys.stderr)

@@ -13,6 +13,11 @@ from uqkit.significance import (aso, bonferroni, classic_test, violation_ratio)
 # Bounded finite score samples of size 1..30 for the property tests.
 finite_samples = st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                                     allow_infinity=False), min_size=1, max_size=30)
+# ASO needs two observations per sample.
+aso_samples = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=20)
+# Small integer scores: a common integer shift is exact, a scale keeps distinct values apart.
+integer_samples = st.lists(st.integers(min_value=-50, max_value=50).map(float), min_size=1,
+                           max_size=30)
 
 
 def brute_force_violation_ratio(a, b, dt):
@@ -80,6 +85,23 @@ class TestViolationRatio:
     def test_identical_samples_property(self, a):
         assert violation_ratio(a, a) == 0.5
 
+    @given(integer_samples, integer_samples, st.integers(min_value=-100, max_value=100),
+           st.floats(min_value=0.01, max_value=100.0))
+    @settings(max_examples=200, deadline=None)
+    def test_invariant_to_common_shift_and_scale(self, a, b, shift, scale):
+        """violation_ratio(s*(a+c), s*(b+c)) == violation_ratio(a, b) to 1e-12.
+
+        Bounds: integer scores in [-50, 50], integer shift c in [-100, 100] (so a+c is
+        exact) and scale s in [0.01, 100]. Distinct quantiles then differ by >= s while
+        each scaled value carries a rounding error <= 150*s*2**-53, so every squared
+        difference and the Wasserstein denominator keep a relative error below 1e-13.
+        """
+        def transform(x):
+            return (np.asarray(x, dtype=float) + shift) * scale
+
+        expected = violation_ratio(a, b)
+        assert violation_ratio(transform(a), transform(b)) == pytest.approx(expected, abs=1e-12)
+
 
 class TestAso:
     def test_total_dominance_rejects(self):
@@ -120,6 +142,23 @@ class TestAso:
     def test_needs_two_observations_per_sample(self, a, b):
         with pytest.raises(ValueError, match="two observations"):
             aso(a, b, num_bootstrap=10, rng=np.random.default_rng(0))
+
+    @given(aso_samples, aso_samples, st.floats(min_value=1e-3, max_value=1 - 1e-3),
+           st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=100, deadline=None)
+    def test_eps_min_in_unit_interval_property(self, a, b, alpha, seed):
+        result = aso(a, b, alpha=alpha, num_bootstrap=50, rng=np.random.default_rng(seed))
+        assert 0.0 <= result.eps_min <= 1.0
+
+    @given(aso_samples, aso_samples, st.lists(st.floats(min_value=1e-3, max_value=1 - 1e-3),
+                                              min_size=2, max_size=4),
+           st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=100, deadline=None)
+    def test_eps_min_non_increasing_in_alpha_property(self, a, b, alphas, seed):
+        """Same rng seed, same bootstrap draws: eps_min moves only through Phi^-1(alpha)."""
+        values = [aso(a, b, alpha=al, num_bootstrap=50, rng=np.random.default_rng(seed)).eps_min
+                  for al in sorted(alphas)]
+        assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
 
     def test_result_fields_in_range(self):
         rng = np.random.default_rng(8)
