@@ -2,7 +2,8 @@
 
 Non-conformity scores, calibration quantiles (exchangeable and weighted),
 prediction-set construction, RBF relevance weights, the composed per-step
-generation routine, and the stochastic temperature search.
+generation routine, its batched (steps, k) counterpart (`KnnQuantiles` and
+`AdaptiveSets`), and the stochastic temperature search.
 
 Quantile levels are compared with a 1e-9 slack so that mathematically exact
 boundaries such as (N+1)*(1-alpha) landing on an integer are not perturbed by
@@ -44,16 +45,23 @@ def is_full_set(q_hat) -> bool:
     return q_hat is FULL_SET
 
 
-def as_prob_vector(probs) -> np.ndarray:
-    """Validate a categorical distribution (entries in [0,1], unit sum, >= 2 classes)."""
-    p = np.asarray(probs, dtype=float).ravel()
-    if p.size < 2:
+def as_prob_matrix(probs) -> np.ndarray:
+    """Validate one categorical distribution per row (entries in [0,1], unit sums, >= 2 classes)."""
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 2:
+        raise ValueError("expected one probability vector per row")
+    if p.shape[1] < 2:
         raise ValueError("probability vector needs at least two classes")
     if not (p.min() >= 0.0 and p.max() <= 1.0):  # written so that NaN fails it
         raise ValueError("probabilities must lie in [0, 1]")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
+    if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
         raise ValueError("probabilities must sum to 1")
     return p
+
+
+def as_prob_vector(probs) -> np.ndarray:
+    """Validate a categorical distribution (entries in [0,1], unit sum, >= 2 classes)."""
+    return as_prob_matrix(np.reshape(np.asarray(probs, dtype=float), (1, -1)))[0]
 
 
 @dataclass(frozen=True)
@@ -91,8 +99,8 @@ class WeightedCalibration:
 
 
 def _descending_order(p: np.ndarray) -> np.ndarray:
-    """Stable descending sort order; ties broken by ascending class id."""
-    return np.argsort(-p, kind="stable")
+    """Stable descending sort order along the last axis; ties broken by ascending class id."""
+    return np.argsort(-p, axis=-1, kind="stable")
 
 
 def score_simple(probs, label: int) -> float:
@@ -199,6 +207,79 @@ def knn_set(neighbors, probs, alpha: float, tau: float, metric: str = "l2") -> P
     weights = rbf_weights(neighbors.keys, tau, metric=metric)
     q_hat = weighted_quantile(WeightedCalibration(scores=neighbors.scores, weights=weights), alpha)
     return build_set_adaptive(probs, q_hat)
+
+
+class KnnQuantiles:
+    """`knn_set`'s q_hat for every row of a (steps, k) `Neighbors` block, at any tau.
+
+    Row i at temperature tau equals `weighted_quantile` of the RBF-weighted
+    neighbor scores of row i, bit for bit: the weight total is a row sum in
+    retrieval order, as there, and the cumulative mass runs in stable score
+    order. That order does not depend on tau, so it is computed once here and
+    reused by every call. Tied scores need no run ends: the cumulative mass
+    never decreases and a run shares one score, so the first position that
+    reaches the level names the same score as the end of its run.
+    """
+
+    def __init__(self, neighbors, alpha: float, metric: str = "l2"):
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        scores = np.asarray(neighbors.scores, dtype=float)
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("scores must be finite")
+        self._keys = np.asarray(neighbors.keys, dtype=float)
+        self._metric = metric
+        self._level = (1.0 - alpha) - _LEVEL_SLACK
+        self._order = np.argsort(scores, axis=1, kind="stable")
+        self._sorted = np.take_along_axis(scores, self._order, axis=1)
+
+    def __call__(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """(q_hat, full): the per-row quantile, and True where it is FULL_SET (q_hat then unused)."""
+        weights = rbf_weights(self._keys, tau, metric=self._metric)
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite and non-negative")
+        normalized = weights / (1.0 + weights.sum(axis=1, keepdims=True))
+        cumulative = np.cumsum(np.take_along_axis(normalized, self._order, axis=1), axis=1)
+        reached = cumulative >= self._level
+        first = reached.argmax(axis=1)
+        rows = np.arange(first.size)
+        return self._sorted[rows, first], ~reached[rows, first]
+
+
+class AdaptiveSets:
+    """`build_set_adaptive` for every row of a (steps, classes) matrix: set sizes and label hits.
+
+    The descending-probability prefix sums and the mass ranked before each
+    label do not depend on q_hat, so they are computed once here. A label is
+    in its row's set iff the set is FULL_SET, or the label is the top class,
+    or the mass ranked before it is below the clamped q_hat.
+    """
+
+    def __init__(self, probs, labels):
+        p = as_prob_matrix(probs)
+        labels = np.asarray(labels, dtype=int).ravel()
+        if labels.size != p.shape[0]:
+            raise ValueError("need one label per probability vector")
+        if np.any((labels < 0) | (labels >= p.shape[1])):
+            raise ValueError("label out of range")
+        order = _descending_order(p)
+        self._cumulative = np.cumsum(np.take_along_axis(p, order, axis=1), axis=1)
+        rows = np.arange(labels.size)
+        position = np.argmax(order == labels[:, None], axis=1)
+        # -inf keeps the top class in every set, even at q_hat = 0.
+        self._before_label = np.where(position > 0, self._cumulative[rows, position - 1],
+                                      -np.inf)
+
+    def sizes(self, q_hat: np.ndarray, full: np.ndarray) -> np.ndarray:
+        """Per-row set size: the descending prefix reaching the clamped q_hat, never empty."""
+        q = np.clip(q_hat, 0.0, 1.0)
+        vocab = self._cumulative.shape[1]
+        below = np.count_nonzero(self._cumulative < q[:, None], axis=1)
+        return np.where(full, vocab, np.minimum(below + 1, vocab))
+
+    def covers(self, q_hat: np.ndarray, full: np.ndarray) -> np.ndarray:
+        """Per-row flag: the row's label is in its set."""
+        return full | (self._before_label < np.clip(q_hat, 0.0, 1.0))
 
 
 def conformal_generate_step(store, latent, probs, alpha: float, k: int, tau: float,

@@ -4,7 +4,8 @@ Latents are held at 32-bit precision, scores at 64-bit. Exact search supports
 squared l2 distance (ascending), inner product normalized by sqrt(dim)
 (descending), and cosine similarity (descending); an optional inverted-file
 index accelerates large stores at a measurable recall cost. A query returns one
-`Neighbors` result: aligned best-first arrays of keys, scores and record ids.
+`Neighbors` result: aligned best-first arrays of keys, scores and record ids;
+`query_batch` returns the same for many queries as (queries, k) arrays.
 
 File format "UQDS" v1 (little-endian, bit-exact round trip):
     magic "UQDS" (4 bytes) | u32 version | u32 dim | u64 count |
@@ -31,7 +32,10 @@ class DatastoreFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Neighbors:
-    """Retrieved records as aligned best-first arrays of keys, scores and record ids."""
+    """Retrieved records as aligned best-first arrays of keys, scores and record ids.
+
+    The arrays are 1-D for one query and (queries, k) for `Datastore.query_batch`.
+    """
 
     keys: np.ndarray
     scores: np.ndarray
@@ -131,6 +135,35 @@ class Datastore:
         keys = self._keys(q, self._latents, metric)
         ids = np.arange(len(self))
         return self._neighbors(ids, keys, min(k, len(self)), metric)
+
+    def query_batch(self, latents, k: int, metric: str = "l2") -> Neighbors:
+        """`query` for every row of a (queries, dim) matrix, as (queries, min(k, count)) arrays.
+
+        Row i equals `query(latents[i], k, metric)` bit for bit: each row runs the
+        same key arithmetic and stable sort, into (queries, k) arrays, so no
+        (queries, count) array is held. Every row is checked before any key is
+        computed.
+        """
+        if len(self) == 0:
+            raise ValueError("empty datastore")
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        queries = np.ascontiguousarray(latents, dtype=np.float32)
+        if queries.ndim != 2:
+            raise ValueError("latents must be a (queries, dim) matrix")
+        if queries.shape[1] != self.dim:
+            raise ValueError(f"latent dimension {queries.shape[1]} does not match store "
+                             f"dimension {self.dim}")
+        if not np.all(np.isfinite(queries)):
+            raise ValueError("latent must be finite")
+        k = min(k, len(self))
+        ids = np.empty((queries.shape[0], k), dtype=np.intp)
+        keys = np.empty(ids.shape)
+        for q, id_row, key_row in zip(queries, ids, keys):
+            row_keys = self._keys(q, self._latents, metric)
+            id_row[:] = self._best_first(row_keys, metric)[:k]
+            key_row[:] = row_keys[id_row]
+        return Neighbors(keys, self._scores[ids], ids)
 
     # -- persistence ---------------------------------------------------------
 

@@ -79,12 +79,22 @@ def coverage_report(sets: list[PredictionSet], labels, alpha: float,
     labels_arr = np.asarray(labels).ravel()
     if len(sets) != labels_arr.size or not sets:
         raise ValueError("sets and labels must be non-empty and equal-length")
-    sizes = np.array([len(s) for s in sets], dtype=float)
+    return coverage_report_arrays([len(s) for s in sets],
+                                  [int(label) in s for s, label in zip(sets, labels_arr)],
+                                  alpha, num_size_bins=num_size_bins, vocab_size=vocab_size)
+
+
+def coverage_report_arrays(sizes, covered, alpha: float, num_size_bins: int = 75,
+                           vocab_size: int | None = None) -> CoverageReport:
+    """`coverage_report` from each set's size and whether it covers its label."""
+    sizes = np.asarray(sizes, dtype=float).ravel()
+    covered = np.asarray(covered, dtype=float).ravel()
+    if sizes.size != covered.size or not sizes.size:
+        raise ValueError("sets and labels must be non-empty and equal-length")
     if vocab_size is None:
         vocab_size = int(sizes.max())
     if vocab_size < sizes.max():
         raise ValueError("vocab_size smaller than the largest prediction set")
-    covered = np.array([int(label) in s for s, label in zip(sets, labels_arr)], dtype=float)
 
     idx = _bin_index(sizes, float(vocab_size), num_size_bins)
     counts = np.bincount(idx, minlength=num_size_bins)

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqkit import experiments
-from uqkit.conformal import (FULL_SET, WeightedCalibration, as_prob_vector,
-                             build_set_adaptive, build_set_threshold, conformal_generate_step,
-                             is_full_set, rbf_weights, score_adaptive, score_simple,
+from uqkit.conformal import (FULL_SET, AdaptiveSets, KnnQuantiles, WeightedCalibration,
+                             as_prob_matrix, as_prob_vector, build_set_adaptive,
+                             build_set_threshold, conformal_generate_step, is_full_set,
+                             knn_set, rbf_weights, score_adaptive, score_simple,
                              split_quantile, temperature_search, weighted_quantile)
-from uqkit.datastore import Datastore
+from uqkit.datastore import Datastore, Neighbors
 from uqkit.experiments import (ConformalEvalConfig, resolve_tau, run_conformal_condition,
                                run_conformal_eval)
 from uqkit.seeds import derive_rng
@@ -64,6 +65,18 @@ class TestScores:
     def test_adaptive_set_rejects_nan_probs(self):
         with pytest.raises(ValueError):
             build_set_adaptive([math.nan] * 3, 0.5)
+
+    @pytest.mark.parametrize("bad_row, match", [
+        ([0.5, math.nan, 0.5], r"\[0, 1\]"), ([0.5, 0.5, math.inf], r"\[0, 1\]"),
+        ([0.7, 0.5, -0.2], r"\[0, 1\]"), ([0.5, 0.3, 0.1], "sum to 1")])
+    def test_batch_rejects_a_bad_row(self, bad_row, match):
+        probs = [[0.2, 0.3, 0.5], bad_row, [1.0, 0.0, 0.0]]
+        with pytest.raises(ValueError, match=match):
+            as_prob_vector(bad_row)
+        with pytest.raises(ValueError, match=match):
+            as_prob_matrix(probs)
+        with pytest.raises(ValueError, match=match):
+            AdaptiveSets(probs, [0, 1, 2])
 
 
 class TestSplitQuantile:
@@ -222,6 +235,71 @@ class TestPredictionSets:
         assert probs_in_order == sorted(probs_in_order, reverse=True)
 
 
+def random_block(data, metric):
+    """(neighbors, probs, gold) of a random block of k-NN steps with forced score ties."""
+    steps = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(1, 15))
+    vocab = data.draw(st.integers(2, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    keys = rng.random((steps, k)) * (4.0 if metric == "l2" else 2.0)
+    if metric != "l2":
+        keys -= 1.0
+    # Scores on a coarse grid tie often; the grid spans [-0.5, 1.5] so the [0, 1] clamp acts.
+    scores = rng.integers(-2, 7, size=(steps, k)) / 4
+    probs = rng.dirichlet(np.full(vocab, 0.7), size=steps)
+    probs[rng.random(steps) < 0.3, :] = 1.0 / vocab  # all-tied rows
+    gold = rng.integers(0, vocab, size=steps)
+    ids = np.tile(np.arange(k), (steps, 1))
+    return Neighbors(np.sort(keys, axis=1), scores, ids), probs, gold
+
+
+class TestBatchedKernel:
+    @given(st.data(), st.sampled_from(["l2", "ip", "cos"]),
+           # 1e-4 pushes |key| / tau past the +-700 exponent clamp
+           st.sampled_from([1e-4, 1e-3, 0.05, 0.5, 2.0, 50.0]),
+           st.sampled_from([0.05, 0.1, 0.3, 0.6]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_row_knn_set(self, data, metric, tau, alpha):
+        neighbors, probs, gold = random_block(data, metric)
+        q_hat, full = KnnQuantiles(neighbors, alpha, metric)(tau)
+        sets = AdaptiveSets(probs, gold)
+        sizes, covers = sets.sizes(q_hat, full), sets.covers(q_hat, full)
+        for i in range(len(gold)):
+            row = Neighbors(neighbors.keys[i], neighbors.scores[i], neighbors.ids[i])
+            pset = knn_set(row, probs[i], alpha, tau, metric=metric)
+            assert full[i] == is_full_set(pset.q_hat)
+            if not full[i]:
+                assert np.clip(q_hat[i], 0.0, 1.0) == pset.q_hat  # bit-exact
+            assert sizes[i] == len(pset)
+            assert covers[i] == (gold[i] in pset)
+
+    def test_full_set_rows_and_exponent_clamp(self):
+        # Similarity 1 at tau 1e-3 is clamped to exp(700), not exp(1000) = inf, so two
+        # such neighbors carry half the mass each; the tied scores of row 1 form one run.
+        keys = np.array([[1.0, 1.0, 0.5], [1.0, 0.0, 0.0]])
+        scores = np.array([[0.25, 0.75, 0.5], [0.5, 0.5, 0.5]])
+        q_hat, full = KnnQuantiles(Neighbors(keys, scores, np.zeros((2, 3), int)), 0.1,
+                                   "cos")(1e-3)
+        assert full.tolist() == [False, False]
+        assert q_hat.tolist() == [0.75, 0.5]
+        # A lone neighbor of weight exp(0) = 1 carries half the mass: FULL_SET at alpha 0.1.
+        q_hat, full = KnnQuantiles(Neighbors(keys[:, 1:2], scores[:, 1:2],
+                                             np.zeros((2, 1), int)), 0.1, "cos")(1e-3)
+        assert full.tolist() == [False, True]
+        assert q_hat[0] == 0.75
+        sets = AdaptiveSets([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]], [2, 2])
+        assert sets.sizes(q_hat, full).tolist() == [2, 3]
+        assert sets.covers(q_hat, full).tolist() == [False, True]
+        # The top class is in every set, even at q_hat = 0.
+        assert sets.covers(np.zeros(2), np.zeros(2, bool)).tolist() == [False, True]
+
+    def test_rejects_non_finite_keys(self):
+        neighbors = Neighbors(np.array([[0.5, np.nan]]), np.array([[0.1, 0.2]]),
+                              np.zeros((1, 2), int))
+        with pytest.raises(ValueError, match="finite"):
+            KnnQuantiles(neighbors, 0.1, "ip")(1.0)
+
+
 class TestConformalGenerateStep:
     def make_store(self, latents, scores):
         store = Datastore(latents.shape[1])
@@ -271,6 +349,26 @@ class TestConformalGenerateStep:
         assert record["coverage"] >= 0.85
 
 
+def calibration_store(cfg, seed):
+    """The calibration steps of `cfg` and the store built from them, as `run_conformal_eval` does."""
+    cal = generate(new_model(cfg.vocab_size, cfg.latent_dim, seed=seed), cfg.cal_steps,
+                   derive_rng(seed, 1))
+    store = Datastore(cfg.latent_dim)
+    store.add_batch(np.stack([s.latent for s in cal]),
+                    [nonconformity(cfg.score_kind, s.probs, s.gold) for s in cal])
+    return cal, store
+
+
+def per_step_coverage(store, cal, cfg, tau, metric):
+    """Reference: the search batch's coverage at tau, one query and one `knn_set` per step."""
+    batch = cal[: cfg.search_batch]
+    hits = 0
+    for step in batch:
+        neighbors = store.query(step.latent, cfg.k, metric=metric)
+        hits += step.gold in knn_set(neighbors, step.probs, cfg.alpha, tau, metric=metric)
+    return hits / len(batch)
+
+
 class TestConformalEvalDriver:
     CFG = ConformalEvalConfig(vocab_size=20, latent_dim=4, cal_steps=30, test_steps=40,
                               k=10, burn_in=10, search_batch=12)
@@ -278,22 +376,44 @@ class TestConformalEvalDriver:
     @pytest.mark.parametrize("search_steps", [1, 6])
     def test_auto_tau_queries_each_latent_once(self, monkeypatch, search_steps):
         cfg = replace(self.CFG, search_steps=search_steps)
-        cal = generate(new_model(cfg.vocab_size, cfg.latent_dim, seed=3), cfg.cal_steps,
-                       derive_rng(3, 1))
-        store = Datastore(cfg.latent_dim)
-        store.add_batch(np.stack([s.latent for s in cal]),
-                        [nonconformity(cfg.score_kind, s.probs, s.gold) for s in cal])
-        calls = []
-        query = Datastore.query
+        cal, store = calibration_store(cfg, seed=3)
+        queried = []  # the float32 bytes of every latent queried, one or many per call
+        query, query_batch = Datastore.query, Datastore.query_batch
 
-        def counting_query(self, *args, **kwargs):
-            calls.append(args)
-            return query(self, *args, **kwargs)
+        def counting_query(self, latent, *args, **kwargs):
+            queried.append(np.asarray(latent, dtype=np.float32).tobytes())
+            return query(self, latent, *args, **kwargs)
+
+        def counting_query_batch(self, latents, *args, **kwargs):
+            queried.extend(row.tobytes() for row in np.asarray(latents, dtype=np.float32))
+            return query_batch(self, latents, *args, **kwargs)
 
         monkeypatch.setattr(Datastore, "query", counting_query)
+        monkeypatch.setattr(Datastore, "query_batch", counting_query_batch)
         resolve_tau(store, cal, cfg, "l2", "auto", seed=3)
-        probe_size = min(200, len(store))  # heuristic scale probes
-        assert len(calls) == probe_size + cfg.search_batch
+        # heuristic scale probes, then the search batch
+        probe = derive_rng(3, 901).choice(len(store), size=min(200, len(store)), replace=False)
+        expected = ([store.latents[i].tobytes() for i in probe] +
+                    [step.latent.astype(np.float32).tobytes() for step in cal[:cfg.search_batch]])
+        assert sorted(queried) == sorted(expected)
+
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cos"])
+    def test_search_coverage_matches_per_step_loop(self, monkeypatch, metric):
+        # The search batch (40) is a strict prefix of the 60-record store.
+        cfg = replace(self.CFG, cal_steps=60, search_batch=40)
+        cal, store = calibration_store(cfg, seed=5)
+        searched = {}
+
+        def capture(coverage_eval, alpha, tau_min, tau_max, **kwargs):
+            searched.update(coverage_eval=coverage_eval, bounds=(tau_min, tau_max))
+            return tau_min
+
+        monkeypatch.setattr(experiments, "temperature_search", capture)
+        resolve_tau(store, cal, cfg, metric, "auto", seed=5)
+        tau_min, tau_max = searched["bounds"]
+        for tau in [*np.linspace(tau_min, tau_max, 12), *np.geomspace(1e-4, 1e2, 13)]:
+            assert searched["coverage_eval"](tau) == per_step_coverage(store, cal, cfg, tau,
+                                                                        metric)
 
     def test_shared_pass_generates_once_and_resolves_tau_once_per_metric(self, monkeypatch):
         calls = {"generate": 0, "resolve_tau": 0}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from uqkit.datastore import Datastore, DatastoreFormatError
+from uqkit.datastore import Datastore, DatastoreFormatError, Neighbors
 
 
 def linear_scan(latents, scores, query, k, metric, dim):
@@ -114,6 +114,73 @@ class TestAddQuery:
             assert keys == sorted(keys)
         else:
             assert keys == sorted(keys, reverse=True)
+
+
+# Few distinct small-integer coordinates force key ties and zero-norm rows.
+coordinates = st.one_of(st.integers(-2, 2).map(float),
+                        st.floats(-8, 8, width=32))
+
+
+class TestQueryBatch:
+    @given(st.data(), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=40), st.sampled_from(["l2", "ip", "cos"]))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_single_queries(self, data, dim, k, metric):
+        rows = data.draw(hnp.arrays(np.float32, (data.draw(st.integers(1, 20)), dim),
+                                    elements=coordinates))
+        duplicates = data.draw(st.integers(0, len(rows)))
+        # Duplicate store rows tie on every key; a zero row has no cosine direction.
+        latents = np.concatenate([rows, rows[:duplicates], np.zeros((1, dim), np.float32)])
+        store = Datastore(dim)
+        store.add_batch(latents, np.arange(len(latents)) / len(latents))
+        queries = data.draw(hnp.arrays(np.float32, (data.draw(st.integers(0, 8)), dim),
+                                       elements=coordinates))
+        queries = np.concatenate([queries, latents[:1], np.zeros((1, dim), np.float32)])
+        batch = store.query_batch(queries, k, metric=metric)
+        assert batch.ids.shape == batch.keys.shape == (len(queries), min(k, len(store)))
+        for row, query in enumerate(queries):
+            single = store.query(query, k, metric=metric)
+            assert batch.keys[row].tobytes() == single.keys.tobytes()
+            assert batch.scores[row].tobytes() == single.scores.tobytes()
+            assert batch.ids[row].tobytes() == single.ids.tobytes()
+            tied = batch.keys[row][1:] == batch.keys[row][:-1]
+            assert np.all(batch.ids[row][1:][tied] > batch.ids[row][:-1][tied])
+
+    def test_float64_queries_match_single_queries(self):
+        rng = np.random.default_rng(11)
+        store = make_store(rng, 300, 8)
+        queries = rng.normal(size=(20, 8))
+        batch = store.query_batch(queries, 7, metric="cos")
+        for row, query in enumerate(queries):
+            assert batch.ids[row].tolist() == store.query(query, 7, metric="cos").ids.tolist()
+
+    @pytest.mark.parametrize("queries, match", [
+        (np.zeros((3, 4)), "latent dimension 4 does not match store dimension 3"),
+        (np.zeros(3), r"\(queries, dim\) matrix"),
+        ([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]], "latent must be finite"),
+        ([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]], "latent must be finite"),
+        pytest.param([[0.0, 0.0, 0.0], [1e39, 0.0, 0.0]], "latent must be finite",  # inf at f32
+                     marks=pytest.mark.filterwarnings("ignore:overflow encountered in cast")),
+    ])
+    def test_rejects_bad_rows_before_any_work(self, monkeypatch, queries, match):
+        store = make_store(np.random.default_rng(12), 10, 3)
+        if np.ndim(queries) == 2:
+            with pytest.raises(ValueError, match=match):
+                store.query(np.asarray(queries)[-1], 2)
+        monkeypatch.setattr(Datastore, "_keys", None)  # any key computation would raise TypeError
+        with pytest.raises(ValueError, match=match):
+            store.query_batch(queries, 2)
+
+    def test_empty_store_and_bad_k(self):
+        with pytest.raises(ValueError, match="empty"):
+            Datastore(3).query_batch(np.zeros((1, 3)), 1)
+        with pytest.raises(ValueError, match="k must be"):
+            make_store(np.random.default_rng(13), 5, 3).query_batch(np.zeros((1, 3)), 0)
+
+    def test_no_queries(self):
+        result = make_store(np.random.default_rng(14), 5, 3).query_batch(np.zeros((0, 3)), 9)
+        assert isinstance(result, Neighbors)
+        assert result.ids.shape == result.keys.shape == result.scores.shape == (0, 5)
 
 
 class TestPersistence:

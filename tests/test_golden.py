@@ -37,6 +37,12 @@ CASES = {
         "--method", "knn,knn_unit", "--metric", "l2,cos", "--noise", "0,0.1",
         "--cal-steps", "8", "--test-steps", "30", "--alpha", "0.3", "--tau", "auto",
         "--seed", "7"],
+    # The tau search batch (400) is a strict prefix of the 450-record store, and
+    # the 300 test steps span several whole chunks of the batched test loop plus
+    # a partial one. At this seed the l2 sets mix FULL_SET and sized steps.
+    "conformal_eval_search_prefix": _EVAL + [
+        "--method", "split,knn,knn_unit", "--metric", "l2,ip,cos", "--noise", "0,0.1",
+        "--cal-steps", "450", "--test-steps", "300", "--tau", "auto", "--seed", "11"],
     # n 12/13 straddle the exact Mann-Whitney limit, 50/51 the untied Wilcoxon one.
     "aso_sim_type1": _ASO + ["--dist", "normal:0:1.5,laplace:0:1.5"],
     "aso_sim_type2": _ASO + ["--dist", "normal:0.5:1.5", "--dist-b", "normal:0:1.5"],

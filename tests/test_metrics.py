@@ -10,8 +10,9 @@ from oracles import (aupr_oracle, auroc_pair_oracle, coverage_oracle, ece_oracle
                      kendall_oracle, mi_oracle)
 from uqkit.conformal import PredictionSet
 from uqkit.metrics import (auroc, aupr, bma_mutual_information, brier, class_variance,
-                           coverage_report, dempster_shafer, ece, kendall_tau, max_prob,
-                           predictive_entropy, softmax_gap, variation_ratio)
+                           coverage_report, coverage_report_arrays, dempster_shafer, ece,
+                           kendall_tau, max_prob, predictive_entropy, softmax_gap,
+                           variation_ratio)
 
 
 class TestEce:
@@ -87,6 +88,25 @@ class TestCoverageReport:
         assert report.ssc == pytest.approx(ssc, abs=1e-12)
         assert report.coverage == pytest.approx(inside.mean())
         assert report.mean_width_fraction == pytest.approx(sizes.mean() / vocab)
+
+    @pytest.mark.parametrize("vocab_size", [40, None])
+    def test_set_wrapper_matches_array_core(self, vocab_size):
+        rng = np.random.default_rng(3)
+        sizes = rng.integers(1, 41, size=150)
+        inside = rng.random(150) < 0.8
+        wrapped = coverage_report(make_sets(sizes, inside, 40), np.zeros(150, dtype=int),
+                                  alpha=0.1, num_size_bins=7, vocab_size=vocab_size)
+        core = coverage_report_arrays(sizes, inside, alpha=0.1, num_size_bins=7,
+                                      vocab_size=vocab_size)
+        for field in ("coverage", "mean_width_fraction", "ssc", "ecg"):
+            assert getattr(wrapped, field) == getattr(core, field)
+        assert np.array_equal(wrapped.bin_counts, core.bin_counts)
+        assert np.array_equal(wrapped.bin_coverage, core.bin_coverage)
+
+    @pytest.mark.parametrize("sizes, covered", [([], []), ([3, 2], [True])])
+    def test_array_core_rejects_empty_or_unequal(self, sizes, covered):
+        with pytest.raises(ValueError, match="equal-length"):
+            coverage_report_arrays(sizes, covered, alpha=0.1)
 
     def test_vocab_too_small(self):
         sets = make_sets([5], [True], vocab=10)
