@@ -9,18 +9,19 @@ the digamma-based expressions well conditioned.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 _MIN_ALPHA = 1e-3
 
 
 def digamma(x):
     """Derivative of log Gamma; exposed for the formulas in this module."""
+    from scipy import special
     return special.digamma(x)
 
 
 def log_beta(alpha) -> float:
     """Log multivariate Beta: sum(logGamma(alpha_k)) - logGamma(sum(alpha))."""
+    from scipy import special
     a = np.asarray(alpha, dtype=float).ravel()
     return float(special.gammaln(a).sum() - special.gammaln(a.sum()))
 

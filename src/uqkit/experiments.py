@@ -131,16 +131,24 @@ def resolve_tau(store, cal_steps, cfg: ConformalEvalConfig, metric: str,
         return float(tau_request)
     scale = _median_neighbor_distance(store, metric, cfg.k, seed)
     batch = cal_steps[: cfg.search_batch]
-    quantiles = KnnQuantiles(store.query_batch(np.stack([step.latent for step in batch]),
-                                               cfg.k, metric=metric), cfg.alpha, metric)
+    neighbors = store.query_batch(np.stack([step.latent for step in batch]), cfg.k, metric=metric)
+    quantiles = KnnQuantiles(neighbors, cfg.alpha, metric)
     sets = AdaptiveSets(np.stack([step.probs for step in batch]), [step.gold for step in batch])
 
     def coverage_eval(tau: float) -> float:
         return int(np.count_nonzero(sets.covers(*quantiles(tau)))) / len(batch)
 
-    return temperature_search(coverage_eval, cfg.alpha, tau_min=0.1 * scale,
-                              tau_max=4.0 * scale, steps=cfg.search_steps,
-                              rng=derive_rng(seed, 902))
+    tau = temperature_search(coverage_eval, cfg.alpha, tau_min=0.1 * scale,
+                             tau_max=4.0 * scale, steps=cfg.search_steps,
+                             rng=derive_rng(seed, 902))
+    full_share = float(quantiles(tau)[1].mean())
+    if full_share >= 0.5:
+        k = neighbors.keys.shape[1]
+        ceiling = (f"; l2 weights are at most 1, so the normalized mass of k neighbors stays "
+                   f"below k/(k+1) = {k / (k + 1):.4f}" if metric == "l2" else "")
+        logger.warning("tau search, metric %s, k=%d: %.1f%% of the search batch is FULL_SET "
+                       "at tau %.6g%s", metric, k, 100.0 * full_share, tau, ceiling)
+    return tau
 
 
 def run_conformal_condition(cfg: ConformalEvalConfig, method: str, metric: str,

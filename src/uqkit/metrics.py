@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .conformal import PredictionSet, as_prob_vector
 from .empirical import rankdata
@@ -199,6 +198,7 @@ def dempster_shafer(logits) -> float:
     if z.size < 2:
         raise ValueError("need at least two classes")
     k = z.size
+    from scipy.special import logsumexp
     log_evidence = float(logsumexp(z))
     if log_evidence > 700.0:  # exp overflow: evidence dwarfs K
         return 0.0

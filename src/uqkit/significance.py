@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# Normal and t tails come from scipy.special and the rank tests are native:
-# scipy.stats would add ~1 s to every CLI call that runs them.
-from scipy.special import ndtr, ndtri, stdtr
 
+# scipy.special is imported in the functions that call it: it is about 0.3 s of
+# import, which CLI commands that never run a test should not pay.
 from .empirical import as_sample, quantile_function, rankdata
 
 CLASSIC_TEST_KINDS = ("student_t", "bootstrap", "permutation", "wilcoxon", "mann_whitney")
@@ -121,6 +120,7 @@ def aso(a, b, alpha: float = 0.05, num_bootstrap: int = 1000, dt: float = 0.005,
     with np.errstate(invalid="ignore", divide="ignore"):
         eps_star = np.where(denominator == 0.0, 0.5, numerator / denominator)
 
+    from scipy.special import ndtri
     scale = math.sqrt(n * m / (n + m))
     sigma_hat = float(np.std(scale * (eps_star - eps), ddof=1)) if num_bootstrap > 1 else 0.0
     eps_min = eps - math.sqrt((n + m) / (n * m)) * sigma_hat * float(ndtri(alpha))
@@ -147,6 +147,7 @@ def _student_t(a: np.ndarray, b: np.ndarray) -> TestResult:
     if pooled_var == 0.0:
         raise ValueError("degenerate variance")
     t_stat = (a.mean() - b.mean()) / math.sqrt(pooled_var * (1.0 / n + 1.0 / m))
+    from scipy.special import stdtr
     return TestResult(statistic=float(t_stat), p_value=float(stdtr(n + m - 2, -t_stat)))
 
 
@@ -223,16 +224,18 @@ def _wilcoxon(a: np.ndarray, b: np.ndarray) -> TestResult:
         mean = count * (count + 1.0) * 0.25
         var24 = count * (count + 1.0) * (2.0 * count + 1.0)
         z = (r_plus - mean) / math.sqrt((var24 - tie_term / 2) / 24)
+        from scipy.special import ndtr
         p = ndtr(-z)
     return TestResult(statistic=r_plus, p_value=float(p))
 
 
-def _mann_whitney_exact_p(n: int, m: int, u_obs: float) -> float:
-    """P(U >= u_obs) under the null by exact counting of rank arrangements.
+@functools.lru_cache(maxsize=256)
+def _mann_whitney_null_counts(n: int, m: int) -> np.ndarray:
+    """Number of rank arrangements of groups of n and m untied values per U = 0..n*m.
 
     Uses the recurrence N(u; n, m) = N(u - m; n - 1, m) + N(u; n, m - 1)
     obtained by conditioning on whether the largest pooled value belongs to
-    the first or the second sample. Valid only without ties.
+    the first or the second sample.
     """
     max_u = n * m
     f = np.zeros((n + 1, m + 1, max_u + 1), dtype=np.int64)
@@ -242,7 +245,17 @@ def _mann_whitney_exact_p(n: int, m: int, u_obs: float) -> float:
         for j in range(1, m + 1):
             f[i, j, :] = f[i, j - 1, :]
             f[i, j, j:] += f[i - 1, j, : max_u + 1 - j]
-    dist = f[n, m, :]
+    counts = f[n, m, :].copy()
+    counts.flags.writeable = False
+    return counts
+
+
+def _mann_whitney_exact_p(n: int, m: int, u_obs: float) -> float:
+    """P(U >= u_obs) under the null by exact counting of rank arrangements.
+
+    Valid only without ties.
+    """
+    dist = _mann_whitney_null_counts(n, m)
     threshold = math.ceil(u_obs - 1e-9)
     return float(dist[threshold:].sum() / dist.sum())
 
@@ -270,6 +283,7 @@ def _mann_whitney(a: np.ndarray, b: np.ndarray) -> TestResult:
     if var_u == 0.0:
         return TestResult(statistic=float(u_stat), p_value=1.0)
     z = (u_stat - mean_u - 0.5) / math.sqrt(var_u)
+    from scipy.special import ndtr
     return TestResult(statistic=float(u_stat), p_value=float(ndtr(-z)))
 
 

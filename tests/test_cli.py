@@ -389,3 +389,79 @@ print(loaded)
                             env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def scipy_modules_after(calls, tmp_path):
+    """Fresh interpreter: the scipy modules loaded by `import uqkit.cli`, then after `calls`.
+
+    Each call is (argv, expected exit code) and runs through `uqkit.cli.main`.
+    """
+    import os
+
+    script = f"""
+import json, sys
+import uqkit.cli
+scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+after_import = scipy_modules()
+for argv, code in {calls!r}:
+    assert uqkit.cli.main(argv) == code, argv
+print(json.dumps([after_import, scipy_modules()]))
+"""
+    env = dict(os.environ)
+    env.pop("UQKIT_THREADS", None)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_import_datastore_and_conformal_eval_load_no_scipy(tmp_path):
+    records = str(ROOT / "tests" / "golden" / "datastore_records.csv")
+    after_import, after_calls = scipy_modules_after([
+        (["datastore", "from-csv", records, "s.uqds"], 0),
+        (["datastore", "info", "s.uqds"], 0),
+        (["datastore", "dump", "s.uqds"], 0),
+        (["conformal-eval", "--vocab", "10", "--dim", "3", "--cal-steps", "30",
+          "--test-steps", "10", "--k", "5", "--method", "split,knn"], 0),
+        (["aso-sim", "--dist", "normal:0:x"], 2),
+    ], tmp_path)
+    assert after_import == [] and after_calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["aso-sim", "--test", "aso,student_t,wilcoxon,mann_whitney", "--n", "5,20", "--trials", "2"],
+    ["dirichlet-check", "--num-random", "2", "--samples", "200"],
+])
+def test_aso_sim_and_dirichlet_check_load_scipy_special_only(argv, tmp_path):
+    _, loaded = scipy_modules_after([(argv, 0)], tmp_path)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]
+
+
+def test_import_cli_loads_every_module_the_tracer_patches():
+    """perfbench/tracing.py patches the uqkit modules loaded by `import uqkit.cli`.
+
+    A module left to a later lazy import would be reported missing by every
+    `perfbench/run.py --trace 1` run.
+    """
+    import os
+
+    script = f"""
+import json, sys
+import uqkit.cli
+loaded = set(sys.modules)
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import tracing
+listed = {{m for m, _ in tracing.FUNCTIONS}} | {{m for m, _, _ in tracing.METHODS}}
+tracer = tracing.Tracer()
+tracing.install(tracer)
+print(json.dumps([sorted(listed), sorted(listed - loaded), tracer.missing]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env)
+    assert result.returncode == 0, result.stderr
+    listed, not_loaded, missing = json.loads(result.stdout)
+    assert "uqkit.datastore" in listed and "uqkit.significance" in listed
+    assert not_loaded == [] and missing == []

@@ -466,6 +466,25 @@ class TestConformalEvalDriver:
         warnings = [r for r in caplog.records if "exceeds datastore size" in r.getMessage()]
         assert len(warnings) == expected
 
+    def test_mostly_full_set_search_warns_once_for_l2(self, caplog):
+        # l2 weights are at most 1: 10 neighbors cannot reach much past 0.9 of the mass.
+        cfg = ConformalEvalConfig(vocab_size=20, latent_dim=4, k=10, cal_steps=450,
+                                  test_steps=300)
+        with caplog.at_level("WARNING"):
+            records = run_conformal_eval(cfg, ["knn"], ["l2", "cos"], [0.0], "auto", seed=8)
+        assert [(r["metric"], r["width"]) for r in records] == [("cos", 0.314833), ("l2", 1.0)]
+        [warning] = [r.getMessage() for r in caplog.records if "tau search" in r.getMessage()]
+        assert "metric l2, k=10: 100.0% of the search batch is FULL_SET" in warning
+        assert "k/(k+1) = 0.9091" in warning
+
+    def test_default_sized_search_does_not_warn(self, caplog):
+        cfg = ConformalEvalConfig()
+        cal, store = calibration_store(cfg, seed=3)
+        with caplog.at_level("WARNING"):
+            for metric in ("l2", "cos"):
+                resolve_tau(store, cal, cfg, metric, "auto", seed=3)
+        assert caplog.records == []
+
     def test_heuristic_tau_on_one_record_store_falls_back_once(self, caplog):
         cfg = ConformalEvalConfig(vocab_size=10, latent_dim=3, cal_steps=1, test_steps=5)
         with warnings.catch_warnings(), caplog.at_level("WARNING"):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from uqkit.empirical import quantile_function
-from uqkit.significance import (aso, bonferroni, classic_test, violation_ratio)
+from uqkit.significance import (_mann_whitney_exact_p, _mann_whitney_null_counts, aso,
+                                bonferroni, classic_test, violation_ratio)
 
 # Bounded finite score samples of size 1..30 for the property tests.
 finite_samples = st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
@@ -183,6 +184,19 @@ def mann_whitney_enumeration_p(a, b):
     return at_least / total
 
 
+def uncached_mann_whitney_counts(n, m):
+    """Reference: the exact null counts of U by the recurrence, rebuilt on every call."""
+    max_u = n * m
+    f = np.zeros((n + 1, m + 1, max_u + 1), dtype=np.int64)
+    f[0, :, 0] = 1
+    f[:, 0, 0] = 1
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            f[i, j, :] = f[i, j - 1, :]
+            f[i, j, j:] += f[i - 1, j, : max_u + 1 - j]
+    return f[n, m, :]
+
+
 def wilcoxon_branch(n, tied_or_zero):
     """Which null distribution scipy.stats.wilcoxon's default method picks."""
     if not tied_or_zero and n <= 50:
@@ -194,6 +208,15 @@ class TestClassicTests:
     def test_mann_whitney_exact_small(self):
         result = classic_test("mann_whitney", [4, 5, 6], [1, 2, 3])
         assert result.p_value == pytest.approx(1 / 20)
+
+    def test_mann_whitney_cached_null_matches_uncached_recurrence(self):
+        for n, m in itertools.product(range(1, 13), repeat=2):
+            dist = uncached_mann_whitney_counts(n, m)
+            counts = _mann_whitney_null_counts(n, m)
+            assert np.array_equal(counts, dist) and not counts.flags.writeable
+            assert _mann_whitney_null_counts(n, m) is counts
+            for u in range(n * m + 1):
+                assert _mann_whitney_exact_p(n, m, u) == float(dist[u:].sum() / dist.sum())
 
     def test_mann_whitney_matches_enumeration_oracle(self):
         rng = np.random.default_rng(17)
