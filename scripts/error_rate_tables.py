@@ -2,8 +2,9 @@
 """Desk-scale reproduction of the Type I / Type II error-rate threshold tables.
 
 Runs every test across sample sizes and decision thresholds for the four score
-distributions, then writes one CSV per table. With default settings this is a
-few minutes of compute; shrink --trials for a quick look.
+distributions, then writes one CSV per table. At the default 500 trials this
+took about 9 s on a 2-vCPU VM (1.3 s at --trials 50); shrink --trials for a
+quick look.
 
 Usage:
     python3 scripts/error_rate_tables.py --out-dir results/ [--trials 500] [--seed 7]

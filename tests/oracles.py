@@ -1,7 +1,7 @@
 """Brute-force reference implementations used to check the library routines.
 
-Everything here is deliberately written as plain loops, independent of the
-vectorized code paths under test.
+Everything here is deliberately independent of the code paths under test:
+plain loops, or for ASO the uncompressed computation on every grid point.
 """
 
 import math
@@ -132,3 +132,40 @@ def linear_scan_oracle(latents, query, k, metric):
     reverse = metric != "l2"
     keyed.sort(key=lambda item: (-item[0] if reverse else item[0], item[1]))
     return [i for _, i in keyed[:k]]
+
+
+def aso_grid_oracle(a, b, alpha, num_bootstrap, dt, rng):
+    """ASO evaluated at every point of the grid t = dt, 2*dt, ... < 1, not per run.
+
+    Makes the same rng draws as `significance.aso` (the resamples of `a`, then
+    of `b`) and returns its (eps_min, violation_ratio).
+    """
+    from scipy.special import ndtri
+
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n, m = a.size, b.size
+    grid = np.arange(dt, 1.0, dt)
+    idx_a = np.clip(np.ceil(n * grid).astype(np.int64) - 1, 0, n - 1)
+    idx_b = np.clip(np.ceil(m * grid).astype(np.int64) - 1, 0, m - 1)
+
+    def ratio(f, g):
+        sq = (g - f) ** 2 * dt
+        denominator = sq.sum(axis=-1)
+        numerator = np.where(f < g, sq, 0.0).sum(axis=-1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(denominator == 0.0, 0.5, numerator / denominator)
+
+    def resampled_grids(sample, idx):
+        srt = np.sort(sample, kind="stable")
+        draw_idx = np.ceil(srt.size * rng.random((num_bootstrap, srt.size))).astype(np.int64)
+        resamples = srt[np.clip(draw_idx - 1, 0, srt.size - 1)]
+        resamples.sort(axis=1)
+        return resamples[:, idx]
+
+    eps = float(ratio(np.sort(a)[idx_a], np.sort(b)[idx_b]))
+    eps_star = ratio(resampled_grids(a, idx_a), resampled_grids(b, idx_b))
+    scale = math.sqrt(n * m / (n + m))
+    sigma_hat = float(np.std(scale * (eps_star - eps), ddof=1)) if num_bootstrap > 1 else 0.0
+    eps_min = eps - math.sqrt((n + m) / (n * m)) * sigma_hat * float(ndtri(alpha))
+    return min(max(eps_min, 0.0), 1.0), eps

@@ -349,6 +349,59 @@ class TestConformalGenerateStep:
         assert record["coverage"] >= 0.85
 
 
+class TestSplitCoverageProperty:
+    """Split-conformal marginal coverage over seeds (Vovk et al. 2005; Lei et al. 2018).
+
+    For N exchangeable calibration scores and q_hat their ceil((N+1)(1-alpha))-th
+    smallest, a new score is <= q_hat with probability in [1-alpha, 1-alpha+1/(N+1)]
+    (the upper end needs untied scores). Given its calibration draw, a seed's
+    T test hits are binomial; over calibration draws their count is beta-binomial
+    with mean p = ceil((N+1)(1-alpha))/(N+1) and per-seed coverage variance
+    p(1-p)(T+N+1)/(T(N+2)). The generated chain is stationary after burn-in, not
+    exchangeable, so the bands are checked at 4 sd per seed and 3 sd for the
+    mean. The reported coverage counts a label as covered when the adaptive set
+    holds it, which every label whose score is <= q_hat is, so it is at least
+    the score coverage on every seed and can exceed the upper end.
+    """
+
+    CFG = ConformalEvalConfig(vocab_size=10, latent_dim=4, cal_steps=1000, test_steps=1000,
+                              alpha=0.1)
+    SEEDS = range(30)
+
+    def score_coverage(self, chain):
+        """Share of the test steps whose gold score is <= the split q_hat of the calibration steps."""
+        cfg = self.CFG
+        scores = np.array([nonconformity(cfg.score_kind, s.probs, s.gold)
+                           for s in chain[cfg.burn_in:]])
+        q_hat = split_quantile(scores[:cfg.cal_steps], cfg.alpha)
+        assert not is_full_set(q_hat)
+        return float(np.mean(scores[cfg.cal_steps:] <= q_hat))
+
+    def test_mean_coverage_within_the_split_bounds(self, monkeypatch):
+        chains = []
+
+        def recording_generate(*args, **kwargs):
+            chains.append(generate(*args, **kwargs))
+            return chains[-1]
+
+        monkeypatch.setattr(experiments, "generate", recording_generate)
+        cfg = self.CFG
+        n, t = cfg.cal_steps, cfg.test_steps
+        low, high = 1 - cfg.alpha, 1 - cfg.alpha + 1 / (n + 1)
+        p = math.ceil((n + 1) * (1 - cfg.alpha)) / (n + 1)
+        sd = math.sqrt(p * (1 - p) * (t + n + 1) / (t * (n + 2)))
+        score_cov, set_cov = [], []
+        for seed in self.SEEDS:
+            record = run_conformal_eval(cfg, ["split"], ["l2"], [0.0], "auto", seed)[0]
+            score_cov.append(self.score_coverage(chains[-1]))
+            set_cov.append(record["coverage"])
+            assert low - 4 * sd <= score_cov[-1] <= high + 4 * sd, seed
+            assert set_cov[-1] >= score_cov[-1], seed
+        mean_sd = sd / math.sqrt(len(self.SEEDS))
+        assert low - 3 * mean_sd <= np.mean(score_cov) <= high + 3 * mean_sd
+        assert np.mean(set_cov) >= low - 3 * mean_sd
+
+
 def calibration_store(cfg, seed):
     """The calibration steps of `cfg` and the store built from them, as `run_conformal_eval` does."""
     cal = generate(new_model(cfg.vocab_size, cfg.latent_dim, seed=seed), cfg.cal_steps,

@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from oracles import aso_grid_oracle
 from uqkit.empirical import quantile_function
-from uqkit.significance import (_mann_whitney_exact_p, _mann_whitney_null_counts, aso,
-                                bonferroni, classic_test, violation_ratio)
+from uqkit.significance import (_grid_runs, _mann_whitney_exact_p, _mann_whitney_null_counts,
+                                aso, bonferroni, classic_test, violation_ratio)
 
 # Bounded finite score samples of size 1..30 for the property tests.
 finite_samples = st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
@@ -167,6 +168,65 @@ class TestAso:
         assert 0.0 <= result.violation_ratio <= 1.0
         assert 0.0 <= result.eps_min <= 1.0
         assert result.sigma_hat >= 0.0
+
+
+# Grid steps for the run tests: 0.3 gives a three-point grid, coarser than the
+# order statistics of most samples; the others give grids of 99 to 333 points.
+GRID_STEPS = [0.005, 0.003, 0.007, 0.01, 0.3]
+
+
+class TestGridRuns:
+    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60),
+           st.sampled_from(GRID_STEPS))
+    @settings(max_examples=200, deadline=None)
+    def test_runs_cover_the_grid(self, n, m, dt):
+        grid = np.arange(dt, 1.0, dt)
+        level, idx_a, idx_b, weight = _grid_runs(n, m, dt)
+        assert all(not arr.flags.writeable for arr in (level, idx_a, idx_b, weight))
+        assert weight.sum() == pytest.approx(grid.size * dt, rel=1e-12)
+        assert level.size <= min(n + m - 1, grid.size)
+        if n == m and n * dt < 1:
+            assert level.size == n
+        # Expanded back to one entry per grid point, the runs give every point's pair.
+        lengths = np.rint(weight / dt).astype(np.int64)
+        first = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        assert np.array_equal(level, grid[first])
+        assert np.array_equal(np.repeat(idx_a, lengths),
+                              np.clip(np.ceil(n * grid).astype(np.int64) - 1, 0, n - 1))
+        assert np.array_equal(np.repeat(idx_b, lengths),
+                              np.clip(np.ceil(m * grid).astype(np.int64) - 1, 0, m - 1))
+
+    @pytest.mark.parametrize("dt", [0.0, 1.0, -0.1, 1.5])
+    def test_bad_dt_raises_before_anything_is_cached(self, dt):
+        _grid_runs.cache_clear()
+        with pytest.raises(ValueError, match="dt must lie"):
+            aso([1.0, 2.0, 3.0], [2.0, 3.0], dt=dt, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="dt must lie"):
+            violation_ratio([1.0, 2.0, 3.0], [2.0, 3.0], dt=dt)
+        assert _grid_runs.cache_info().currsize == 0
+
+    @given(st.integers(min_value=2, max_value=60), st.integers(min_value=2, max_value=60),
+           st.sampled_from(GRID_STEPS), st.sampled_from([2, 5, None]),
+           st.sampled_from([0.0, 0.5]), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=150, deadline=None)
+    def test_aso_matches_uncompressed_grid_oracle(self, n, m, dt, levels, shift, seed):
+        """Summing per run, not per grid point, moves eps_min and the ratio by <= 1e-12.
+
+        `levels` draws integer scores from that many values, so samples carry ties.
+        """
+        assume(n != m)
+        data = np.random.default_rng(seed)
+
+        def draw(size):
+            if levels is None:
+                return data.normal(size=size)
+            return data.integers(0, levels, size).astype(float)
+
+        a, b = draw(n), draw(m) + shift
+        result = aso(a, b, num_bootstrap=200, dt=dt, rng=np.random.default_rng(seed))
+        eps_min, ratio = aso_grid_oracle(a, b, 0.05, 200, dt, np.random.default_rng(seed))
+        assert abs(result.eps_min - eps_min) <= 1e-12
+        assert abs(result.violation_ratio - ratio) <= 1e-12
 
 
 def mann_whitney_enumeration_p(a, b):
