@@ -3,7 +3,8 @@
 
 Runs every test across sample sizes and decision thresholds for the four score
 distributions, then writes one CSV per table. At the default 500 trials this
-took about 9 s on a 2-vCPU VM (1.3 s at --trials 50); shrink --trials for a
+took 21-25 s on a shared 2-vCPU VM (2.6 s at --trials 50), nearly all of it in
+the tests themselves: the script loads no scipy module. Shrink --trials for a
 quick look.
 
 Usage:

@@ -101,15 +101,22 @@ class Datastore:
         self._centroids = None
         self._lists = None
 
-    def _keys(self, latent: np.ndarray, rows: np.ndarray, metric: str) -> np.ndarray:
-        """Ordering keys of `rows` against the query under the given metric."""
+    def _keys(self, latent: np.ndarray, rows: np.ndarray, metric: str,
+              row_norms: np.ndarray | None = None) -> np.ndarray:
+        """Ordering keys of `rows` against the query under the given metric.
+
+        For cos, `row_norms` may carry `np.linalg.norm(rows, axis=1)` computed once
+        by a caller that queries the same rows many times.
+        """
         if metric == "l2":
             diff = rows - latent[None, :]
             return np.einsum("ij,ij->i", diff, diff).astype(np.float64)
         if metric == "ip":
             return (rows @ latent).astype(np.float64) / np.sqrt(self.dim)
         if metric == "cos":
-            norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(latent)
+            if row_norms is None:
+                row_norms = np.linalg.norm(rows, axis=1)
+            norms = row_norms * np.linalg.norm(latent)
             with np.errstate(invalid="ignore", divide="ignore"):
                 sims = np.where(norms > 0.0, (rows @ latent) / norms, 0.0)
             return sims.astype(np.float64)
@@ -141,8 +148,9 @@ class Datastore:
 
         Row i equals `query(latents[i], k, metric)` bit for bit: each row runs the
         same key arithmetic and stable sort, into (queries, k) arrays, so no
-        (queries, count) array is held. Every row is checked before any key is
-        computed.
+        (queries, count) array is held. For cos, the store's row norms are
+        computed once per call, not once per query. Every row is checked before
+        any key is computed.
         """
         if len(self) == 0:
             raise ValueError("empty datastore")
@@ -159,8 +167,9 @@ class Datastore:
         k = min(k, len(self))
         ids = np.empty((queries.shape[0], k), dtype=np.intp)
         keys = np.empty(ids.shape)
+        row_norms = np.linalg.norm(self._latents, axis=1) if metric == "cos" else None
         for q, id_row, key_row in zip(queries, ids, keys):
-            row_keys = self._keys(q, self._latents, metric)
+            row_keys = self._keys(q, self._latents, metric, row_norms)
             id_row[:] = self._best_first(row_keys, metric)[:k]
             key_row[:] = row_keys[id_row]
         return Neighbors(keys, self._scores[ids], ids)

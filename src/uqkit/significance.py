@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.special is imported in the functions that call it: it is about 0.3 s of
-# import, which CLI commands that never run a test should not pay.
 from .empirical import as_sample, quantile_function, rankdata
+from .special import ndtr, ndtri, t_sf
 
 CLASSIC_TEST_KINDS = ("student_t", "bootstrap", "permutation", "wilcoxon", "mann_whitney")
 
@@ -153,10 +152,9 @@ def aso(a, b, alpha: float = 0.05, num_bootstrap: int = 1000, dt: float = 0.005,
     with np.errstate(invalid="ignore", divide="ignore"):
         eps_star = np.where(denominator == 0.0, 0.5, numerator / denominator)
 
-    from scipy.special import ndtri
     scale = math.sqrt(n * m / (n + m))
     sigma_hat = float(np.std(scale * (eps_star - eps), ddof=1)) if num_bootstrap > 1 else 0.0
-    eps_min = eps - math.sqrt((n + m) / (n * m)) * sigma_hat * float(ndtri(alpha))
+    eps_min = eps - math.sqrt((n + m) / (n * m)) * sigma_hat * ndtri(alpha)
     eps_min = min(max(eps_min, 0.0), 1.0)
     return AsoResult(eps_min=eps_min, violation_ratio=eps, sigma_hat=sigma_hat,
                      reject=eps_min < threshold)
@@ -180,8 +178,7 @@ def _student_t(a: np.ndarray, b: np.ndarray) -> TestResult:
     if pooled_var == 0.0:
         raise ValueError("degenerate variance")
     t_stat = (a.mean() - b.mean()) / math.sqrt(pooled_var * (1.0 / n + 1.0 / m))
-    from scipy.special import stdtr
-    return TestResult(statistic=float(t_stat), p_value=float(stdtr(n + m - 2, -t_stat)))
+    return TestResult(statistic=float(t_stat), p_value=t_sf(t_stat, n + m - 2))
 
 
 def _bootstrap_test(a: np.ndarray, b: np.ndarray, resamples: int,
@@ -257,7 +254,6 @@ def _wilcoxon(a: np.ndarray, b: np.ndarray) -> TestResult:
         mean = count * (count + 1.0) * 0.25
         var24 = count * (count + 1.0) * (2.0 * count + 1.0)
         z = (r_plus - mean) / math.sqrt((var24 - tie_term / 2) / 24)
-        from scipy.special import ndtr
         p = ndtr(-z)
     return TestResult(statistic=r_plus, p_value=float(p))
 
@@ -316,8 +312,7 @@ def _mann_whitney(a: np.ndarray, b: np.ndarray) -> TestResult:
     if var_u == 0.0:
         return TestResult(statistic=float(u_stat), p_value=1.0)
     z = (u_stat - mean_u - 0.5) / math.sqrt(var_u)
-    from scipy.special import ndtr
-    return TestResult(statistic=float(u_stat), p_value=float(ndtr(-z)))
+    return TestResult(statistic=float(u_stat), p_value=ndtr(-z))
 
 
 def classic_test(kind: str, a, b, resamples: int = 1000,

@@ -391,10 +391,11 @@ print(loaded)
     assert result.stdout == "[]\n"
 
 
-def scipy_modules_after(calls, tmp_path):
+def scipy_modules_after(calls, tmp_path, then=""):
     """Fresh interpreter: the scipy modules loaded by `import uqkit.cli`, then after `calls`.
 
-    Each call is (argv, expected exit code) and runs through `uqkit.cli.main`.
+    Each call is (argv, expected exit code) and runs through `uqkit.cli.main`;
+    the Python code `then` runs after the calls.
     """
     import os
 
@@ -405,6 +406,7 @@ scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "sci
 after_import = scipy_modules()
 for argv, code in {calls!r}:
     assert uqkit.cli.main(argv) == code, argv
+{then}
 print(json.dumps([after_import, scipy_modules()]))
 """
     env = dict(os.environ)
@@ -429,14 +431,39 @@ def test_import_datastore_and_conformal_eval_load_no_scipy(tmp_path):
     assert after_import == [] and after_calls == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["aso-sim", "--test", "aso,student_t,wilcoxon,mann_whitney", "--n", "5,20", "--trials", "2"],
-    ["dirichlet-check", "--num-random", "2", "--samples", "200"],
-])
-def test_aso_sim_and_dirichlet_check_load_scipy_special_only(argv, tmp_path):
-    _, loaded = scipy_modules_after([(argv, 0)], tmp_path)
+def test_aso_sim_loads_no_scipy(tmp_path):
+    """All six tests, and the normal-tail branches of the rank tests on tied data."""
+    tied = """
+from uqkit.significance import classic_test
+a = [float(v % 4) for v in range(20)]
+b = [float(v % 3) for v in range(20)]
+for kind in ("wilcoxon", "mann_whitney"):
+    assert 0.0 < classic_test(kind, a, b).p_value < 1.0
+"""
+    after_import, after_calls = scipy_modules_after([
+        (["aso-sim", "--test", "aso,student_t,bootstrap,permutation,wilcoxon,mann_whitney",
+          "--n", "5,20", "--trials", "2"], 0),
+    ], tmp_path, then=tied)
+    assert after_import == [] and after_calls == []
+
+
+def test_dirichlet_check_loads_scipy_special_only(tmp_path):
+    _, loaded = scipy_modules_after([
+        (["dirichlet-check", "--num-random", "2", "--samples", "200"], 0),
+    ], tmp_path)
     assert "scipy.special" in loaded
     assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]
+
+
+def test_error_rate_tables_script_loads_no_scipy(tmp_path):
+    run_script = f"""
+import runpy
+sys.argv = ["error_rate_tables.py", "--trials", "2", "--out-dir", "."]
+runpy.run_path({str(ROOT / "scripts" / "error_rate_tables.py")!r}, run_name="__main__")
+"""
+    _, loaded = scipy_modules_after([], tmp_path, then=run_script)
+    assert loaded == []
+    assert len(list(tmp_path.glob("type*.csv"))) == 5
 
 
 def test_import_cli_loads_every_module_the_tracer_patches():
