@@ -2,10 +2,11 @@
 """Desk-scale reproduction of the Type I / Type II error-rate threshold tables.
 
 Runs every test across sample sizes and decision thresholds for the four score
-distributions, then writes one CSV per table. At the default 500 trials this
-took 21-25 s on a shared 2-vCPU VM (2.6 s at --trials 50), nearly all of it in
-the tests themselves: the script loads no scipy module. Shrink --trials for a
-quick look.
+distributions, then writes one CSV per table. Each (dist, n, trial) draws its
+samples once, and all six tests read that draw. At the default 500 trials this
+took 22.7-23.8 s on a shared 2-vCPU VM (2.4-2.8 s at --trials 50), nearly all
+of it in the tests themselves: the script loads no scipy module. Shrink
+--trials for a quick look.
 
 Usage:
     python3 scripts/error_rate_tables.py --out-dir results/ [--trials 500] [--seed 7]

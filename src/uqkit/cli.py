@@ -5,8 +5,8 @@ Subcommands: `aso-sim` (Type I/II error-rate grids), `conformal-eval`
 Carlo), and `datastore` (inspect/convert UQDS files). Every subcommand is
 deterministic given --seed and its configuration; outputs embed a schema tag.
 
-Exit codes: 0 ok, 2 usage error, 3 data error. UQKIT_THREADS caps the trial
-worker count.
+Exit codes: 0 ok, 2 usage error, 3 data error. `aso-sim` runs its trials
+serially, and every test reads one draw per (dist, n, trial).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .datastore import Datastore
 from .dirichlet import DirichletParams
-from .error_sim import DistSpec, Laplace, Normal, NormalMixture, Rayleigh, worker_count
+from .error_sim import DistSpec, Laplace, Normal, NormalMixture, Rayleigh
 from .experiments import (CONFORMAL_METHODS, ConformalEvalConfig, aso_sim_csv,
                           run_aso_grid, run_conformal_eval, run_dirichlet_check)
 from .significance import CLASSIC_TEST_KINDS
@@ -162,10 +162,6 @@ def _svg_line_chart(records: list[dict], name, x: str, y: str, title: str,
 
 
 def cmd_aso_sim(args) -> int:
-    try:
-        worker_count()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     records = run_aso_grid(
         tests=args.test, dists=args.dist, sizes=args.n, thresholds=args.tau,
         trials=args.trials, seed=args.seed, alpha=args.alpha, num_bootstrap=args.bootstrap,

@@ -1,18 +1,17 @@
 """Distribution samplers and the Type I / Type II error-rate Monte Carlo harness.
 
-Each trial draws fresh score samples and computes the configured test's
-statistic once (eps_min for ASO, the p-value otherwise); that statistic is then
+Trials run serially. Each (dist, n, trial) draws its score samples once, from a
+stream derived by hashing (master seed, trial index), and every test reads that
+one draw: before each test the stream is rewound to the state right after the
+draw, so a test's own resampling is the same whichever tests run beside it, and
+adding trials never reshuffles earlier ones. Each test computes its statistic
+once per trial (eps_min for ASO, the p-value otherwise); the statistic is then
 compared with every requested threshold, since the draws never depend on the
-threshold. Per-trial RNG streams are derived by hashing (master seed, trial
-index), so rates are bit-identical regardless of worker count and adding
-trials never reshuffles earlier ones. The worker count is capped by the
-UQKIT_THREADS environment variable.
+threshold.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,20 +148,9 @@ class ErrorRateReport:
     dist_b: str = field(default="")
 
 
-def worker_count() -> int:
-    """Trial worker count: UQKIT_THREADS, at least 1; 1 when unset or empty."""
-    cap = os.environ.get("UQKIT_THREADS")
-    if not cap:
-        return 1
-    try:
-        return max(1, int(cap))
-    except ValueError:
-        raise ValueError(f"UQKIT_THREADS must be an integer, got {cap!r}") from None
-
-
-def error_rates(test: TestSpec, dist_a: DistSpec, dist_b: DistSpec | None, n: int,
+def error_rates(tests: list[TestSpec], dist_a: DistSpec, dist_b: DistSpec | None, n: int,
                 thresholds: list[float], trials: int, seed: int) -> list[ErrorRateReport]:
-    """Error rates of `test` at each threshold, one report per threshold.
+    """Error rates of every test at each threshold, one report per (test, threshold).
 
     With dist_b None both samples come from dist_a and the rate is the fraction
     of rejections (Type I); otherwise `a` comes from dist_a, `b` from dist_b,
@@ -172,38 +160,36 @@ def error_rates(test: TestSpec, dist_a: DistSpec, dist_b: DistSpec | None, n: in
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-
-    def statistic(trial: int) -> float:
+    stats = np.empty((len(tests), trials))
+    for trial in range(trials):
         rng = derive_rng(seed, trial)
         a = sample_dist(dist_a, n, rng)
         b = sample_dist(dist_a if dist_b is None else dist_b, n, rng)
-        return test.statistic(a, b, rng)
-
-    workers = worker_count()
-    if workers == 1:
-        stats = np.array([statistic(t) for t in range(trials)], dtype=float)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = np.array(list(pool.map(statistic, range(trials))), dtype=float)
+        a.flags.writeable = b.flags.writeable = False  # every test reads the same arrays
+        drawn = rng.bit_generator.state
+        for i, test in enumerate(tests):
+            rng.bit_generator.state = drawn
+            stats[i, trial] = test.statistic(a, b, rng)
 
     reports = []
-    for threshold in thresholds:
-        rejected = stats < threshold
-        rate = float((rejected if dist_b is None else ~rejected).mean())
-        reports.append(ErrorRateReport(
-            test=test.kind, dist=dist_a.label(), n=n, threshold=threshold, trials=trials,
-            rate=rate, se=float(np.sqrt(rate * (1 - rate) / trials)), seed=seed,
-            error_kind="type1" if dist_b is None else "type2",
-            dist_b="" if dist_b is None else dist_b.label()))
+    for test, test_stats in zip(tests, stats):
+        for threshold in thresholds:
+            rejected = test_stats < threshold
+            rate = float((rejected if dist_b is None else ~rejected).mean())
+            reports.append(ErrorRateReport(
+                test=test.kind, dist=dist_a.label(), n=n, threshold=threshold, trials=trials,
+                rate=rate, se=float(np.sqrt(rate * (1 - rate) / trials)), seed=seed,
+                error_kind="type1" if dist_b is None else "type2",
+                dist_b="" if dist_b is None else dist_b.label()))
     return reports
 
 
 def type1_rate(test: TestSpec, dist: DistSpec, n: int, trials: int, seed: int) -> ErrorRateReport:
     """Fraction of rejections when both samples come from the same distribution."""
-    return error_rates(test, dist, None, n, [test.threshold], trials, seed)[0]
+    return error_rates([test], dist, None, n, [test.threshold], trials, seed)[0]
 
 
 def type2_rate(test: TestSpec, dist_a: DistSpec, dist_b: DistSpec, n: int, trials: int,
                seed: int) -> ErrorRateReport:
     """Fraction of non-rejections when dist_a stochastically dominates dist_b."""
-    return error_rates(test, dist_a, dist_b, n, [test.threshold], trials, seed)[0]
+    return error_rates([test], dist_a, dist_b, n, [test.threshold], trials, seed)[0]

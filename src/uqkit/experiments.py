@@ -45,23 +45,23 @@ def run_aso_grid(tests: list[str], dists: list[DistSpec], sizes: list[int],
                  dist_b: DistSpec | None = None) -> list[dict]:
     """Type I (or, with dist_b, Type II) error rates over the full grid.
 
-    Each (test, n, dist) condition runs its trials once; every threshold reuses
-    the same per-trial statistics.
+    Each (n, dist) condition runs its trials once for all tests: every test
+    reads the same per-trial draw, and every threshold reuses the same
+    per-trial statistics.
     """
     if not thresholds:
         return []
+    specs = [TestSpec(kind=kind, threshold=thresholds[0], alpha=alpha,
+                      num_bootstrap=num_bootstrap, resamples=resamples) for kind in tests]
     records = []
-    for test_kind in tests:
-        spec = TestSpec(kind=test_kind, threshold=thresholds[0], alpha=alpha,
-                        num_bootstrap=num_bootstrap, resamples=resamples)
-        for n in sizes:
-            for dist in dists:
-                for report in error_rates(spec, dist, dist_b, n, thresholds, trials, seed):
-                    records.append({
-                        "test": report.test, "dist": report.dist, "n": report.n,
-                        "threshold": report.threshold, "trials": report.trials,
-                        "rate": report.rate, "se": report.se, "seed": report.seed,
-                    })
+    for n in sizes:
+        for dist in dists:
+            for report in error_rates(specs, dist, dist_b, n, thresholds, trials, seed):
+                records.append({
+                    "test": report.test, "dist": report.dist, "n": report.n,
+                    "threshold": report.threshold, "trials": report.trials,
+                    "rate": report.rate, "se": report.se, "seed": report.seed,
+                })
     records.sort(key=lambda r: (r["test"], r["dist"], r["n"], r["threshold"]))
     return records
 
@@ -240,16 +240,18 @@ def dirichlet_mc_checks(alpha_vec, num_samples: int, rng: np.random.Generator) -
         se = float(values.std(ddof=1)) / root_n
         return abs(closed - float(values.mean())) / max(se, 1e-300)
 
+    log_draws = np.log(draws)
+    log_density = dr.log_pdf(d, draws)
     checks = {}
     checks["mean"] = max(z_score(m_k, draws[:, k]) for k, m_k in enumerate(dr.mean(d)))
     checks["log_expectation"] = max(
-        z_score(dr.log_expectation(d, k), np.log(draws[:, k])) for k in range(len(d)))
-    checks["entropy"] = z_score(dr.entropy(d), -dr.log_pdf(d, draws))
-    point_entropies = -np.sum(np.where(draws > 0, draws * np.log(draws), 0.0), axis=1)
+        z_score(dr.log_expectation(d, k), log_draws[:, k]) for k in range(len(d)))
+    checks["entropy"] = z_score(dr.entropy(d), -log_density)
+    point_entropies = -np.sum(np.where(draws > 0, draws * log_draws, 0.0), axis=1)
     checks["expected_entropy"] = z_score(dr.expected_entropy(d), point_entropies)
 
     ref = dr.DirichletParams(np.roll(d.alpha, 1) + 0.5)
-    checks["kl"] = z_score(dr.kl(d, ref), dr.log_pdf(d, draws) - dr.log_pdf(ref, draws))
+    checks["kl"] = z_score(dr.kl(d, ref), log_density - dr.log_pdf(ref, draws))
 
     # Delta-method linearization of H[mean pi] so the MI estimate has a usable SE.
     mean_draws = draws.mean(axis=0)

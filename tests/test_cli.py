@@ -63,14 +63,10 @@ class TestAsoSim:
         assert result.returncode == 3
         assert result.stderr.startswith("error:")
         assert len(result.stderr.splitlines()) == 1
-
-    def test_malformed_thread_count_usage(self):
-        result = run_cli(["aso-sim", "--test", "student_t", "--trials", "1"],
-                         env_extra={"UQKIT_THREADS": "abc"})
-        assert result.returncode == 2
-        assert len(result.stderr.splitlines()) == 1
-        assert "error:" in result.stderr
-        assert "UQKIT_THREADS" in result.stderr and "'abc'" in result.stderr
+        # n = 1 fails in the first test that runs on it, here the t-test
+        result = run_cli(["aso-sim", "--test", "student_t,aso", "--n", "5,1", "--trials", "2"])
+        assert result.returncode == 3
+        assert result.stderr == "error: t-test needs at least two observations per sample\n"
 
     def test_plot_written(self, tmp_path):
         svg = tmp_path / "rates.svg"

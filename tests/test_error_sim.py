@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import uqkit.error_sim
 from uqkit.error_sim import (Laplace, Normal, NormalMixture, Rayleigh, TestSpec,
                              sample_dist, type1_rate, type2_rate)
 from uqkit.experiments import run_aso_grid
+from uqkit.significance import CLASSIC_TEST_KINDS
 
 
 class TestSamplers:
@@ -45,19 +47,6 @@ class TestRates:
         first = type1_rate(spec, Normal(0.0, 1.5), 10, 50, seed=4)
         second = type1_rate(spec, Normal(0.0, 1.5), 10, 50, seed=4)
         assert first == second
-
-    def test_worker_count_does_not_change_rates(self, monkeypatch):
-        def rates():
-            return (type1_rate(TestSpec(kind="mann_whitney", threshold=0.05),
-                               Normal(0.0, 1.5), 10, 60, seed=5),
-                    type2_rate(TestSpec(kind="aso", threshold=0.2),
-                               Normal(0.5, 1.5), Normal(0.0, 1.5), 10, 30, seed=5))
-
-        monkeypatch.setenv("UQKIT_THREADS", "1")
-        serial = rates()
-        monkeypatch.setenv("UQKIT_THREADS", "4")
-        parallel = rates()
-        assert serial == parallel
 
     def test_adding_trials_never_reshuffles_earlier_ones(self):
         # Per-trial streams hash (seed, trial index), so each decision is fixed
@@ -106,29 +95,53 @@ class TestRates:
 
 
 class TestGridMatchesPerThresholdRates:
-    """run_aso_grid computes each trial once for all thresholds; its rows must
-    equal the rates of running every threshold on its own."""
+    """run_aso_grid computes each trial once for all tests and thresholds; its
+    rows must equal the rates of running every test and threshold on its own."""
 
     FIELDS = ("test", "dist", "n", "threshold", "trials", "rate", "se", "seed")
 
-    @pytest.mark.parametrize("kind", ["aso", "bootstrap"])
+    # "all" runs every test in one call: each must read the shared draw and then
+    # its own stream from the state right after it, not a stream another test
+    # has already consumed.
+    @pytest.mark.parametrize("kinds", [["aso"], ["bootstrap"], ["aso", *CLASSIC_TEST_KINDS]],
+                             ids=["aso", "bootstrap", "all"])
     @pytest.mark.parametrize("dist_b", [None, Normal(-0.5, 1.5)], ids=["type1", "type2"])
-    def test_grid_equals_per_threshold_rates(self, kind, dist_b):
+    def test_grid_equals_per_threshold_rates(self, kinds, dist_b):
         dists, sizes, thresholds = [Normal(0.0, 1.5), Laplace(0.0, 1.5)], [5, 8], [0.05, 0.3, 0.6]
-        records = run_aso_grid([kind], dists, sizes, thresholds, trials=12, seed=13,
+        records = run_aso_grid(kinds, dists, sizes, thresholds, trials=12, seed=13,
                                num_bootstrap=200, resamples=200, dist_b=dist_b)
         expected = []
-        for dist in dists:
-            for n in sizes:
-                for threshold in thresholds:
-                    spec = TestSpec(kind=kind, threshold=threshold, num_bootstrap=200,
-                                    resamples=200)
-                    if dist_b is None:
-                        expected.append(type1_rate(spec, dist, n, 12, seed=13))
-                    else:
-                        expected.append(type2_rate(spec, dist, dist_b, n, 12, seed=13))
+        for kind in kinds:
+            for dist in dists:
+                for n in sizes:
+                    for threshold in thresholds:
+                        spec = TestSpec(kind=kind, threshold=threshold, num_bootstrap=200,
+                                        resamples=200)
+                        if dist_b is None:
+                            expected.append(type1_rate(spec, dist, n, 12, seed=13))
+                        else:
+                            expected.append(type2_rate(spec, dist, dist_b, n, 12, seed=13))
         expected.sort(key=lambda r: (r.test, r.dist, r.n, r.threshold))
         assert [tuple(r[f] for f in self.FIELDS) for r in records] == \
             [tuple(getattr(r, f) for f in self.FIELDS) for r in expected]
         # the thresholds must actually separate some trials for the check to bite
         assert len({r["rate"] for r in records}) > 1
+
+    def test_one_stream_and_one_draw_per_trial_whatever_the_tests(self, monkeypatch):
+        calls = {"derive_rng": 0, "sample_dist": 0}
+
+        def counted(name):
+            original = getattr(uqkit.error_sim, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(uqkit.error_sim, name, counted(name))
+        trials, sizes, dists = 3, [5, 6], [Normal(0.0, 1.5), Rayleigh(1.0)]
+        run_aso_grid(["aso", *CLASSIC_TEST_KINDS], dists, sizes, [0.05, 0.5], trials=trials,
+                     seed=2, num_bootstrap=50, resamples=50)
+        groups = trials * len(sizes) * len(dists)
+        assert calls == {"derive_rng": groups, "sample_dist": 2 * groups}
