@@ -77,13 +77,7 @@ class Datastore:
         return arr
 
     def add(self, latent, score: float) -> None:
-        arr = self._check_latent(latent)
-        if not np.isfinite(score):
-            raise ValueError("score must be finite")
-        self._latents = np.vstack([self._latents, arr[None, :]])
-        self._scores = np.append(self._scores, float(score))
-        self._centroids = None  # any existing IVF index is stale
-        self._lists = None
+        self.add_batch(np.reshape(latent, (1, -1)), score)
 
     def add_batch(self, latents, scores) -> None:
         lat = np.asarray(latents, dtype=np.float32)
@@ -98,7 +92,7 @@ class Datastore:
             raise ValueError("scores must be finite")
         self._latents = np.vstack([self._latents, lat])
         self._scores = np.concatenate([self._scores, sco])
-        self._centroids = None
+        self._centroids = None  # any existing IVF index is stale
         self._lists = None
 
     def _keys(self, latent: np.ndarray, rows: np.ndarray, metric: str,

@@ -114,7 +114,6 @@ class TestSpec:
     threshold: float
     alpha: float = 0.05          # ASO confidence level
     num_bootstrap: int = 1000    # ASO bootstrap iterations
-    dt: float = 0.005            # ASO integration step
     resamples: int = 1000        # bootstrap/permutation test resamples
 
     def __post_init__(self):
@@ -124,7 +123,7 @@ class TestSpec:
     def statistic(self, a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> float:
         """eps_min for ASO, the one-sided p-value otherwise; small values reject."""
         if self.kind == "aso":
-            return aso(a, b, alpha=self.alpha, num_bootstrap=self.num_bootstrap, dt=self.dt,
+            return aso(a, b, alpha=self.alpha, num_bootstrap=self.num_bootstrap,
                        rng=rng).eps_min
         return classic_test(self.kind, a, b, resamples=self.resamples, rng=rng).p_value
 

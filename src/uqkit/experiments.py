@@ -18,11 +18,10 @@ import numpy as np
 from . import dirichlet as dr
 from .conformal import (AdaptiveSets, KnnQuantiles, WeightedCalibration, is_full_set,
                         split_quantile, temperature_search, weighted_quantile)
-from .datastore import Datastore
 from .error_sim import DistSpec, TestSpec, error_rates
 from .metrics import coverage_report_arrays, predictive_entropy
 from .seeds import derive_rng
-from .synthetic import generate, inject_noise, new_model, nonconformity, step_probs
+from .synthetic import Chain, calibration_store, generate, inject_noise, new_model, step_probs
 
 logger = logging.getLogger(__name__)
 
@@ -91,10 +90,7 @@ class ConformalEvalConfig:
     alpha: float = 0.1
     k: int = 50
     score_kind: str = "adaptive"
-    num_size_bins: int = 75
     burn_in: int = 50
-    process_noise: float = 0.02
-    temperature: float = 1.0
     search_steps: int = 20
     search_batch: int = 400
 
@@ -121,7 +117,7 @@ def _median_neighbor_distance(store, metric: str, k: int, seed: int) -> float:
     return med if med > 0 else 1.0
 
 
-def resolve_tau(store, cal_steps, cfg: ConformalEvalConfig, metric: str,
+def resolve_tau(store, cal: Chain, cfg: ConformalEvalConfig, metric: str,
                 tau_request, seed: int) -> float:
     """Numeric tau passes through; "heuristic" uses the median neighbor key;
     "auto" runs the stochastic temperature search."""
@@ -130,10 +126,10 @@ def resolve_tau(store, cal_steps, cfg: ConformalEvalConfig, metric: str,
     if tau_request != "auto":
         return float(tau_request)
     scale = _median_neighbor_distance(store, metric, cfg.k, seed)
-    batch = cal_steps[: cfg.search_batch]
-    neighbors = store.query_batch(np.stack([step.latent for step in batch]), cfg.k, metric=metric)
+    batch = cal[: cfg.search_batch]
+    neighbors = store.query_batch(batch.latents, cfg.k, metric=metric)
     quantiles = KnnQuantiles(neighbors, cfg.alpha, metric)
-    sets = AdaptiveSets(np.stack([step.probs for step in batch]), [step.gold for step in batch])
+    sets = AdaptiveSets(batch.probs, batch.golds)
 
     def coverage_eval(tau: float) -> float:
         return int(np.count_nonzero(sets.covers(*quantiles(tau)))) / len(batch)
@@ -172,17 +168,13 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
     conditions = [(method, metric, noise) for method in sorted(methods) for noise in sorted(noises)
                   for metric in (sorted(metrics) if method == "knn" else ["-"])]
 
-    model = new_model(cfg.vocab_size, cfg.latent_dim, seed=seed,
-                      temperature=cfg.temperature, noise_std=cfg.process_noise)
+    model = new_model(cfg.vocab_size, cfg.latent_dim, seed=seed)
     chain = generate(model, cfg.burn_in + cfg.cal_steps + cfg.test_steps, derive_rng(seed, 1))
     cal = chain[cfg.burn_in: cfg.burn_in + cfg.cal_steps]
     test = chain[cfg.burn_in + cfg.cal_steps:]
 
-    cal_latents = np.stack([s.latent for s in cal])
-    store = Datastore(cfg.latent_dim)
-    store.add_batch(cal_latents,
-                    np.array([nonconformity(cfg.score_kind, s.probs, s.gold) for s in cal]))
-    latent_std = float(cal_latents.std())
+    store = calibration_store(cal, cfg.score_kind)
+    latent_std = float(cal.latents.std())
     fixed_q = {"split": split_quantile(store.scores, cfg.alpha),
                "knn_unit": weighted_quantile(
                    WeightedCalibration(store.scores, np.ones(len(store))), cfg.alpha)}
@@ -199,12 +191,10 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
         blocks = []  # (clamped q_hat, FULL_SET mask, set sizes, label hits) per block
         for start in range(0, len(test), _CHUNK_STEPS):
             block = test[start: start + _CHUNK_STEPS]
-            corrupted = [inject_noise(step.latent, noise * latent_std, noise_rng)
-                         for step in block]
-            sets = AdaptiveSets([step_probs(model, z) for z in corrupted],
-                                [step.gold for step in block])
+            corrupted = inject_noise(block.latents, noise * latent_std, noise_rng)
+            sets = AdaptiveSets([step_probs(model, z) for z in corrupted], block.golds)
             if method == "knn":
-                neighbors = store.query_batch(np.stack(corrupted), k, metric=metric)
+                neighbors = store.query_batch(corrupted, k, metric=metric)
                 q_hat, full = KnnQuantiles(neighbors, cfg.alpha, metric)(taus[metric])
             else:
                 full = np.full(len(block), is_full_set(fixed_q[method]))
@@ -212,9 +202,7 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
             blocks.append((np.clip(q_hat, 0.0, 1.0), full, sets.sizes(q_hat, full),
                            sets.covers(q_hat, full)))
         q_hat, full, sizes, covered = (np.concatenate(column) for column in zip(*blocks))
-        report = coverage_report_arrays(sizes, covered, cfg.alpha,
-                                        num_size_bins=cfg.num_size_bins,
-                                        vocab_size=cfg.vocab_size)
+        report = coverage_report_arrays(sizes, covered, cfg.alpha, vocab_size=cfg.vocab_size)
         records.append({
             "schema": CONFORMAL_EVAL_SCHEMA, "method": method, "metric": metric,
             "tau": round(taus[metric], 6) if method == "knn" else None,

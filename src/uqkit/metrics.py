@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import PredictionSet, as_prob_vector
+from .conformal import PredictionSet, as_prob_matrix, as_prob_vector
 from .empirical import rankdata
 
 
@@ -205,15 +205,6 @@ def dempster_shafer(logits) -> float:
     return float(k / (k + np.exp(log_evidence)))
 
 
-def _as_prediction_matrix(matrix) -> np.ndarray:
-    rows = np.asarray(matrix, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] < 2:
-        raise ValueError("expected a B x K matrix with K >= 2")
-    for row in rows:
-        as_prob_vector(row)
-    return rows
-
-
 def variation_ratio(predicted_labels) -> float:
     """One minus the relative frequency of the modal predicted label."""
     labels = np.asarray(predicted_labels).ravel()
@@ -225,13 +216,13 @@ def variation_ratio(predicted_labels) -> float:
 
 def class_variance(matrix) -> float:
     """Mean over classes of the across-pass variance of predicted probabilities."""
-    rows = _as_prediction_matrix(matrix)
+    rows = as_prob_matrix(matrix)
     return float(rows.var(axis=0, ddof=0).mean())
 
 
 def bma_mutual_information(matrix) -> float:
     """Entropy of the averaged prediction minus the average per-pass entropy."""
-    rows = _as_prediction_matrix(matrix)
+    rows = as_prob_matrix(matrix)
     mean_row = rows.mean(axis=0)
     mean_entropy = float(np.mean([predictive_entropy(r) for r in rows]))
     return predictive_entropy(mean_row) - mean_entropy

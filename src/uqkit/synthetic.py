@@ -4,6 +4,8 @@ A linear emission head over a bounded nonlinear latent recurrence stands in
 for a neural decoder: gold tokens are sampled from the emitted distribution,
 so calibration and test scores are exchangeable by construction, and additive
 latent noise reproduces the distribution-shift protocol without any network.
+`generate` returns one `Chain`: aligned step columns of latents, emitted
+distributions and gold tokens, which slice together.
 """
 
 from __future__ import annotations
@@ -46,12 +48,20 @@ class SynthModel:
 
 
 @dataclass(frozen=True)
-class StepTriple:
-    """One generation step: the emitting latent, its distribution, and the gold token."""
+class Chain:
+    """Generated steps as aligned columns: latents (T, d), distributions (T, V), golds (T,)."""
 
-    latent: np.ndarray
+    latents: np.ndarray
     probs: np.ndarray
-    gold: int
+    golds: np.ndarray
+
+    def __len__(self) -> int:
+        return self.golds.size
+
+    def __getitem__(self, steps: slice) -> Chain:
+        if not isinstance(steps, slice):
+            raise TypeError("a Chain is indexed by step slices")
+        return Chain(self.latents[steps], self.probs[steps], self.golds[steps])
 
 
 def new_model(vocab_size: int, latent_dim: int, seed: int, temperature: float = 1.0,
@@ -80,25 +90,26 @@ def step_probs(model: SynthModel, latent: np.ndarray) -> np.ndarray:
     return expl / expl.sum()
 
 
-def sample_step(model: SynthModel, latent: np.ndarray, rng: np.random.Generator) -> StepTriple:
-    """Emit the distribution for `latent` and draw the gold token from it."""
-    probs = step_probs(model, latent)
-    gold = int(rng.choice(model.vocab_size, p=probs))
-    return StepTriple(latent=np.asarray(latent, dtype=float).copy(), probs=probs, gold=gold)
-
-
 def generate(model: SynthModel, num_steps: int, rng: np.random.Generator,
-             init_latent: np.ndarray | None = None) -> list[StepTriple]:
-    """Roll the latent recurrence z' = tanh(M z) + noise for num_steps emissions."""
+             init_latent: np.ndarray | None = None) -> Chain:
+    """Roll the latent recurrence z' = tanh(M z) + noise for num_steps emissions.
+
+    Each step emits its distribution, draws the gold token from it, then draws
+    the recurrence noise, in that order on `rng`.
+    """
     if num_steps < 1:
         raise ValueError("num_steps must be >= 1")
-    d = model.latent_dim
-    z = rng.normal(size=d) if init_latent is None else np.asarray(init_latent, dtype=float).copy()
-    steps = []
-    for _ in range(num_steps):
-        steps.append(sample_step(model, z, rng))
+    d, v = model.latent_dim, model.vocab_size
+    latents = np.empty((num_steps, d))
+    probs = np.empty((num_steps, v))
+    golds = np.empty(num_steps, dtype=np.int64)
+    z = rng.normal(size=d) if init_latent is None else np.asarray(init_latent, dtype=float)
+    for t in range(num_steps):
+        latents[t] = z
+        probs[t] = step_probs(model, z)
+        golds[t] = rng.choice(v, p=probs[t])
         z = np.tanh(model.mixing @ z) + rng.normal(0.0, model.noise_std, size=d)
-    return steps
+    return Chain(latents, probs, golds)
 
 
 def inject_noise(latent: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -119,12 +130,15 @@ def nonconformity(score_kind: str, probs: np.ndarray, gold: int) -> float:
         raise ValueError(f"unknown score kind: {score_kind!r}") from None
 
 
+def calibration_store(chain: Chain, score_kind: str) -> Datastore:
+    """Teacher-forced collection: store every step's latent with its gold score."""
+    store = Datastore(chain.latents.shape[1])
+    store.add_batch(chain.latents, [nonconformity(score_kind, p, gold)
+                                    for p, gold in zip(chain.probs, chain.golds)])
+    return store
+
+
 def build_calibration_store(model: SynthModel, num_steps: int, score_kind: str,
                             rng: np.random.Generator) -> Datastore:
-    """Teacher-forced collection: store every step's latent with its gold score."""
-    steps = generate(model, num_steps, rng)
-    store = Datastore(model.latent_dim)
-    latents = np.stack([s.latent for s in steps])
-    scores = np.array([nonconformity(score_kind, s.probs, s.gold) for s in steps])
-    store.add_batch(latents, scores)
-    return store
+    """`calibration_store` of a fresh num_steps chain."""
+    return calibration_store(generate(model, num_steps, rng), score_kind)

@@ -169,3 +169,22 @@ def aso_grid_oracle(a, b, alpha, num_bootstrap, dt, rng):
     sigma_hat = float(np.std(scale * (eps_star - eps), ddof=1)) if num_bootstrap > 1 else 0.0
     eps_min = eps - math.sqrt((n + m) / (n * m)) * sigma_hat * float(ndtri(alpha))
     return min(max(eps_min, 0.0), 1.0), eps
+
+
+def generate_oracle(model, num_steps, rng, init_latent=None):
+    """The synthetic chain one step at a time: a list of (latent, probs, gold) per step.
+
+    Draws on `rng` in `synthetic.generate`'s order: the initial latent (unless
+    given), then per step the gold token and the recurrence noise.
+    """
+    from uqkit.synthetic import step_probs
+
+    d = model.latent_dim
+    z = rng.normal(size=d) if init_latent is None else np.asarray(init_latent, dtype=float).copy()
+    steps = []
+    for _ in range(num_steps):
+        probs = step_probs(model, z)
+        gold = int(rng.choice(model.vocab_size, p=probs))
+        steps.append((z.copy(), probs, gold))
+        z = np.tanh(model.mixing @ z) + rng.normal(0.0, model.noise_std, size=d)
+    return steps

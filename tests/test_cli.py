@@ -15,15 +15,9 @@ from uqkit.datastore import Datastore
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_cli(args, env_extra=None, cwd=None):
-    import os
-
-    env = dict(os.environ)
-    env.pop("UQKIT_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args, cwd=None):
     return subprocess.run([sys.executable, "-m", "uqkit.cli", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd)
 
 
 class TestAsoSim:
@@ -35,14 +29,13 @@ class TestAsoSim:
         rate = float(out.read_text().splitlines()[2].split(",")[5])
         assert rate in (0.0, 1.0)
 
-    def test_byte_identical_across_runs_and_workers(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         args = ["aso-sim", "--test", "aso,mann_whitney", "--n", "5,10", "--tau", "0.2",
                 "--trials", "20", "--seed", "11"]
         first = run_cli(args + ["--out", str(tmp_path / "a.csv")])
         second = run_cli(args + ["--out", str(tmp_path / "b.csv")])
-        eight = run_cli(args + ["--out", str(tmp_path / "c.csv")],
-                        env_extra={"UQKIT_THREADS": "8"})
-        assert first.returncode == second.returncode == eight.returncode == 0
+        third = run_cli(args + ["--out", str(tmp_path / "c.csv")])
+        assert first.returncode == second.returncode == third.returncode == 0
         a = (tmp_path / "a.csv").read_bytes()
         assert a == (tmp_path / "b.csv").read_bytes()
         assert a == (tmp_path / "c.csv").read_bytes()
@@ -83,7 +76,6 @@ class TestAsoSim:
 
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ)
-        env.pop("UQKIT_THREADS", None)
         env["PYTHONPATH"] = str(root / "src")
         script = subprocess.run([sys.executable, str(root / "scripts" / "error_rate_tables.py"),
                                  "--out-dir", str(tmp_path), "--trials", "2", "--seed", "7"],
@@ -379,7 +371,6 @@ loaded = sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("sc
 print(loaded)
 """
     env = dict(os.environ)
-    env.pop("UQKIT_THREADS", None)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=env)
@@ -406,7 +397,6 @@ for argv, code in {calls!r}:
 print(json.dumps([after_import, scipy_modules()]))
 """
     env = dict(os.environ)
-    env.pop("UQKIT_THREADS", None)
     env["PYTHONPATH"] = str(ROOT / "src")
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=env, cwd=tmp_path)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqkit import experiments
+from uqkit import experiments, synthetic
 from uqkit.conformal import (FULL_SET, AdaptiveSets, KnnQuantiles, WeightedCalibration,
                              as_prob_matrix, as_prob_vector, build_set_adaptive,
                              build_set_threshold, conformal_generate_step, is_full_set,
@@ -371,8 +371,9 @@ class TestSplitCoverageProperty:
     def score_coverage(self, chain):
         """Share of the test steps whose gold score is <= the split q_hat of the calibration steps."""
         cfg = self.CFG
-        scores = np.array([nonconformity(cfg.score_kind, s.probs, s.gold)
-                           for s in chain[cfg.burn_in:]])
+        steps = chain[cfg.burn_in:]
+        scores = np.array([nonconformity(cfg.score_kind, probs, gold)
+                           for probs, gold in zip(steps.probs, steps.golds)])
         q_hat = split_quantile(scores[:cfg.cal_steps], cfg.alpha)
         assert not is_full_set(q_hat)
         return float(np.mean(scores[cfg.cal_steps:] <= q_hat))
@@ -406,19 +407,16 @@ def calibration_store(cfg, seed):
     """The calibration steps of `cfg` and the store built from them, as `run_conformal_eval` does."""
     cal = generate(new_model(cfg.vocab_size, cfg.latent_dim, seed=seed), cfg.cal_steps,
                    derive_rng(seed, 1))
-    store = Datastore(cfg.latent_dim)
-    store.add_batch(np.stack([s.latent for s in cal]),
-                    [nonconformity(cfg.score_kind, s.probs, s.gold) for s in cal])
-    return cal, store
+    return cal, synthetic.calibration_store(cal, cfg.score_kind)
 
 
 def per_step_coverage(store, cal, cfg, tau, metric):
     """Reference: the search batch's coverage at tau, one query and one `knn_set` per step."""
     batch = cal[: cfg.search_batch]
     hits = 0
-    for step in batch:
-        neighbors = store.query(step.latent, cfg.k, metric=metric)
-        hits += step.gold in knn_set(neighbors, step.probs, cfg.alpha, tau, metric=metric)
+    for latent, probs, gold in zip(batch.latents, batch.probs, batch.golds):
+        neighbors = store.query(latent, cfg.k, metric=metric)
+        hits += gold in knn_set(neighbors, probs, cfg.alpha, tau, metric=metric)
     return hits / len(batch)
 
 
@@ -447,7 +445,7 @@ class TestConformalEvalDriver:
         # heuristic scale probes, then the search batch
         probe = derive_rng(3, 901).choice(len(store), size=min(200, len(store)), replace=False)
         expected = ([store.latents[i].tobytes() for i in probe] +
-                    [step.latent.astype(np.float32).tobytes() for step in cal[:cfg.search_batch]])
+                    [z.astype(np.float32).tobytes() for z in cal.latents[:cfg.search_batch]])
         assert sorted(queried) == sorted(expected)
 
     @pytest.mark.parametrize("metric", ["l2", "ip", "cos"])

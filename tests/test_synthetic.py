@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import generate_oracle
 from uqkit.conformal import build_set_adaptive, split_quantile
 from uqkit.seeds import derive_rng
 from uqkit.synthetic import (SynthModel, build_calibration_store, generate, inject_noise,
-                             new_model, sample_step, step_probs)
+                             new_model, nonconformity)
 
 
 class TestModelConstruction:
@@ -31,9 +32,9 @@ class TestModelConstruction:
 
     def test_probs_sum_to_one(self):
         model = new_model(50, 8, seed=2)
-        steps = generate(model, 100, derive_rng(3))
-        for step in steps:
-            assert abs(step.probs.sum() - 1.0) < 1e-9
+        chain = generate(model, 100, derive_rng(3))
+        for probs in chain.probs:
+            assert abs(probs.sum() - 1.0) < 1e-9
 
 
 class TestGenerate:
@@ -41,15 +42,14 @@ class TestGenerate:
         model = new_model(20, 6, seed=4)
         a = generate(model, 50, derive_rng(5))
         b = generate(model, 50, derive_rng(5))
-        for x, y in zip(a, b):
-            assert np.array_equal(x.latent, y.latent)
-            assert x.gold == y.gold
+        assert np.array_equal(a.latents, b.latents)
+        assert np.array_equal(a.golds, b.golds)
 
     def test_low_temperature_gold_is_argmax(self):
         model = new_model(30, 6, seed=6, temperature=1e-4)
-        steps = generate(model, 300, derive_rng(7))
-        agree = sum(step.gold == int(np.argmax(step.probs)) for step in steps)
-        assert agree / len(steps) >= 0.99
+        chain = generate(model, 300, derive_rng(7))
+        agree = np.count_nonzero(chain.golds == np.argmax(chain.probs, axis=1))
+        assert agree / len(chain) >= 0.99
 
     def test_frozen_latent_token_frequencies(self):
         # mixing 2*I has the stable fixed point z* = tanh(2 z*) coordinate-wise,
@@ -63,10 +63,10 @@ class TestGenerate:
         for _ in range(60):
             z_star = np.tanh(2.0 * z_star)
         init = np.full(dim, z_star)
-        steps = generate(model, 20_000, derive_rng(9), init_latent=init)
-        probs = steps[0].probs
-        counts = np.bincount([s.gold for s in steps], minlength=vocab)
-        n = len(steps)
+        chain = generate(model, 20_000, derive_rng(9), init_latent=init)
+        probs = chain.probs[0]
+        counts = np.bincount(chain.golds, minlength=vocab)
+        n = len(chain)
         for k in range(vocab):
             se = np.sqrt(probs[k] * (1 - probs[k]) / n)
             assert abs(counts[k] / n - probs[k]) <= 3 * se + 1e-12
@@ -74,6 +74,39 @@ class TestGenerate:
     def test_validates_num_steps(self):
         with pytest.raises(ValueError):
             generate(new_model(5, 3, seed=0), 0, derive_rng(0))
+
+    @pytest.mark.parametrize("seed", [5, 19])
+    @pytest.mark.parametrize("with_init", [False, True])
+    def test_columns_equal_per_step_loop(self, seed, with_init):
+        model = new_model(12, 5, seed=seed)
+        init = derive_rng(seed, 3).normal(size=5) if with_init else None
+        init_before = None if init is None else init.copy()
+        rng, oracle_rng = derive_rng(seed), derive_rng(seed)
+        chain = generate(model, 200, rng, init_latent=init)
+        steps = generate_oracle(model, 200, oracle_rng, init_latent=init_before)
+        latents, probs, golds = (np.array(column) for column in zip(*steps))
+        assert chain.latents.dtype == np.float64 and chain.probs.dtype == np.float64
+        assert chain.golds.dtype == np.int64
+        assert chain.latents.tobytes() == latents.tobytes()
+        assert chain.probs.tobytes() == probs.tobytes()
+        assert chain.golds.tobytes() == golds.astype(np.int64).tobytes()
+        # the stream ends where the loop's does, final recurrence draw included
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        if with_init:
+            assert np.array_equal(init, init_before)
+            assert not np.shares_memory(chain.latents, init)
+
+    def test_slice_keeps_columns_aligned(self):
+        chain = generate(new_model(8, 3, seed=20), 30, derive_rng(21))
+        for steps in (slice(5, 17), slice(25, None), slice(None, None, 4), slice(40, 50)):
+            part = chain[steps]
+            assert len(part) == len(range(30)[steps])
+            assert part.latents.shape == (len(part), 3) and part.probs.shape == (len(part), 8)
+            assert np.array_equal(part.latents, chain.latents[steps])
+            assert np.array_equal(part.probs, chain.probs[steps])
+            assert np.array_equal(part.golds, chain.golds[steps])
+        with pytest.raises(TypeError, match="slices"):
+            chain[3]
 
 
 class TestInjectNoise:
@@ -134,12 +167,12 @@ class TestExchangeabilityByConstruction:
         model = new_model(40, 8, seed=17)
         chain = generate(model, 1050, derive_rng(18))
         cal, test = chain[50:550], chain[550:]
-        from uqkit.synthetic import nonconformity
-
-        scores = [nonconformity("adaptive", s.probs, s.gold) for s in cal]
+        scores = [nonconformity("adaptive", probs, gold)
+                  for probs, gold in zip(cal.probs, cal.golds)]
         alpha = 0.1
         q_hat = split_quantile(scores, alpha)
-        covered = [s.gold in build_set_adaptive(s.probs, q_hat) for s in test]
+        covered = [gold in build_set_adaptive(probs, q_hat)
+                   for probs, gold in zip(test.probs, test.golds)]
         rate = np.mean(covered)
         se = np.sqrt(alpha * (1 - alpha) / len(test))
         assert rate >= 1 - alpha - 3 * se
