@@ -281,7 +281,7 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--alpha", default=None, type=concentrations,
                    help="explicit comma list of concentrations")
     p.add_argument("--num-random", type=int, default=20, dest="num_random")
-    p.add_argument("--samples", type=at_least_1, default=100000)
+    p.add_argument("--samples", type=number(int, at_least=2), default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dirichlet_check)

@@ -39,8 +39,12 @@ class DirichletParams:
             raise ValueError("concentration parameters must be finite")
         if np.any(arr < _MIN_ALPHA):
             raise ValueError(f"concentration parameters must be >= {_MIN_ALPHA}")
+        with np.errstate(over="ignore"):
+            alpha0 = float(arr.sum())
+        if not np.isfinite(alpha0):
+            raise ValueError("concentration parameters must have a finite sum")
         self.alpha = arr
-        self.alpha0 = float(arr.sum())
+        self.alpha0 = alpha0
 
     def __len__(self) -> int:
         return self.alpha.size
@@ -107,8 +111,9 @@ def log_pdf(d: DirichletParams, points: np.ndarray) -> np.ndarray:
 
 
 def sample(d: DirichletParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws via normalized Gamma variates; rows sum to one."""
+    """n draws via normalized Gamma variates; rows sum to one (NaN if every variate is 0)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     gammas = rng.gamma(shape=d.alpha, size=(n, len(d)))
-    return gammas / gammas.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        return gammas / gammas.sum(axis=1, keepdims=True)

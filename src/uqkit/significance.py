@@ -34,7 +34,6 @@ class AsoResult:
     eps_min: float
     violation_ratio: float
     sigma_hat: float
-    reject: bool
 
 
 @dataclass(frozen=True)
@@ -112,13 +111,13 @@ def _bootstrap_quantiles(sample: np.ndarray, idx: np.ndarray,
 
 
 def aso(a, b, alpha: float = 0.05, num_bootstrap: int = 1000, dt: float = 0.005,
-        rng: np.random.Generator | None = None, threshold: float = 0.2) -> AsoResult:
+        rng: np.random.Generator | None = None) -> AsoResult:
     """ASO test: violation ratio, bootstrap sigma, and the eps_min bound.
 
     eps_min = eps - sqrt((N+M)/(N*M)) * sigma_hat * Phi^-1(alpha), clamped into
     [0, 1], where sigma_hat is the standard deviation of the rescaled bootstrap
-    violation ratios sqrt(N*M/(N+M)) * (eps* - eps). The null "a is not almost
-    stochastically larger than b" is rejected when eps_min < threshold. Each
+    violation ratios sqrt(N*M/(N+M)) * (eps* - eps). The caller rejects the null "a is
+    not almost stochastically larger than b" when eps_min < tau (`error_rates`). Each
     sample needs at least two observations: with one, every bootstrap resample
     equals the sample, sigma_hat is 0 and eps_min carries no uncertainty.
 
@@ -156,8 +155,7 @@ def aso(a, b, alpha: float = 0.05, num_bootstrap: int = 1000, dt: float = 0.005,
     sigma_hat = float(np.std(scale * (eps_star - eps), ddof=1)) if num_bootstrap > 1 else 0.0
     eps_min = eps - math.sqrt((n + m) / (n * m)) * sigma_hat * ndtri(alpha)
     eps_min = min(max(eps_min, 0.0), 1.0)
-    return AsoResult(eps_min=eps_min, violation_ratio=eps, sigma_hat=sigma_hat,
-                     reject=eps_min < threshold)
+    return AsoResult(eps_min=eps_min, violation_ratio=eps, sigma_hat=sigma_hat)
 
 
 def bonferroni(alpha: float, num_comparisons: int) -> float:

@@ -331,7 +331,8 @@ class TestAsoSimDirichletValidation:
         (ASO_SIM_T, "--bootstrap", "0"), (ASO_SIM_T, "--resamples", "0"),
         (ASO_SIM_T, "--alpha", "0"), (ASO_SIM_T, "--alpha", "1.5"),
         (DIRICHLET, "--samples", "0"), (DIRICHLET, "--num-random", "0"),
-        (ASO_SIM_T, "--test", "aso,foo"),
+        (ASO_SIM_T, "--test", "aso,foo"), (DIRICHLET, "--samples", "1"),
+        (DIRICHLET, "--alpha", "1e308,1e308"),
     ])
     def test_bad_option_is_usage_error(self, command, option, value):
         result = run_cli(command + [option, value])
@@ -344,6 +345,16 @@ class TestAsoSimDirichletValidation:
     def test_dirichlet_check_num_random_unused_with_alpha_list(self):
         result = run_cli(DIRICHLET + ["--alpha", "1,2", "--num-random", "0"])
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("alpha", ["0.01,0.01", "0.001,0.001"])
+    def test_dirichlet_check_underflowing_draws_are_data_error(self, alpha):
+        # Gamma draws this small underflow to exactly 0, where every log-based check is
+        # undefined; at 0.001 whole rows do, and their 0/0 must not warn either.
+        result = run_cli(["dirichlet-check", "--alpha", alpha, "--samples", "20000"])
+        assert result.returncode == 3
+        assert result.stderr.startswith(f"error: alpha [{alpha.replace(',', ', ')}]")
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stdout == ""
 
 
 def test_cli_runs_without_scipy_stats(tmp_path):

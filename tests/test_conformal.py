@@ -467,7 +467,7 @@ class TestConformalEvalDriver:
                                                                         metric)
 
     def test_shared_pass_generates_once_and_resolves_tau_once_per_metric(self, monkeypatch):
-        calls = {"generate": 0, "resolve_tau": 0}
+        calls = {"generate": 0, "resolve_tau": 0, "step_probs": 0}
 
         def counting(name):
             original = getattr(experiments, name)
@@ -483,16 +483,26 @@ class TestConformalEvalDriver:
         records = run_conformal_eval(cfg, ["knn", "split"], ["l2", "cos"], [0.0, 0.1],
                                      "auto", seed=3)
         assert len(records) == 6
-        assert calls == {"generate": 1, "resolve_tau": 2}
+        # the test pass runs once per noise level, whatever the conditions at it
+        assert calls == {"generate": 1, "resolve_tau": 2, "step_probs": 2 * cfg.test_steps}
 
-    def test_shared_pass_matches_one_condition_calls(self):
-        cfg = replace(self.CFG, search_steps=2)
-        records = run_conformal_eval(cfg, ["split", "knn", "knn_unit"], ["ip", "l2"],
-                                     [0.1, 0.0], "auto", seed=4)
-        assert [(r["method"], r["metric"], r["noise"]) for r in records] == [
+    @pytest.mark.parametrize("metrics, noises, expected", [
+        (["ip", "l2"], [0.1, 0.0], [
             ("knn", "ip", 0.0), ("knn", "l2", 0.0), ("knn", "ip", 0.1), ("knn", "l2", 0.1),
             ("knn_unit", "-", 0.0), ("knn_unit", "-", 0.1), ("split", "-", 0.0),
-            ("split", "-", 0.1)]
+            ("split", "-", 0.1)]),
+        (["l2", "cos", "l2"], [0.1, 0.0, 0.0], [
+            ("knn", "cos", 0.0), ("knn", "l2", 0.0), ("knn", "l2", 0.0),
+            ("knn", "cos", 0.0), ("knn", "l2", 0.0), ("knn", "l2", 0.0),
+            ("knn", "cos", 0.1), ("knn", "l2", 0.1), ("knn", "l2", 0.1),
+            ("knn_unit", "-", 0.0), ("knn_unit", "-", 0.0), ("knn_unit", "-", 0.1),
+            ("split", "-", 0.0), ("split", "-", 0.0), ("split", "-", 0.1)]),
+    ], ids=["distinct", "repeated"])
+    def test_shared_pass_matches_one_condition_calls(self, metrics, noises, expected):
+        cfg = replace(self.CFG, search_steps=2)
+        records = run_conformal_eval(cfg, ["split", "knn", "knn_unit"], metrics, noises, "auto",
+                                     seed=4)
+        assert [(r["method"], r["metric"], r["noise"]) for r in records] == expected
         for record in records:
             assert record == run_conformal_condition(cfg, record["method"], record["metric"],
                                                      record["noise"], "auto", seed=4)

@@ -113,7 +113,6 @@ class TestAso:
         result = aso(a, b, alpha=0.05, num_bootstrap=1000, rng=np.random.default_rng(1))
         assert result.violation_ratio == 0.0
         assert result.eps_min < 0.2
-        assert result.reject
 
     def test_identical_samples_rarely_reject(self):
         rng = np.random.default_rng(2)
