@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .conformal import SCORE_RULES
 from .datastore import Datastore
 from .dirichlet import DirichletParams
 from .error_sim import DistSpec, Laplace, Normal, NormalMixture, Rayleigh
@@ -205,6 +206,10 @@ def cmd_datastore(args) -> int:
         if not rows:
             raise ValueError(f"{args.path}: empty CSV, expected a header row")
         header, body = rows[0], rows[1:]
+        for number, row in enumerate(body, start=1):
+            if len(row) != len(header):
+                raise ValueError(f"{args.path}: data row {number} has {len(row)} fields, "
+                                 f"the header has {len(header)}")
         store = Datastore(len(header) - 1)
         if body:
             latents = np.array([[float(x) for x in row[1:]] for row in body], dtype=np.float32)
@@ -271,7 +276,7 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--tau", default="auto", type=rbf_tau,
                    help='"auto" (stochastic search), "heuristic" (median neighbor key), '
                         "or a numeric RBF scale")
-    p.add_argument("--score", default="adaptive", choices=["adaptive", "simple"])
+    p.add_argument("--score", default="adaptive", choices=sorted(SCORE_RULES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--plot", default=None)

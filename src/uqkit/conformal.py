@@ -2,8 +2,9 @@
 
 Non-conformity scores, calibration quantiles (exchangeable and weighted),
 prediction-set construction, RBF relevance weights, the composed per-step
-generation routine, its batched (steps, k) counterpart (`KnnQuantiles` and
-`AdaptiveSets`), and the stochastic temperature search.
+generation routine, its batched (steps, k) counterpart (`KnnQuantiles`, and
+`AdaptiveSets` or `ThresholdSets` as `SCORE_RULES` pairs them with the score),
+and the stochastic temperature search.
 
 Quantile levels are compared with a 1e-9 slack so that mathematically exact
 boundaries such as (N+1)*(1-alpha) landing on an integer are not perturbed by
@@ -16,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -192,13 +194,13 @@ def build_set_adaptive(probs, q_hat) -> PredictionSet:
 
 
 def build_set_threshold(probs, q_hat) -> PredictionSet:
-    """All classes with probability >= 1 - q_hat; may be empty for small q_hat."""
+    """All classes whose score 1 - p (as `score_simple`) is <= q_hat; may be empty."""
     p = as_prob_vector(probs)
     order = _descending_order(p)
     if is_full_set(q_hat):
         return PredictionSet(indices=tuple(int(i) for i in order), q_hat=FULL_SET)
     q = float(q_hat)
-    keep = order[p[order] >= 1.0 - q]
+    keep = order[1.0 - p[order] <= q]
     return PredictionSet(indices=tuple(int(i) for i in keep), q_hat=q)
 
 
@@ -246,6 +248,16 @@ class KnnQuantiles:
         return self._sorted[rows, first], ~reached[rows, first]
 
 
+def _as_labels(labels, p: np.ndarray) -> np.ndarray:
+    """One in-range class id per row of the probability matrix `p`."""
+    labels = np.asarray(labels, dtype=int).ravel()
+    if labels.size != p.shape[0]:
+        raise ValueError("need one label per probability vector")
+    if np.any((labels < 0) | (labels >= p.shape[1])):
+        raise ValueError("label out of range")
+    return labels
+
+
 class AdaptiveSets:
     """`build_set_adaptive` for every row of a (steps, classes) matrix: set sizes and label hits.
 
@@ -257,11 +269,7 @@ class AdaptiveSets:
 
     def __init__(self, probs, labels):
         p = as_prob_matrix(probs)
-        labels = np.asarray(labels, dtype=int).ravel()
-        if labels.size != p.shape[0]:
-            raise ValueError("need one label per probability vector")
-        if np.any((labels < 0) | (labels >= p.shape[1])):
-            raise ValueError("label out of range")
+        labels = _as_labels(labels, p)
         order = _descending_order(p)
         self._cumulative = np.cumsum(np.take_along_axis(p, order, axis=1), axis=1)
         rows = np.arange(labels.size)
@@ -280,6 +288,49 @@ class AdaptiveSets:
     def covers(self, q_hat: np.ndarray, full: np.ndarray) -> np.ndarray:
         """Per-row flag: the row's label is in its set."""
         return full | (self._before_label < np.clip(q_hat, 0.0, 1.0))
+
+
+class ThresholdSets:
+    """`build_set_threshold` for every row of a (steps, classes) matrix: set sizes and label hits.
+
+    A label is in its row's set iff the set is FULL_SET or the label's score,
+    1 - p as `score_simple` computes it, is <= q_hat. A set may be empty.
+    """
+
+    def __init__(self, probs, labels):
+        p = as_prob_matrix(probs)
+        labels = _as_labels(labels, p)
+        self._scores = 1.0 - p
+        self._label_scores = self._scores[np.arange(labels.size), labels]
+
+    def sizes(self, q_hat: np.ndarray, full: np.ndarray) -> np.ndarray:
+        """Per-row set size: the number of labels whose score is <= q_hat."""
+        in_set = np.count_nonzero(self._scores <= np.asarray(q_hat)[:, None], axis=1)
+        return np.where(full, self._scores.shape[1], in_set)
+
+    def covers(self, q_hat: np.ndarray, full: np.ndarray) -> np.ndarray:
+        """Per-row flag: the row's label is in its set."""
+        return full | (self._label_scores <= q_hat)
+
+
+class ScoreRule(NamedTuple):
+    """A non-conformity score and the batched set rule that keeps labels by it."""
+
+    score: Callable
+    sets: type
+
+
+# Calibration scores and test sets must come from the same rule.
+SCORE_RULES = {"adaptive": ScoreRule(score_adaptive, AdaptiveSets),
+               "simple": ScoreRule(score_simple, ThresholdSets)}
+
+
+def score_rule(kind: str) -> ScoreRule:
+    """`SCORE_RULES[kind]`, or ValueError naming an unknown kind."""
+    try:
+        return SCORE_RULES[kind]
+    except KeyError:
+        raise ValueError(f"unknown score kind: {kind!r}") from None
 
 
 def conformal_generate_step(store, latent, probs, alpha: float, k: int, tau: float,

@@ -3,9 +3,12 @@
 Latents are held at 32-bit precision, scores at 64-bit. Exact search supports
 squared l2 distance (ascending), inner product normalized by sqrt(dim)
 (descending), and cosine similarity (descending); an optional inverted-file
-index accelerates large stores at a measurable recall cost. A query returns one
-`Neighbors` result: aligned best-first arrays of keys, scores and record ids;
-`query_batch` returns the same for many queries as (queries, k) arrays.
+index accelerates large stores at a measurable recall cost. Every search runs
+one routine, `Datastore._search`: per query, the metric's keys against every
+candidate row, then a stable sort that keeps the best k. `query_batch` returns
+aligned best-first (queries, k) arrays of keys, scores and record ids in one
+`Neighbors` result; `query` is its one-row case, and `query_ivf` runs the same
+routine to probe the centroids and to scan the probed lists.
 
 File format "UQDS" v1 (little-endian, bit-exact round trip):
     magic "UQDS" (4 bytes) | u32 version | u32 dim | u64 count |
@@ -68,14 +71,6 @@ class Datastore:
     def scores(self) -> np.ndarray:
         return self._scores
 
-    def _check_latent(self, latent) -> np.ndarray:
-        arr = np.asarray(latent, dtype=np.float32).ravel()
-        if arr.size != self.dim:
-            raise ValueError(f"latent dimension {arr.size} does not match store dimension {self.dim}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("latent must be finite")
-        return arr
-
     def add(self, latent, score: float) -> None:
         self.add_batch(np.reshape(latent, (1, -1)), score)
 
@@ -95,61 +90,8 @@ class Datastore:
         self._centroids = None  # any existing IVF index is stale
         self._lists = None
 
-    def _keys(self, latent: np.ndarray, rows: np.ndarray, metric: str,
-              row_norms: np.ndarray | None = None) -> np.ndarray:
-        """Ordering keys of `rows` against the query under the given metric.
-
-        For cos, `row_norms` may carry `np.linalg.norm(rows, axis=1)` computed once
-        by a caller that queries the same rows many times.
-        """
-        if metric == "l2":
-            diff = rows - latent[None, :]
-            return np.einsum("ij,ij->i", diff, diff).astype(np.float64)
-        if metric == "ip":
-            return (rows @ latent).astype(np.float64) / np.sqrt(self.dim)
-        if metric == "cos":
-            if row_norms is None:
-                row_norms = np.linalg.norm(rows, axis=1)
-            norms = row_norms * np.linalg.norm(latent)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                sims = np.where(norms > 0.0, (rows @ latent) / norms, 0.0)
-            return sims.astype(np.float64)
-        raise ValueError(f"unknown metric: {metric!r}")
-
-    @staticmethod
-    def _best_first(keys: np.ndarray, metric: str) -> np.ndarray:
-        return np.argsort(keys if metric == "l2" else -keys, kind="stable")
-
-    def _neighbors(self, candidate_ids: np.ndarray, keys: np.ndarray, k: int,
-                   metric: str) -> Neighbors:
-        order = self._best_first(keys, metric)[:k]
-        ids = candidate_ids[order]
-        return Neighbors(keys[order], self._scores[ids], ids)
-
-    def query(self, latent, k: int, metric: str = "l2") -> Neighbors:
-        """Exact top-min(k, count) records, best-first under the metric."""
-        if len(self) == 0:
-            raise ValueError("empty datastore")
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        q = self._check_latent(latent)
-        keys = self._keys(q, self._latents, metric)
-        ids = np.arange(len(self))
-        return self._neighbors(ids, keys, min(k, len(self)), metric)
-
-    def query_batch(self, latents, k: int, metric: str = "l2") -> Neighbors:
-        """`query` for every row of a (queries, dim) matrix, as (queries, min(k, count)) arrays.
-
-        Row i equals `query(latents[i], k, metric)` bit for bit: each row runs the
-        same key arithmetic and stable sort, into (queries, k) arrays, so no
-        (queries, count) array is held. For cos, the store's row norms are
-        computed once per call, not once per query. Every row is checked before
-        any key is computed.
-        """
-        if len(self) == 0:
-            raise ValueError("empty datastore")
-        if k < 1:
-            raise ValueError("k must be >= 1")
+    def _check_queries(self, latents) -> np.ndarray:
+        """The (queries, dim) float32 matrix of `latents`, or ValueError if any row is bad."""
         queries = np.ascontiguousarray(latents, dtype=np.float32)
         if queries.ndim != 2:
             raise ValueError("latents must be a (queries, dim) matrix")
@@ -158,14 +100,52 @@ class Datastore:
                              f"dimension {self.dim}")
         if not np.all(np.isfinite(queries)):
             raise ValueError("latent must be finite")
-        k = min(k, len(self))
-        ids = np.empty((queries.shape[0], k), dtype=np.intp)
-        keys = np.empty(ids.shape)
-        row_norms = np.linalg.norm(self._latents, axis=1) if metric == "cos" else None
-        for q, id_row, key_row in zip(queries, ids, keys):
-            row_keys = self._keys(q, self._latents, metric, row_norms)
-            id_row[:] = self._best_first(row_keys, metric)[:k]
-            key_row[:] = row_keys[id_row]
+        return queries
+
+    def _search(self, queries: np.ndarray, rows: np.ndarray, k: int,
+                metric: str) -> tuple[np.ndarray, np.ndarray]:
+        """Keys and positions in `rows` of each query's best min(k, len(rows)) rows.
+
+        Each query computes its keys against every row and stable-sorts them, so
+        equal keys keep row order; only the (queries, k) results are held. For
+        cos, the row norms are computed once per call, not once per query.
+        """
+        if metric not in ("l2", "ip", "cos"):
+            raise ValueError(f"unknown metric: {metric!r}")
+        positions = np.empty((queries.shape[0], min(k, len(rows))), dtype=np.intp)
+        keys = np.empty(positions.shape)
+        row_norms = np.linalg.norm(rows, axis=1) if metric == "cos" else None
+        for q, position_row, key_row in zip(queries, positions, keys):
+            if metric == "l2":
+                diff = rows - q[None, :]
+                row_keys = np.einsum("ij,ij->i", diff, diff).astype(np.float64)
+            elif metric == "ip":
+                row_keys = (rows @ q).astype(np.float64) / np.sqrt(self.dim)
+            else:
+                norms = row_norms * np.linalg.norm(q)
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    sims = np.where(norms > 0.0, (rows @ q) / norms, 0.0)
+                row_keys = sims.astype(np.float64)
+            best_first = np.argsort(row_keys if metric == "l2" else -row_keys, kind="stable")
+            position_row[:] = best_first[:position_row.size]
+            key_row[:] = row_keys[position_row]
+        return keys, positions
+
+    def query(self, latent, k: int, metric: str = "l2") -> Neighbors:
+        """Exact top-min(k, count) records, best-first under the metric: row 0 of `query_batch`."""
+        batch = self.query_batch(np.reshape(latent, (1, -1)), k, metric)
+        return Neighbors(batch.keys[0], batch.scores[0], batch.ids[0])
+
+    def query_batch(self, latents, k: int, metric: str = "l2") -> Neighbors:
+        """`query` for every row of a (queries, dim) matrix, as (queries, min(k, count)) arrays.
+
+        Every row is checked before any key is computed.
+        """
+        if len(self) == 0:
+            raise ValueError("empty datastore")
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        keys, ids = self._search(self._check_queries(latents), self._latents, k, metric)
         return Neighbors(keys, self._scores[ids], ids)
 
     # -- persistence ---------------------------------------------------------
@@ -232,11 +212,13 @@ class Datastore:
         """Approximate query scanning only the nprobe closest centroid lists."""
         if self._centroids is None or self._lists is None:
             raise ValueError("no IVF index built; call build_ivf first")
+        if k < 1:
+            raise ValueError("k must be >= 1")
         if nprobe < 1:
             raise ValueError("nprobe must be >= 1")
-        q = self._check_latent(latent)
-        centroid_keys = self._keys(q, self._centroids, metric)
-        probe = self._best_first(centroid_keys, metric)[:min(nprobe, len(self._lists))]
-        candidate_ids = np.concatenate([self._lists[c] for c in probe])
-        keys = self._keys(q, self._latents[candidate_ids], metric)
-        return self._neighbors(candidate_ids, keys, min(k, candidate_ids.size), metric)
+        query = self._check_queries(np.reshape(latent, (1, -1)))
+        _, probe = self._search(query, self._centroids, nprobe, metric)
+        candidate_ids = np.concatenate([self._lists[c] for c in probe[0]])
+        keys, positions = self._search(query, self._latents[candidate_ids], k, metric)
+        ids = candidate_ids[positions[0]]
+        return Neighbors(keys[0], self._scores[ids], ids)

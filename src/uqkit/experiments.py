@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dirichlet as dr
-from .conformal import (AdaptiveSets, KnnQuantiles, WeightedCalibration, is_full_set,
+from .conformal import (KnnQuantiles, WeightedCalibration, is_full_set, score_rule,
                         split_quantile, temperature_search, weighted_quantile)
 from .error_sim import DistSpec, TestSpec, error_rates
 from .metrics import coverage_report_arrays, predictive_entropy
@@ -129,7 +129,7 @@ def resolve_tau(store, cal: Chain, cfg: ConformalEvalConfig, metric: str,
     batch = cal[: cfg.search_batch]
     neighbors = store.query_batch(batch.latents, cfg.k, metric=metric)
     quantiles = KnnQuantiles(neighbors, cfg.alpha, metric)
-    sets = AdaptiveSets(batch.probs, batch.golds)
+    sets = score_rule(cfg.score_kind).sets(batch.probs, batch.golds)
 
     def coverage_eval(tau: float) -> float:
         return int(np.count_nonzero(sets.covers(*quantiles(tau)))) / len(batch)
@@ -174,6 +174,7 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
     test = chain[cfg.burn_in + cfg.cal_steps:]
 
     store = calibration_store(cal, cfg.score_kind)
+    set_rule = score_rule(cfg.score_kind).sets
     latent_std = float(cal.latents.std())
     fixed_q = {"split": split_quantile(store.scores, cfg.alpha),
                "knn_unit": weighted_quantile(
@@ -190,7 +191,7 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
         for start in range(0, len(test), _CHUNK_STEPS):
             block = test[start: start + _CHUNK_STEPS]
             corrupted = inject_noise(block.latents, noise * latent_std, noise_rng)
-            sets = AdaptiveSets([step_probs(model, z) for z in corrupted], block.golds)
+            sets = set_rule([step_probs(model, z) for z in corrupted], block.golds)
             for method, metric in [c[:2] for c in blocks if c[2] == noise]:
                 if method == "knn":
                     neighbors = store.query_batch(corrupted, cfg.k, metric=metric)

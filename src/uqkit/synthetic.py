@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import score_adaptive, score_simple
+from .conformal import score_rule
 from .datastore import Datastore
 
 
@@ -120,14 +120,8 @@ def inject_noise(latent: np.ndarray, sigma: float, rng: np.random.Generator) -> 
     return arr + rng.normal(0.0, 1.0, size=arr.shape) * sigma
 
 
-_SCORERS = {"adaptive": score_adaptive, "simple": score_simple}
-
-
 def nonconformity(score_kind: str, probs: np.ndarray, gold: int) -> float:
-    try:
-        return _SCORERS[score_kind](probs, gold)
-    except KeyError:
-        raise ValueError(f"unknown score kind: {score_kind!r}") from None
+    return score_rule(score_kind).score(probs, gold)
 
 
 def calibration_store(chain: Chain, score_kind: str) -> Datastore:

@@ -134,6 +134,28 @@ def linear_scan_oracle(latents, query, k, metric):
     return [i for _, i in keyed[:k]]
 
 
+def exact_query_oracle(latents, query, k, metric):
+    """(keys, ids) of one query's best k rows: float32 keys against every row, one
+    query at a time, then a stable argsort, so equal keys keep row order.
+
+    The arithmetic `Datastore` ran per query before its searches shared one
+    routine; `Datastore.query` and `query_batch` must equal it bit for bit.
+    """
+    rows = np.asarray(latents, dtype=np.float32)
+    q = np.asarray(query, dtype=np.float32).ravel()
+    if metric == "l2":
+        diff = rows - q[None, :]
+        keys = np.einsum("ij,ij->i", diff, diff).astype(np.float64)
+    elif metric == "ip":
+        keys = (rows @ q).astype(np.float64) / np.sqrt(rows.shape[1])
+    else:
+        norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(q)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            keys = np.where(norms > 0.0, (rows @ q) / norms, 0.0).astype(np.float64)
+    ids = np.argsort(keys if metric == "l2" else -keys, kind="stable")[:k]
+    return keys[ids], ids
+
+
 def aso_grid_oracle(a, b, alpha, num_bootstrap, dt, rng):
     """ASO evaluated at every point of the grid t = dt, 2*dt, ... < 1, not per run.
 

@@ -206,6 +206,20 @@ class TestDatastoreCli:
         assert "finite" in result.stderr
         assert not dest.exists()
 
+    @pytest.mark.parametrize("rows, bad", [
+        ("0.5,1.0,2.0\n0.25,1.0\n", "data row 2 has 2 fields"),
+        ("0.5,1.0,2.0,3.0\n", "data row 1 has 4 fields"),
+        ("0.5,1.0,2.0\n\n", "data row 2 has 0 fields"),
+    ], ids=["short", "long", "blank"])
+    def test_from_csv_ragged_row_exit_code(self, tmp_path, rows, bad):
+        src = tmp_path / "ragged.csv"
+        src.write_text("# schema=uqkit.datastore.csv.v1\nscore,latent0,latent1\n" + rows)
+        dest = tmp_path / "out.uqds"
+        result = run_cli(["datastore", "from-csv", str(src), str(dest)])
+        assert result.returncode == 3
+        assert result.stderr.splitlines() == [f"error: {src}: {bad}, the header has 3"]
+        assert not dest.exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         result = run_cli(["datastore", "info", str(tmp_path / "nothere.uqds")])
         assert result.returncode == 3
@@ -488,4 +502,5 @@ print(json.dumps([sorted(listed), sorted(listed - loaded), tracer.missing]))
     assert result.returncode == 0, result.stderr
     listed, not_loaded, missing = json.loads(result.stdout)
     assert "uqkit.datastore" in listed and "uqkit.significance" in listed
-    assert not_loaded == [] and missing == []
+    assert not_loaded == []
+    assert missing == [], f"perfbench/tracing.py lists names uqkit does not have: {missing}"

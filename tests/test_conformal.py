@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqkit import experiments, synthetic
-from uqkit.conformal import (FULL_SET, AdaptiveSets, KnnQuantiles, WeightedCalibration,
-                             as_prob_matrix, as_prob_vector, build_set_adaptive,
-                             build_set_threshold, conformal_generate_step, is_full_set,
-                             knn_set, rbf_weights, score_adaptive, score_simple,
+from uqkit.conformal import (FULL_SET, AdaptiveSets, KnnQuantiles, ThresholdSets,
+                             WeightedCalibration, as_prob_matrix, as_prob_vector,
+                             build_set_adaptive, build_set_threshold, conformal_generate_step,
+                             is_full_set, knn_set, rbf_weights, score_adaptive, score_simple,
                              split_quantile, temperature_search, weighted_quantile)
 from uqkit.datastore import Datastore, Neighbors
 from uqkit.experiments import (ConformalEvalConfig, resolve_tau, run_conformal_condition,
@@ -293,6 +293,22 @@ class TestBatchedKernel:
         # The top class is in every set, even at q_hat = 0.
         assert sets.covers(np.zeros(2), np.zeros(2, bool)).tolist() == [False, True]
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_threshold_sets_match_per_row_sets(self, data):
+        _, probs, gold = random_block(data, "l2")
+        # q_hat at 0, at 1, at the gold's or another label's exact score, or anywhere in [0, 1].
+        q_hat = np.array([data.draw(st.one_of(
+            st.sampled_from([0.0, 1.0, 1.0 - p[g], 1.0 - p[data.draw(st.integers(0, p.size - 1))]]),
+            st.floats(0.0, 1.0))) for p, g in zip(probs, gold)])
+        full = np.array(data.draw(st.lists(st.booleans(), min_size=gold.size, max_size=gold.size)))
+        sets = ThresholdSets(probs, gold)
+        sizes, covers = sets.sizes(q_hat, full), sets.covers(q_hat, full)
+        for i in range(gold.size):
+            pset = build_set_threshold(probs[i], FULL_SET if full[i] else q_hat[i])
+            assert sizes[i] == len(pset)
+            assert covers[i] == (gold[i] in pset)
+
     def test_rejects_non_finite_keys(self):
         neighbors = Neighbors(np.array([[0.5, np.nan]]), np.array([[0.1, 0.2]]),
                               np.zeros((1, 2), int))
@@ -506,6 +522,23 @@ class TestConformalEvalDriver:
         for record in records:
             assert record == run_conformal_condition(cfg, record["method"], record["metric"],
                                                      record["noise"], "auto", seed=4)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_simple_score_split_coverage_is_the_score_coverage(self, monkeypatch, seed):
+        """With `score_kind="simple"` the sets threshold the same score that was calibrated."""
+        chains = []
+
+        def recording_generate(*args, **kwargs):
+            chains.append(generate(*args, **kwargs))
+            return chains[-1]
+
+        monkeypatch.setattr(experiments, "generate", recording_generate)
+        cfg = ConformalEvalConfig(vocab_size=20, latent_dim=4, score_kind="simple")
+        [record] = run_conformal_eval(cfg, ["split"], ["l2"], [0.0], "auto", seed)
+        steps = chains[-1][cfg.burn_in:]
+        scores = np.array([score_simple(p, gold) for p, gold in zip(steps.probs, steps.golds)])
+        q_hat = split_quantile(scores[:cfg.cal_steps], cfg.alpha)
+        assert record["coverage"] == round(float(np.mean(scores[cfg.cal_steps:] <= q_hat)), 6)
 
     def test_unknown_method_rejected_before_generation(self, monkeypatch):
         monkeypatch.setattr(experiments, "generate", None)  # any call would raise TypeError

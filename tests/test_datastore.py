@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import exact_query_oracle
 from uqkit.datastore import Datastore, DatastoreFormatError, Neighbors
 
 
@@ -121,6 +122,17 @@ coordinates = st.one_of(st.integers(-2, 2).map(float),
                         st.floats(-8, 8, width=32))
 
 
+def assert_equal_to_oracle(store, queries, k, metric, batch):
+    """Each row of `batch`, and `store.query` of each query, equal the oracle bit for bit."""
+    for row, query in enumerate(queries):
+        keys, ids = exact_query_oracle(store.latents, query, k, metric)
+        for got in (Neighbors(batch.keys[row], batch.scores[row], batch.ids[row]),
+                    store.query(query, k, metric=metric)):
+            assert got.keys.tobytes() == keys.tobytes()
+            assert got.ids.tobytes() == ids.tobytes()
+            assert got.scores.tobytes() == store.scores[ids].tobytes()
+
+
 class TestQueryBatch:
     @given(st.data(), st.integers(min_value=1, max_value=6),
            st.integers(min_value=1, max_value=40), st.sampled_from(["l2", "ip", "cos"]))
@@ -138,11 +150,8 @@ class TestQueryBatch:
         queries = np.concatenate([queries, latents[:1], np.zeros((1, dim), np.float32)])
         batch = store.query_batch(queries, k, metric=metric)
         assert batch.ids.shape == batch.keys.shape == (len(queries), min(k, len(store)))
-        for row, query in enumerate(queries):
-            single = store.query(query, k, metric=metric)
-            assert batch.keys[row].tobytes() == single.keys.tobytes()
-            assert batch.scores[row].tobytes() == single.scores.tobytes()
-            assert batch.ids[row].tobytes() == single.ids.tobytes()
+        assert_equal_to_oracle(store, queries, k, metric, batch)
+        for row in range(len(queries)):
             tied = batch.keys[row][1:] == batch.keys[row][:-1]
             assert np.all(batch.ids[row][1:][tied] > batch.ids[row][:-1][tied])
 
@@ -150,9 +159,7 @@ class TestQueryBatch:
         rng = np.random.default_rng(11)
         store = make_store(rng, 300, 8)
         queries = rng.normal(size=(20, 8))
-        batch = store.query_batch(queries, 7, metric="cos")
-        for row, query in enumerate(queries):
-            assert batch.ids[row].tolist() == store.query(query, 7, metric="cos").ids.tolist()
+        assert_equal_to_oracle(store, queries, 7, "cos", store.query_batch(queries, 7, "cos"))
 
     @pytest.mark.parametrize("queries, match", [
         (np.zeros((3, 4)), "latent dimension 4 does not match store dimension 3"),
@@ -164,10 +171,12 @@ class TestQueryBatch:
     ])
     def test_rejects_bad_rows_before_any_work(self, monkeypatch, queries, match):
         store = make_store(np.random.default_rng(12), 10, 3)
+        store.build_ivf(2, np.random.default_rng(0))
+        monkeypatch.setattr(Datastore, "_search", None)  # any search would raise TypeError
         if np.ndim(queries) == 2:
-            with pytest.raises(ValueError, match=match):
-                store.query(np.asarray(queries)[-1], 2)
-        monkeypatch.setattr(Datastore, "_keys", None)  # any key computation would raise TypeError
+            for search in (store.query, store.query_ivf):
+                with pytest.raises(ValueError, match=match):
+                    search(np.asarray(queries)[-1], 2)
         with pytest.raises(ValueError, match=match):
             store.query_batch(queries, 2)
 
@@ -319,6 +328,14 @@ class TestIvf:
         store = make_store(rng, 5, 3)
         with pytest.raises(ValueError, match="fewer records"):
             store.build_ivf(10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k, nprobe, match", [(0, 1, "k must be"), (-1, 1, "k must be"),
+                                                  (3, 0, "nprobe must be")])
+    def test_rejects_bad_k_and_nprobe(self, k, nprobe, match):
+        store = make_store(np.random.default_rng(15), 10, 3)
+        store.build_ivf(2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=match):
+            store.query_ivf(np.zeros(3), k, nprobe=nprobe)
 
     def test_query_without_index(self):
         rng = np.random.default_rng(10)
