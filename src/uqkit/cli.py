@@ -33,6 +33,7 @@ from .significance import CLASSIC_TEST_KINDS
 
 DATASTORE_CSV_SCHEMA = "uqkit.datastore.csv.v1"
 ASO_SIM_TESTS = ("aso", *CLASSIC_TEST_KINDS)
+_MAX_DIST_PARAM = 1e100
 
 
 class UsageError(ValueError):
@@ -85,10 +86,17 @@ def names(choices: tuple[str, ...]):
 
 
 def parse_dist(text: str) -> DistSpec:
-    """`type=` parser for one distribution spec, e.g. `normal:0:1.5`."""
+    """`type=` parser for one distribution spec, e.g. `normal:0:1.5`.
+
+    Every parameter must be finite with magnitude <= 1e100, so that the sums
+    and squares of the draws, and hence every test's means and variances, stay
+    finite at any sample size.
+    """
     kind, *fields = text.split(":")
     try:
         v = [float(field) for field in fields]
+        if not all(abs(x) <= _MAX_DIST_PARAM for x in v):  # written so that NaN fails it
+            raise ValueError(f"parameters must be finite with magnitude <= {_MAX_DIST_PARAM:g}")
         if kind in ("normal", "laplace") and len(v) == 2:
             return (Normal if kind == "normal" else Laplace)(*v)
         if kind == "rayleigh" and len(v) == 1:

@@ -27,6 +27,7 @@ _MAGIC = b"UQDS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 _KMEANS_ITERS = 25
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class DatastoreFormatError(ValueError):
@@ -91,16 +92,20 @@ class Datastore:
         self._lists = None
 
     def _check_queries(self, latents) -> np.ndarray:
-        """The (queries, dim) float32 matrix of `latents`, or ValueError if any row is bad."""
-        queries = np.ascontiguousarray(latents, dtype=np.float32)
-        if queries.ndim != 2:
+        """The (queries, dim) float32 matrix of `latents`, or ValueError if any row is bad.
+
+        Values beyond the float32 range are rejected with the non-finite ones,
+        before the cast that would overflow them to infinity.
+        """
+        raw = np.asarray(latents, dtype=np.float64)
+        if raw.ndim != 2:
             raise ValueError("latents must be a (queries, dim) matrix")
-        if queries.shape[1] != self.dim:
-            raise ValueError(f"latent dimension {queries.shape[1]} does not match store "
+        if raw.shape[1] != self.dim:
+            raise ValueError(f"latent dimension {raw.shape[1]} does not match store "
                              f"dimension {self.dim}")
-        if not np.all(np.isfinite(queries)):
+        if not np.all(np.abs(raw) <= _FLOAT32_MAX):  # written so that NaN fails it
             raise ValueError("latent must be finite")
-        return queries
+        return np.ascontiguousarray(raw, dtype=np.float32)
 
     def _search(self, queries: np.ndarray, rows: np.ndarray, k: int,
                 metric: str) -> tuple[np.ndarray, np.ndarray]:

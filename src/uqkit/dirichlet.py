@@ -10,20 +10,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from .special import lgam, psi
+
 _MIN_ALPHA = 1e-3
 
 
 def digamma(x):
-    """Derivative of log Gamma; exposed for the formulas in this module."""
-    from scipy import special
-    return special.digamma(x)
+    """Derivative of log Gamma, elementwise; exposed for the formulas in this module."""
+    x = np.asarray(x, dtype=float)
+    return np.array([psi(v) for v in x.ravel()]).reshape(x.shape)[()]
 
 
 def log_beta(alpha) -> float:
     """Log multivariate Beta: sum(logGamma(alpha_k)) - logGamma(sum(alpha))."""
-    from scipy import special
     a = np.asarray(alpha, dtype=float).ravel()
-    return float(special.gammaln(a).sum() - special.gammaln(a.sum()))
+    return float(np.array([lgam(v) for v in a]).sum() - lgam(a.sum()))
 
 
 class DirichletParams:
@@ -107,7 +108,12 @@ def log_pdf(d: DirichletParams, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    return -log_beta(d.alpha) + ((d.alpha - 1.0) * np.log(pts)).sum(axis=1)
+    return _log_pdf_of_logs(d, np.log(pts))
+
+
+def _log_pdf_of_logs(d: DirichletParams, log_points: np.ndarray) -> np.ndarray:
+    """`log_pdf` from the logs of the points, so that callers holding them log once."""
+    return -log_beta(d.alpha) + ((d.alpha - 1.0) * log_points).sum(axis=1)
 
 
 def sample(d: DirichletParams, n: int, rng: np.random.Generator) -> np.ndarray:

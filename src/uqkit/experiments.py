@@ -161,7 +161,8 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
     latents' per-coordinate standard deviation. Gold tokens always come from the
     clean emission distribution; sets are built from the corrupted one, mirroring
     a shifted-representation deployment. Everything else is built once per call,
-    tau once per metric, and the test blocks' noise, rows and sets once per noise level.
+    tau once per metric, and the test blocks' noise, rows and sets once per noise level;
+    noise 0 reads the rows `generate` made.
     """
     if not set(methods) <= set(CONFORMAL_METHODS):
         raise ValueError(f"unknown method in {methods!r}; expected {CONFORMAL_METHODS}")
@@ -190,8 +191,12 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
         noise_rng = derive_rng(seed, 2)
         for start in range(0, len(test), _CHUNK_STEPS):
             block = test[start: start + _CHUNK_STEPS]
-            corrupted = inject_noise(block.latents, noise * latent_std, noise_rng)
-            sets = set_rule([step_probs(model, z) for z in corrupted], block.golds)
+            if noise == 0:  # the clean rows: generate already holds their distributions
+                corrupted, probs = block.latents, block.probs
+            else:
+                corrupted = inject_noise(block.latents, noise * latent_std, noise_rng)
+                probs = [step_probs(model, z) for z in corrupted]
+            sets = set_rule(probs, block.golds)
             for method, metric in [c[:2] for c in blocks if c[2] == noise]:
                 if method == "knn":
                     neighbors = store.query_batch(corrupted, cfg.k, metric=metric)
@@ -236,7 +241,7 @@ def dirichlet_mc_checks(alpha_vec, num_samples: int, rng: np.random.Generator) -
         return abs(closed - float(values.mean())) / max(se, 1e-300)
 
     log_draws = np.log(draws)
-    log_density = dr.log_pdf(d, draws)
+    log_density = dr._log_pdf_of_logs(d, log_draws)
     checks = {}
     checks["mean"] = max(z_score(m_k, draws[:, k]) for k, m_k in enumerate(dr.mean(d)))
     checks["log_expectation"] = max(
@@ -246,7 +251,7 @@ def dirichlet_mc_checks(alpha_vec, num_samples: int, rng: np.random.Generator) -
     checks["expected_entropy"] = z_score(dr.expected_entropy(d), point_entropies)
 
     ref = dr.DirichletParams(np.roll(d.alpha, 1) + 0.5)
-    checks["kl"] = z_score(dr.kl(d, ref), log_density - dr.log_pdf(ref, draws))
+    checks["kl"] = z_score(dr.kl(d, ref), log_density - dr._log_pdf_of_logs(ref, log_draws))
 
     # Delta-method linearization of H[mean pi] so the MI estimate has a usable SE.
     mean_draws = draws.mean(axis=0)

@@ -157,18 +157,65 @@ def aupr(scores, labels) -> float:
     return float(((recall - prev_recall) * precision).sum())
 
 
+def _pairs_within(group_sizes: np.ndarray) -> int:
+    """Pairs that fall in one group, summed over groups of the given sizes."""
+    sizes = group_sizes.astype(np.int64)
+    return int((sizes * (sizes - 1) // 2).sum())
+
+
+def _discordant_pairs(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], by a bottom-up merge sort (Knight 1966).
+
+    At each width w the array is sorted within blocks of w; every element of an
+    odd block counts the elements of the even block before it that exceed it,
+    and then each pair of blocks is sorted together. Offsetting each pair's
+    ranks by pair * span keeps one global sort and one searchsorted per width.
+    """
+    n = ranks.size
+    span = int(ranks.max()) + 1
+    positions = np.arange(n)
+    values = ranks.astype(np.int64)
+    discordant = 0
+    width = 1
+    while width < n:
+        offsets = positions // (2 * width) * span
+        keys = values + offsets
+        right = positions // width % 2 == 1
+        left_keys = keys[~right]
+        # the left block of a right element's pair ends at (pair + 1) * width in left_keys
+        left_end = (positions[right] // (2 * width) + 1) * width
+        discordant += int((left_end - np.searchsorted(left_keys, keys[right], side="right")).sum())
+        values = np.sort(keys, kind="stable") - offsets
+        width *= 2
+    return discordant
+
+
 def kendall_tau(x, y) -> float:
-    """Kendall's tau-b rank correlation (tie-corrected)."""
+    """Kendall's tau-b rank correlation (tie-corrected), from integer pair counts.
+
+    Counts the tied and discordant pairs as `scipy.stats.kendalltau` does and
+    combines them with the same arithmetic, so it returns the same bits.
+    """
     xa = np.asarray(x, dtype=float).ravel()
     ya = np.asarray(y, dtype=float).ravel()
     if xa.size != ya.size or xa.size < 2:
         raise ValueError("inputs must be equal-length with at least two elements")
-    from scipy import stats
-
-    tau = stats.kendalltau(xa, ya, variant="b").statistic
-    if not math.isfinite(tau):
+    if np.isnan(xa).any() or np.isnan(ya).any():
+        raise ValueError("inputs must not be NaN")
+    x_rank = np.unique(xa, return_inverse=True)[1]
+    y_rank = np.unique(ya, return_inverse=True)[1]
+    order = np.lexsort((y_rank, x_rank))  # by x, then by y within tied x
+    xs, ys = x_rank[order], y_rank[order]
+    runs = np.flatnonzero(np.r_[True, (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1]), True])
+    joint_ties = _pairs_within(np.diff(runs))
+    x_ties, y_ties = _pairs_within(np.bincount(x_rank)), _pairs_within(np.bincount(y_rank))
+    total = xa.size * (xa.size - 1) // 2
+    if x_ties == total or y_ties == total:
         raise ValueError("undefined: a list is entirely tied")
-    return float(tau)
+    # total = concordant + discordant + x_ties + y_ties - joint_ties
+    con_minus_dis = total - x_ties - y_ties + joint_ties - 2 * _discordant_pairs(ys)
+    tau = con_minus_dis / math.sqrt(total - x_ties) / math.sqrt(total - y_ties)
+    return min(1.0, max(-1.0, tau))
 
 
 # -- predictive-uncertainty metrics -----------------------------------------
@@ -197,9 +244,11 @@ def dempster_shafer(logits) -> float:
     z = np.asarray(logits, dtype=float).ravel()
     if z.size < 2:
         raise ValueError("need at least two classes")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("logits must be finite")
     k = z.size
-    from scipy.special import logsumexp
-    log_evidence = float(logsumexp(z))
+    top = z.max()
+    log_evidence = float(top + np.log(np.exp(z - top).sum()))
     if log_evidence > 700.0:  # exp overflow: evidence dwarfs K
         return 0.0
     return float(k / (k + np.exp(log_evidence)))

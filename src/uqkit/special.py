@@ -1,9 +1,11 @@
-"""Normal tail, normal quantile and Student-t tail on Python floats, with `math` only.
+"""Cephes special functions and the Student-t tail on Python floats, with `math` only.
 
-`ndtr` and `ndtri` are ports of the Cephes routines (`ndtr`/`erf`/`erfc` and
-`ndtri`) behind `scipy.special.ndtr` and `scipy.special.ndtri`: the same
-coefficient tables, the same Horner order and the same exp/log/sqrt calls, so
-they return the same bits. `t_sf` is the upper tail of Student's t with an
+`ndtr`, `ndtri`, `psi` and `lgam` are ports of the Cephes routines behind
+`scipy.special.ndtr`, `ndtri`, `digamma` and `gammaln` (`ndtr`/`erf`/`erfc`,
+`ndtri`, `psi` and `lgam`; Moshier 1989): the same coefficient tables, the
+same Horner order, the same branches and the same exp/log/sqrt calls, so they
+return the same bits. `psi` on [1, 2] is Boost's `digamma_imp_1_2` rational,
+as in scipy's copy of Cephes. `t_sf` is the upper tail of Student's t with an
 integer number of degrees of freedom, from the incomplete beta function's
 continued fractions. scipy computes that tail with Boost's incomplete beta,
 so no port is bit-identical; `t_sf` is within a relative 2e-13 of the exact
@@ -55,6 +57,32 @@ _NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.9388102529247
 _NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
              2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
              2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+# psi: Boost's rational on [1, 2], digamma(x) = g * (Y + P(x - 1) / Q(x - 1)) with g = x - root,
+# and the asymptotic series log(x) - 1/(2x) - z A(z), z = 1/x^2, above 10.
+_PSI_Y = 0.99558162689208984375  # the float32 constant 0.99558162689208984f
+_PSI_ROOT1 = 1569415565.0 / 1073741824.0  # the positive root in three parts
+_PSI_ROOT2 = (381566830.0 / 1073741824.0) / 1073741824.0
+_PSI_ROOT3 = 0.9016312093258695918615325266959189453125e-19
+_PSI_P = (-0.0020713321167745952, -0.045251321448739056, -0.28919126444774784,
+          -0.65031853770896507, -0.32555031186804491, 0.25479851061131551)
+_PSI_Q = (-0.55789841321675513e-6, 0.0021284987017821144, 0.054151797245674225,
+          0.43593529692665969, 1.4606242909763515, 2.0767117023730469, 1.0)
+_PSI_A = (8.33333333333333333333e-2, -2.10927960927960927961e-2, 7.57575757575757575758e-3,
+          -4.16666666666666666667e-3, 3.96825396825396825397e-3, -8.33333333333333333333e-3,
+          8.33333333333333333333e-2)
+_EULER = 0.5772156649015329
+
+# lgam: x B(x) / C(x) on [2, 3) (C has an implied leading 1), Stirling's A series above 13.
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305
 
 
 def _polevl(x: float, coef: tuple[float, ...]) -> float:
@@ -139,6 +167,66 @@ def ndtri(p: float) -> float:
         x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
     x = x0 - x1
     return -x if negate else x
+
+
+def psi(x: float) -> float:
+    """Digamma, the derivative of log Gamma, for x > 0; equals `scipy.special.digamma`'s bits."""
+    x = float(x)
+    if x <= 0.0:
+        raise ValueError("psi takes x > 0")
+    y = 0.0
+    if x <= 10.0 and x == math.floor(x):
+        for i in range(1, int(x)):
+            y += 1.0 / i
+        return y - _EULER
+    if x < 1.0:
+        y -= 1.0 / x
+        x += 1.0
+    elif x < 10.0:
+        while x > 2.0:
+            x -= 1.0
+            y += 1.0 / x
+    if 1.0 <= x <= 2.0:
+        g = x - _PSI_ROOT1
+        g -= _PSI_ROOT2
+        g -= _PSI_ROOT3
+        r = _polevl(x - 1.0, _PSI_P) / _polevl(x - 1.0, _PSI_Q)
+        return y + (g * _PSI_Y + g * r)
+    if x < 1.0e17:
+        z = 1.0 / (x * x)
+        return y + (math.log(x) - 0.5 / x - z * _polevl(z, _PSI_A))
+    return y + (math.log(x) - 0.5 / x)
+
+
+def lgam(x: float) -> float:
+    """log Gamma(x) for x > 0; equals `scipy.special.gammaln` to the bit."""
+    x = float(x)
+    if x <= 0.0:
+        raise ValueError("lgam takes x > 0")
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _p1evl(x, _LGAM_C)
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
 
 
 def _incbeta_cf(a: float, b: float, x: float) -> float:

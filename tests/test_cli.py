@@ -325,6 +325,15 @@ class TestConformalEvalValidation:
         assert option in result.stderr
         assert result.stdout == ""
 
+    def test_latents_beyond_float32_range_are_one_data_error_line(self):
+        result = run_cli(["conformal-eval", "--vocab", "5", "--dim", "2", "--cal-steps", "20",
+                          "--test-steps", "5", "--noise", "1e200", "--method", "knn"])
+        assert result.returncode == 3
+        assert result.stderr.splitlines() == [
+            "k=50 exceeds datastore size 20; using the entire store",
+            "error: latent must be finite"]
+        assert result.stdout == ""
+
     def test_split_only_nan_noise_is_usage_error(self):
         result = run_cli(["conformal-eval", "--vocab", "10", "--dim", "3", "--method", "split",
                           "--noise", "nan"])
@@ -354,6 +363,20 @@ class TestAsoSimDirichletValidation:
         assert result.stderr.startswith("usage error:")
         assert len(result.stderr.splitlines()) == 1
         assert option in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("option, spec", [
+        ("--dist", "normal:1e308:1"), ("--dist", "normal:0:1e308"),
+        ("--dist-b", "mixture:0:1:0.5:0:1e200:0.5"),
+    ])
+    def test_overflowing_dist_spec_is_usage_error(self, option, spec):
+        # the draws' sums or squares would overflow in the tests' means and variances
+        result = run_cli(["aso-sim", "--test", "aso,student_t", "--n", "5", "--trials", "3",
+                          option, spec])
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"usage error: argument {option}: cannot parse distribution spec {spec!r}: "
+            "parameters must be finite with magnitude <= 1e+100"]
         assert result.stdout == ""
 
     def test_dirichlet_check_num_random_unused_with_alpha_list(self):
@@ -458,12 +481,27 @@ for kind in ("wilcoxon", "mann_whitney"):
     assert after_import == [] and after_calls == []
 
 
-def test_dirichlet_check_loads_scipy_special_only(tmp_path):
-    _, loaded = scipy_modules_after([
+def test_no_subcommand_and_no_script_loads_scipy(tmp_path):
+    """scipy is a test-only oracle: every subcommand and the error-rate script run without it."""
+    records = str(ROOT / "tests" / "golden" / "datastore_records.csv")
+    run_script = f"""
+import runpy
+sys.argv = ["error_rate_tables.py", "--trials", "2", "--out-dir", "."]
+runpy.run_path({str(ROOT / "scripts" / "error_rate_tables.py")!r}, run_name="__main__")
+"""
+    after_import, after_calls = scipy_modules_after([
+        (["datastore", "from-csv", records, "s.uqds"], 0),
+        (["datastore", "info", "s.uqds"], 0),
+        (["datastore", "dump", "s.uqds"], 0),
         (["dirichlet-check", "--num-random", "2", "--samples", "200"], 0),
-    ], tmp_path)
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]
+        (["dirichlet-check", "--alpha", "0.5,2,7.5", "--samples", "200"], 0),
+        (["aso-sim", "--test", "aso,student_t,bootstrap,permutation,wilcoxon,mann_whitney",
+          "--n", "5,20", "--trials", "2"], 0),
+        (["conformal-eval", "--vocab", "10", "--dim", "3", "--cal-steps", "30",
+          "--test-steps", "10", "--k", "5", "--method", "split,knn,knn_unit",
+          "--metric", "l2,ip,cos", "--noise", "0,0.1"], 0),
+    ], tmp_path, then=run_script)
+    assert after_import == [] and after_calls == []
 
 
 def test_error_rate_tables_script_loads_no_scipy(tmp_path):

@@ -1,6 +1,8 @@
+import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from uqkit.datastore import Datastore, Neighbors
 from uqkit.experiments import (ConformalEvalConfig, resolve_tau, run_conformal_condition,
                                run_conformal_eval)
 from uqkit.seeds import derive_rng
-from uqkit.synthetic import generate, new_model, nonconformity
+from uqkit.synthetic import generate, inject_noise, new_model, nonconformity, step_probs
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def random_prob_vector(rng, size):
@@ -499,8 +503,28 @@ class TestConformalEvalDriver:
         records = run_conformal_eval(cfg, ["knn", "split"], ["l2", "cos"], [0.0, 0.1],
                                      "auto", seed=3)
         assert len(records) == 6
-        # the test pass runs once per noise level, whatever the conditions at it
-        assert calls == {"generate": 1, "resolve_tau": 2, "step_probs": 2 * cfg.test_steps}
+        # the test pass runs once per noise level, whatever the conditions at it, and
+        # noise 0 reads the distributions generate made
+        assert calls == {"generate": 1, "resolve_tau": 2, "step_probs": cfg.test_steps}
+
+    def test_noise_zero_reads_the_generated_rows(self, monkeypatch):
+        """At noise 0 the recomputation, step_probs of inject_noise(latents, 0), gives the
+        generated rows to the bit; the noise-0 records equal the golden ones without it."""
+        cfg = ConformalEvalConfig(vocab_size=20, latent_dim=4, cal_steps=120, test_steps=60,
+                                  k=10)  # the conformal_eval_tau_auto golden, seed 3
+        model = new_model(cfg.vocab_size, cfg.latent_dim, seed=3)
+        chain = generate(model, cfg.burn_in + cfg.cal_steps + cfg.test_steps, derive_rng(3, 1))
+        test = chain[cfg.burn_in + cfg.cal_steps:]
+        recomputed = inject_noise(test.latents, 0.0, derive_rng(3, 2))
+        assert np.array_equal(recomputed, test.latents)
+        assert np.array_equal([step_probs(model, z) for z in recomputed], test.probs)
+
+        golden = json.loads((GOLDEN_DIR / "conformal_eval_tau_auto.json").read_text())
+        monkeypatch.setattr(experiments, "step_probs", None)  # any call would raise TypeError
+        monkeypatch.setattr(experiments, "inject_noise", None)
+        records = run_conformal_eval(cfg, ["split", "knn", "knn_unit"], ["l2", "ip", "cos"],
+                                     [0.0], "auto", seed=3)
+        assert records == [r for r in golden if r["noise"] == 0.0]
 
     @pytest.mark.parametrize("metrics, noises, expected", [
         (["ip", "l2"], [0.1, 0.0], [

@@ -210,6 +210,39 @@ class TestDiscrimination:
                 continue
             assert kendall_tau(x, y) == pytest.approx(kendall_oracle(x, y), abs=1e-12)
 
+    @pytest.mark.parametrize("levels", [2, 3, 5, 40, None], ids=lambda v: f"levels={v}")
+    def test_kendall_equals_scipy_to_the_bit(self, levels):
+        """Tau-b from integer pair counts, on heavy ties (2-5 levels) down to none."""
+        rng = np.random.default_rng(11)
+        for n in [2, 3, 7, 8, 9, 64, 65, 500, 2049]:
+            for _ in range(4):
+                if levels is None:
+                    x, y = rng.normal(size=n), rng.normal(size=n)
+                else:
+                    x = rng.integers(0, levels, n).astype(float)
+                    y = (x + rng.integers(0, levels, n)) % levels  # correlated ties
+                if np.unique(x).size < 2 or np.unique(y).size < 2:
+                    continue
+                expected = stats.kendalltau(x, y, variant="b").statistic
+                assert np.float64(kendall_tau(x, y)).view(np.int64) == \
+                    np.float64(expected).view(np.int64), (n, x, y)
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(-2, 2)), min_size=2, max_size=40))
+    def test_kendall_matches_brute_force_counts(self, pairs):
+        x, y = (list(map(float, column)) for column in zip(*pairs))
+        assume(len(set(x)) > 1 and len(set(y)) > 1)
+        assert kendall_tau(x, y) == pytest.approx(kendall_oracle(x, y), abs=1e-12)
+        assert kendall_tau(x, y) == stats.kendalltau(x, y, variant="b").statistic
+
+    @pytest.mark.parametrize("x, y, match", [
+        ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], "entirely tied"),
+        ([1.0, 2.0, 3.0], [5.0, 5.0, 5.0], "entirely tied"),
+        ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0], "NaN"),
+    ])
+    def test_kendall_rejects_undefined_inputs(self, x, y, match):
+        with pytest.raises(ValueError, match=match):
+            kendall_tau(x, y)
+
 
 class TestUncertaintyMetrics:
     def test_uniform_vector(self):
@@ -223,6 +256,24 @@ class TestUncertaintyMetrics:
 
     def test_dempster_shafer_extreme_logits(self):
         assert dempster_shafer([1000.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_dempster_shafer_matches_scipy_logsumexp_within_named_tolerance(self):
+        # max + log(sum(exp(z - max))) and scipy's log1p form of the log-sum-exp
+        # round differently: a few ulps of a log-evidence up to 700 (one ulp is
+        # 1.1e-13), so K / (K + evidence) may differ by a relative 1e-12.
+        from scipy.special import logsumexp
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            k = int(rng.integers(2, 50))
+            z = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 2.5), k) + rng.uniform(-690.0, 690.0)
+            log_evidence = float(logsumexp(z))
+            expected = 0.0 if log_evidence > 700.0 else k / (k + np.exp(log_evidence))
+            assert dempster_shafer(z) == pytest.approx(expected, rel=1e-12, abs=0.0), z
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_dempster_shafer_rejects_non_finite_logits(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            dempster_shafer([0.0, bad])
 
     def test_degenerate_agreement(self):
         row = np.array([0.7, 0.2, 0.1])
