@@ -220,7 +220,7 @@ def cmd_datastore(args) -> int:
                                  f"the header has {len(header)}")
         store = Datastore(len(header) - 1)
         if body:
-            latents = np.array([[float(x) for x in row[1:]] for row in body], dtype=np.float32)
+            latents = np.array([[float(x) for x in row[1:]] for row in body])
             scores = np.array([float(row[0]) for row in body])
             store.add_batch(latents, scores)
         store.save(args.dest)

@@ -113,8 +113,22 @@ def _median_neighbor_distance(store, metric: str, k: int, seed: int) -> float:
         logger.warning("store has %d record(s), so no neighbor keys to take the median of; "
                        "using tau = 1.0", len(store))
         return 1.0
-    med = float(np.median(np.abs(keys)))
+    med = _median(np.abs(keys))
     return med if med > 0 else 1.0
+
+
+def _median(values: np.ndarray) -> float:
+    """`np.median` of a non-empty array to the bit: the mean of its middle one or two
+    values after a partition, and NaN if any value is NaN.
+
+    `np.median` itself imports `numpy.ma` on its first call, ~15 ms of every run.
+    """
+    flat = values.ravel()
+    if np.isnan(flat).any():
+        return float("nan")
+    half = flat.size // 2
+    middle = [half] if flat.size % 2 else [half - 1, half]
+    return float(np.partition(flat, middle)[middle].mean())
 
 
 def resolve_tau(store, cal: Chain, cfg: ConformalEvalConfig, metric: str,
@@ -195,7 +209,7 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
                 corrupted, probs = block.latents, block.probs
             else:
                 corrupted = inject_noise(block.latents, noise * latent_std, noise_rng)
-                probs = [step_probs(model, z) for z in corrupted]
+                probs = step_probs(model, corrupted)
             sets = set_rule(probs, block.golds)
             for method, metric in [c[:2] for c in blocks if c[2] == noise]:
                 if method == "knn":

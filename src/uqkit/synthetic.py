@@ -82,12 +82,17 @@ def new_model(vocab_size: int, latent_dim: int, seed: int, temperature: float = 
                       temperature=temperature)
 
 
-def step_probs(model: SynthModel, latent: np.ndarray) -> np.ndarray:
-    """Token distribution softmax(emission @ latent / temperature)."""
-    logits = model.emission @ latent / model.temperature
-    logits -= logits.max()
+def step_probs(model: SynthModel, latents: np.ndarray) -> np.ndarray:
+    """Token distribution softmax(emission @ z / temperature) of a latent z, or of each
+    row of a (T, d) latent matrix as a (T, V) matrix.
+
+    Each row is one gemv of the emission matrix, so a row of the batch equals the
+    call on that row to the bit.
+    """
+    logits = np.matmul(model.emission, latents[..., None])[..., 0] / model.temperature
+    logits -= logits.max(axis=-1, keepdims=True)
     expl = np.exp(logits)
-    return expl / expl.sum()
+    return expl / expl.sum(axis=-1, keepdims=True)
 
 
 def generate(model: SynthModel, num_steps: int, rng: np.random.Generator,

@@ -138,8 +138,9 @@ def exact_query_oracle(latents, query, k, metric):
     """(keys, ids) of one query's best k rows: float32 keys against every row, one
     query at a time, then a stable argsort, so equal keys keep row order.
 
-    The arithmetic `Datastore` ran per query before its searches shared one
-    routine; `Datastore.query` and `query_batch` must equal it bit for bit.
+    The arithmetic `Datastore` ran per query before it searched blocks of
+    queries with a partial sort; `Datastore.query`, `query_batch` and the scan
+    of `query_ivf` must equal it bit for bit.
     """
     rows = np.asarray(latents, dtype=np.float32)
     q = np.asarray(query, dtype=np.float32).ravel()

@@ -196,14 +196,14 @@ class TestDatastoreCli:
         assert result.stderr.startswith("error:")
         assert len(result.stderr.splitlines()) == 1
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e39"])  # 1e39 overflows float32
     def test_from_csv_non_finite_latent_exit_code(self, tmp_path, value):
         src = tmp_path / "bad.csv"
         src.write_text(f"score,latent0,latent1\n0.5,1.0,{value}\n")
         dest = tmp_path / "out.uqds"
         result = run_cli(["datastore", "from-csv", str(src), str(dest)])
         assert result.returncode == 3
-        assert "finite" in result.stderr
+        assert result.stderr.splitlines() == ["error: latents must be finite"]
         assert not dest.exists()
 
     @pytest.mark.parametrize("rows, bad", [
@@ -513,6 +513,26 @@ runpy.run_path({str(ROOT / "scripts" / "error_rate_tables.py")!r}, run_name="__m
     _, loaded = scipy_modules_after([], tmp_path, then=run_script)
     assert loaded == []
     assert len(list(tmp_path.glob("type*.csv"))) == 5
+
+
+@pytest.mark.parametrize("tau", ["auto", "heuristic"])
+def test_conformal_eval_tau_search_does_not_load_numpy_ma(tau, tmp_path):
+    """np.median would import numpy.ma (~15 ms) on its first call."""
+    import os
+
+    script = f"""
+import sys
+import uqkit.cli
+assert uqkit.cli.main(["conformal-eval", "--vocab", "10", "--dim", "3", "--cal-steps", "30",
+                       "--test-steps", "10", "--k", "5", "--method", "knn", "--tau", {tau!r},
+                       "--out", "out.json"]) == 0
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_import_cli_loads_every_module_the_tracer_patches():

@@ -493,7 +493,8 @@ class TestConformalEvalDriver:
             original = getattr(experiments, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                # step_probs counts the latent rows it is given, one call per block
+                calls[name] += len(args[1]) if name == "step_probs" else 1
                 return original(*args, **kwargs)
             return wrapper
 
@@ -504,7 +505,7 @@ class TestConformalEvalDriver:
                                      "auto", seed=3)
         assert len(records) == 6
         # the test pass runs once per noise level, whatever the conditions at it, and
-        # noise 0 reads the distributions generate made
+        # noise 0 reads the distributions generate made: each noisy row's distribution once
         assert calls == {"generate": 1, "resolve_tau": 2, "step_probs": cfg.test_steps}
 
     def test_noise_zero_reads_the_generated_rows(self, monkeypatch):
@@ -611,6 +612,19 @@ class TestConformalEvalDriver:
         assert record["tau"] == 1.0
         fallbacks = [r for r in caplog.records if "tau = 1.0" in r.getMessage()]
         assert len(fallbacks) == 1
+
+
+class TestMedian:
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=32),
+                              st.sampled_from([0.0, -0.0, 1.5, np.inf, np.nan, 1e308])),
+                    min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_median(self, values):
+        values = np.array(values)
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e308 + 1e308, inf - inf
+            expected = np.median(values)
+            got = experiments._median(values)
+        assert np.array(got).tobytes() == np.float64(expected).tobytes()
 
 
 class TestTemperatureSearch:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import exact_query_oracle
+from uqkit import datastore
 from uqkit.datastore import Datastore, DatastoreFormatError, Neighbors
 
 
@@ -73,7 +74,8 @@ class TestAddQuery:
         with pytest.raises(ValueError):
             store.add([0.0, 0.0], float("nan"))
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    # 1e39 is finite at float64 but beyond float32: rejected before a cast that would warn
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1e39])
     def test_latent_must_be_finite(self, bad):
         store = Datastore(2)
         with pytest.raises(ValueError, match="finite"):
@@ -120,6 +122,8 @@ class TestAddQuery:
 # Few distinct small-integer coordinates force key ties and zero-norm rows.
 coordinates = st.one_of(st.integers(-2, 2).map(float),
                         st.floats(-8, 8, width=32))
+# Near the float32 limit l2 keys overflow to inf and cosine keys become inf/inf = NaN.
+NEAR_FLOAT32_MAX = float(np.float32(3e38))
 
 
 def assert_equal_to_oracle(store, queries, k, metric, batch):
@@ -134,26 +138,66 @@ def assert_equal_to_oracle(store, queries, k, metric, batch):
 
 
 class TestQueryBatch:
-    @given(st.data(), st.integers(min_value=1, max_value=6),
-           st.integers(min_value=1, max_value=40), st.sampled_from(["l2", "ip", "cos"]))
+    @given(st.data(), st.integers(min_value=1, max_value=6), st.sampled_from(["l2", "ip", "cos"]))
     @settings(max_examples=150, deadline=None)
-    def test_rows_equal_single_queries(self, data, dim, k, metric):
-        rows = data.draw(hnp.arrays(np.float32, (data.draw(st.integers(1, 20)), dim),
+    def test_rows_equal_single_queries(self, data, dim, metric):
+        rows = data.draw(hnp.arrays(np.float32, (data.draw(st.integers(1, 150)), dim),
                                     elements=coordinates))
         duplicates = data.draw(st.integers(0, len(rows)))
         # Duplicate store rows tie on every key; a zero row has no cosine direction.
         latents = np.concatenate([rows, rows[:duplicates], np.zeros((1, dim), np.float32)])
-        store = Datastore(dim)
-        store.add_batch(latents, np.arange(len(latents)) / len(latents))
-        queries = data.draw(hnp.arrays(np.float32, (data.draw(st.integers(0, 8)), dim),
+        queries = data.draw(hnp.arrays(np.float32, (data.draw(st.integers(0, 12)), dim),
                                        elements=coordinates))
         queries = np.concatenate([queries, latents[:1], np.zeros((1, dim), np.float32)])
-        batch = store.query_batch(queries, k, metric=metric)
-        assert batch.ids.shape == batch.keys.shape == (len(queries), min(k, len(store)))
-        assert_equal_to_oracle(store, queries, k, metric, batch)
+        for matrix in (latents, queries):
+            for row in data.draw(st.lists(st.integers(0, len(matrix) - 1), max_size=2)):
+                matrix[row, data.draw(st.integers(0, dim - 1))] = data.draw(
+                    st.sampled_from([NEAR_FLOAT32_MAX, -NEAR_FLOAT32_MAX]))
+        store = Datastore(dim)
+        store.add_batch(latents, np.arange(len(latents)) / len(latents))
+        k = data.draw(st.integers(1, len(latents) + 2))
+        # from one query per block to every query in one block
+        block = data.draw(st.integers(1, len(queries) * latents.size))
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+            patch.setattr(datastore, "_BLOCK_ELEMENTS", block)
+            batch = store.query_batch(queries, k, metric=metric)
+            assert batch.ids.shape == batch.keys.shape == (len(queries), min(k, len(store)))
+            assert_equal_to_oracle(store, queries, k, metric, batch)
         for row in range(len(queries)):
             tied = batch.keys[row][1:] == batch.keys[row][:-1]
             assert np.all(batch.ids[row][1:][tied] > batch.ids[row][:-1][tied])
+
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cos"])
+    def test_ties_at_the_kth_key_across_blocks(self, monkeypatch, metric):
+        """Every row is stored twice, so an odd k splits a tied pair at the k-th key."""
+        rng = np.random.default_rng(15)
+        rows = rng.normal(size=(150, 4)).astype(np.float32)
+        store = Datastore(4)
+        store.add_batch(np.concatenate([rows, rows]), np.arange(300) / 300)
+        queries = np.concatenate([rng.normal(size=(40, 4)), rows[:10]])
+        monkeypatch.setattr(datastore, "_BLOCK_ELEMENTS", 7 * store.latents.size)
+        for k in (1, 7, 299, 300, 301):
+            assert_equal_to_oracle(store, queries, k, metric, store.query_batch(queries, k, metric))
+
+    @given(st.data(), st.integers(min_value=1, max_value=5), st.sampled_from(["l2", "ip", "cos"]))
+    @settings(max_examples=60, deadline=None)
+    def test_ivf_equals_exact_search_over_the_probed_records(self, data, dim, metric):
+        rows = data.draw(hnp.arrays(np.float32, (data.draw(st.integers(1, 120)), dim),
+                                    elements=coordinates))
+        latents = np.concatenate([rows, rows[:data.draw(st.integers(0, len(rows)))]])
+        store = Datastore(dim)
+        store.add_batch(latents, np.arange(len(latents)) / len(latents))
+        store.build_ivf(data.draw(st.integers(1, min(8, len(store)))),
+                        np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        query = data.draw(hnp.arrays(np.float32, dim, elements=coordinates))
+        k, nprobe = data.draw(st.integers(1, len(store) + 2)), data.draw(st.integers(1, 9))
+        _, probe = exact_query_oracle(store._centroids, query, nprobe, metric)
+        candidates = np.concatenate([store._lists[c] for c in probe])
+        keys, positions = exact_query_oracle(store.latents[candidates], query, k, metric)
+        got = store.query_ivf(query, k, metric=metric, nprobe=nprobe)
+        assert got.keys.tobytes() == keys.tobytes()
+        assert got.ids.tobytes() == candidates[positions].tobytes()
+        assert got.scores.tobytes() == store.scores[candidates[positions]].tobytes()
 
     def test_float64_queries_match_single_queries(self):
         rng = np.random.default_rng(11)

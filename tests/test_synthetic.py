@@ -5,7 +5,7 @@ from oracles import generate_oracle
 from uqkit.conformal import build_set_adaptive, split_quantile
 from uqkit.seeds import derive_rng
 from uqkit.synthetic import (SynthModel, build_calibration_store, generate, inject_noise,
-                             new_model, nonconformity)
+                             new_model, nonconformity, step_probs)
 
 
 class TestModelConstruction:
@@ -107,6 +107,20 @@ class TestGenerate:
             assert np.array_equal(part.golds, chain.golds[steps])
         with pytest.raises(TypeError, match="slices"):
             chain[3]
+
+
+class TestStepProbs:
+    @pytest.mark.parametrize("vocab, dim, temperature", [(12, 5, 1.0), (100, 16, 0.7),
+                                                        (2, 2, 3.0)])
+    def test_batch_rows_equal_single_calls(self, vocab, dim, temperature):
+        model = new_model(vocab, dim, seed=vocab, temperature=temperature)
+        scales = np.geomspace(1e-3, 1e3, 130)[:, None]  # from flat to one-hot distributions
+        latents = derive_rng(vocab, 4).normal(size=(130, dim)) * scales
+        batch = step_probs(model, latents)
+        assert batch.shape == (130, vocab)
+        for row, latent in zip(batch, latents):
+            assert row.tobytes() == step_probs(model, latent).tobytes()
+        assert step_probs(model, latents[:0]).shape == (0, vocab)
 
 
 class TestInjectNoise:
