@@ -255,8 +255,8 @@ def build_parser() -> ArgumentParser:
                    help="comma list of distribution specs")
     p.add_argument("--dist-b", default=None, dest="dist_b", type=parse_dist,
                    help="second distribution; switches to Type II mode (--dist is the better system)")
-    p.add_argument("--n", default="5", type=comma_list(at_least_1),
-                   help="comma list of sample sizes")
+    p.add_argument("--n", default="5", type=comma_list(number(int, at_least=2)),
+                   help="comma list of sample sizes (each >= 2)")
     p.add_argument("--tau", default="0.2", type=comma_list(number(float)),
                    help="comma list of decision thresholds")
     p.add_argument("--trials", type=at_least_1, default=500)

@@ -1,9 +1,11 @@
 """Empirical distribution primitives shared by the significance tests.
 
 A "sample" throughout this package is a non-empty 1-D collection of finite
-real scores. The quantile function deliberately uses the plain order-statistic
-rule index = ceil(n * p) (clamped, no interpolation) so that every statistic
-built on top of it is reproducible to the bit.
+real scores. Every empirical quantile of a sample picks its order statistic by
+one rule, `order_statistic_index`: level p of an n-sample is its ceil(n * p)-th
+order statistic, clamped into the sample, with no interpolation. The quantile
+function, the inverse-transform bootstrap, and ASO's grid and bootstrap rows
+all use it, so every statistic built on them is reproducible to the bit.
 """
 
 from __future__ import annotations
@@ -29,18 +31,27 @@ def empirical_cdf(sample, t: float) -> float:
     return float(np.count_nonzero(arr <= t)) / arr.size
 
 
+def order_statistic_index(n: int, p) -> np.ndarray:
+    """0-based index, into an n-sample sorted ascending, of the order statistic for level p.
+
+    The one order-statistic rule of the empirical quantiles: ceil(n * p) - 1,
+    clamped into [0, n - 1]. `p` may be a scalar or an array of levels.
+    """
+    # one expression, so that numpy can reuse its temporaries: ASO passes whole
+    # bootstrap blocks, and a fresh buffer per step made the call several times slower
+    return np.clip(np.ceil(n * np.asarray(p, dtype=float)).astype(np.int64) - 1, 0, n - 1)
+
+
 def quantile_function(sample) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized empirical quantile function (inverse CDF) of a sample.
 
-    The returned callable maps an array of levels p in (0, 1) to the
-    ceil(n * p)-th order statistic, clamped into the observed support.
+    The returned callable maps an array of levels p in (0, 1) to the order
+    statistic `order_statistic_index` selects.
     """
     srt = np.sort(as_sample(sample), kind="stable")
-    n = srt.size
 
     def inverse_cdf(p) -> np.ndarray:
-        idx = np.ceil(n * np.asarray(p, dtype=float)).astype(np.int64)
-        return srt[np.clip(idx - 1, 0, n - 1)]
+        return srt[order_statistic_index(srt.size, p)]
 
     return inverse_cdf
 

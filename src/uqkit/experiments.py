@@ -33,6 +33,7 @@ CONFORMAL_METHODS = ("split", "knn", "knn_unit")
 # per-call overhead, small enough that a block's arrays stay small. One block per
 # noise level raised the conformal-knn benchmark's peak RSS from 40.6 to 45.3 MB.
 _CHUNK_STEPS = 128
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 # -- error-rate grids ---------------------------------------------------------
@@ -161,6 +162,33 @@ def resolve_tau(store, cal: Chain, cfg: ConformalEvalConfig, metric: str,
     return tau
 
 
+def _noisy_blocks(test: Chain, sigma: float, seed: int):
+    """Each block of `_CHUNK_STEPS` test steps with its latents plus N(0, sigma^2) noise.
+
+    Every pass replays one stream, `derive_rng(seed, 2)`, drawn in step order,
+    so every pass at one noise level reads the same latents. At sigma 0 the
+    clean latents are yielded and nothing is drawn.
+    """
+    noise_rng = derive_rng(seed, 2)
+    for start in range(0, len(test), _CHUNK_STEPS):
+        block = test[start: start + _CHUNK_STEPS]
+        yield block, (block.latents if sigma == 0 else
+                      inject_noise(block.latents, sigma, noise_rng))
+
+
+def _check_key_range(latents: np.ndarray, noise: float) -> None:
+    """ValueError if a noisy test latent's squared norm, in float64, exceeds the float32 range.
+
+    The datastore computes k-NN keys in float32, so beyond that range a query's
+    cos norm or its l2 keys overflow, and every neighbour read from them is meaningless.
+    """
+    with np.errstate(over="ignore"):
+        sq_norms = np.einsum("ij,ij->i", latents, latents)
+    if not np.all(sq_norms <= _FLOAT32_MAX):  # written so that inf and NaN fail it
+        raise ValueError(f"noise {noise:g} puts a test latent's squared norm beyond the "
+                         "float32 range of the k-NN keys")
+
+
 def run_conformal_condition(cfg: ConformalEvalConfig, method: str, metric: str,
                             noise: float, tau, seed: int) -> dict:
     """Evaluate one (method, metric, noise) condition; returns a result record."""
@@ -176,7 +204,9 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
     clean emission distribution; sets are built from the corrupted one, mirroring
     a shifted-representation deployment. Everything else is built once per call,
     tau once per metric, and the test blocks' noise, rows and sets once per noise level;
-    noise 0 reads the rows `generate` made.
+    noise 0 reads the rows `generate` made. Before any tau search or query, a
+    noisy latent that a knn condition would query with a squared norm beyond
+    the float32 range raises ValueError.
     """
     if not set(methods) <= set(CONFORMAL_METHODS):
         raise ValueError(f"unknown method in {methods!r}; expected {CONFORMAL_METHODS}")
@@ -196,20 +226,18 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
                    WeightedCalibration(store.scores, np.ones(len(store))), cfg.alpha)}
 
     knn_metrics = sorted({metric for method, metric, _ in conditions if method == "knn"})
+    for noise in sorted({noise for method, _, noise in conditions if method == "knn"}):
+        for _, corrupted in _noisy_blocks(test, noise * latent_std, seed):
+            _check_key_range(corrupted, noise)
     if knn_metrics and len(store) < cfg.k:
         logger.warning("k=%d exceeds datastore size %d; using the entire store", cfg.k, len(store))
     taus = {metric: resolve_tau(store, cal, cfg, metric, tau, seed) for metric in knn_metrics}
 
     blocks = {c: [] for c in conditions}  # per block: (clamped q_hat, FULL_SET mask, sizes, hits)
     for noise in sorted(set(noises)):
-        noise_rng = derive_rng(seed, 2)
-        for start in range(0, len(test), _CHUNK_STEPS):
-            block = test[start: start + _CHUNK_STEPS]
-            if noise == 0:  # the clean rows: generate already holds their distributions
-                corrupted, probs = block.latents, block.probs
-            else:
-                corrupted = inject_noise(block.latents, noise * latent_std, noise_rng)
-                probs = step_probs(model, corrupted)
+        for block, corrupted in _noisy_blocks(test, noise * latent_std, seed):
+            # the clean rows: generate already holds their distributions
+            probs = block.probs if noise == 0 else step_probs(model, corrupted)
             sets = set_rule(probs, block.golds)
             for method, metric in [c[:2] for c in blocks if c[2] == noise]:
                 if method == "knn":

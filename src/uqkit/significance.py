@@ -4,6 +4,10 @@ All tests answer the one-sided question "does sample `a` tend larger than
 sample `b`?". The ASO routine returns the violation ratio together with its
 bootstrap-based upper confidence bound eps_min; the classical tests return a
 plain (statistic, p-value) pair.
+
+ASO reads every quantile, of a sample and of its bootstrap resamples, as an
+order statistic of a sorted copy, picked by `empirical.order_statistic_index`
+(level p of an n-sample is its ceil(n * p)-th order statistic, clamped).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import as_sample, quantile_function, rankdata
+from .empirical import as_sample, order_statistic_index, rankdata
 from .special import ndtr, ndtri, t_sf
 
 CLASSIC_TEST_KINDS = ("student_t", "bootstrap", "permutation", "wilcoxon", "mann_whitney")
@@ -48,24 +52,41 @@ class TestResult:
 def _grid_runs(n: int, m: int, dt: float) -> tuple[np.ndarray, ...]:
     """Runs of the grid t = dt, 2*dt, ... < 1 on which the order-statistic pair is constant.
 
-    On the grid, the quantile function of an n-sample is its ceil(n*t)-th order
-    statistic and that of an m-sample its ceil(m*t)-th, so any integrand of the
-    two is constant on each run of consecutive grid points sharing the 0-based
-    pair (ceil(n*t) - 1, ceil(m*t) - 1). Returns read-only arrays with one
-    entry per run: its first grid level, the two indices, and its weight
-    run_length * dt. Both indices are non-decreasing in t, so there are at most
-    n + m - 1 runs, and n when n == m and n * dt < 1. Callers check dt first.
+    On the grid, the quantile functions of an n-sample and an m-sample read the
+    order statistics `order_statistic_index(n, t)` and `order_statistic_index(m, t)`,
+    so any integrand of the two is constant on each run of consecutive grid
+    points sharing that pair. Returns read-only arrays with one entry per run:
+    the two indices and its weight run_length * dt. Both indices are
+    non-decreasing in t, so there are at most n + m - 1 runs, and n when n == m
+    and n * dt < 1. Callers check dt first.
     """
     grid = np.arange(dt, 1.0, dt)
-    idx_a = np.clip(np.ceil(n * grid).astype(np.int64) - 1, 0, n - 1)
-    idx_b = np.clip(np.ceil(m * grid).astype(np.int64) - 1, 0, m - 1)
+    idx_a = order_statistic_index(n, grid)
+    idx_b = order_statistic_index(m, grid)
     # Neither index decreases, so the pair changes exactly where their sum does.
     starts = np.flatnonzero(np.diff(idx_a + idx_b, prepend=-1))
-    runs = (grid[starts], idx_a[starts], idx_b[starts],
-            np.diff(starts, append=grid.size) * dt)
+    runs = (idx_a[starts], idx_b[starts], np.diff(starts, append=grid.size) * dt)
     for arr in runs:
         arr.flags.writeable = False
     return runs
+
+
+def _sorted_sample(values) -> np.ndarray:
+    """The validated sample, stable-sorted: every order statistic ASO reads comes from it."""
+    return np.sort(as_sample(values), kind="stable")
+
+
+def _violation_ratio(srt_a: np.ndarray, srt_b: np.ndarray, dt: float) -> float:
+    """`violation_ratio` of two sorted samples, for a dt already checked."""
+    idx_a, idx_b, weight = _grid_runs(srt_a.size, srt_b.size, dt)
+    f = srt_a[idx_a]
+    g = srt_b[idx_b]
+    sq = (g - f) ** 2 * weight
+    denominator = float(sq.sum())
+    if denominator == 0.0:
+        return 0.5
+    numerator = float(sq[f < g].sum())
+    return numerator / denominator
 
 
 def violation_ratio(a, b, dt: float = 0.005) -> float:
@@ -76,38 +97,13 @@ def violation_ratio(a, b, dt: float = 0.005) -> float:
     the denominator (the squared 1-D 2-Wasserstein distance) uses all of them.
     The integrand is constant on each run of grid points that share the same
     pair of order statistics, so both sums are taken over runs: each run's
-    squared difference, evaluated at its first level, times its length * dt.
+    squared difference times its length * dt.
     Returns 0.5 by convention when the quantile functions coincide on the grid,
     so identical samples signal "no dominance either way".
     """
     if not 0.0 < dt < 1.0:
         raise ValueError("dt must lie in (0, 1)")
-    arr_a = as_sample(a)
-    arr_b = as_sample(b)
-    level, _, _, weight = _grid_runs(arr_a.size, arr_b.size, dt)
-    f = quantile_function(arr_a)(level)
-    g = quantile_function(arr_b)(level)
-    sq = (g - f) ** 2 * weight
-    denominator = float(sq.sum())
-    if denominator == 0.0:
-        return 0.5
-    numerator = float(sq[f < g].sum())
-    return numerator / denominator
-
-
-def _bootstrap_quantiles(sample: np.ndarray, idx: np.ndarray,
-                         num_bootstrap: int, rng: np.random.Generator) -> np.ndarray:
-    """Order statistics `idx` of `num_bootstrap` inverse-transform resamples.
-
-    Each row is one resample of the same size as the input, sorted, at the
-    0-based ranks `idx`: F*^-1 evaluated at the levels those ranks stand for.
-    """
-    srt = np.sort(sample, kind="stable")
-    n = srt.size
-    draw_idx = np.ceil(n * rng.random((num_bootstrap, n))).astype(np.int64)
-    resamples = srt[np.clip(draw_idx - 1, 0, n - 1)]
-    resamples.sort(axis=1)
-    return resamples[:, idx]
+    return _violation_ratio(_sorted_sample(a), _sorted_sample(b), dt)
 
 
 def aso(a, b, alpha: float = 0.05, num_bootstrap: int = 1000, dt: float = 0.005,
@@ -121,11 +117,12 @@ def aso(a, b, alpha: float = 0.05, num_bootstrap: int = 1000, dt: float = 0.005,
     sample needs at least two observations: with one, every bootstrap resample
     equals the sample, sigma_hat is 0 and eps_min carries no uncertainty.
 
-    Each bootstrap eps* is the run-weighted sum of `violation_ratio`: the
-    resample's order statistics are gathered once per run of grid points that
-    share an order-statistic pair, so a row has at most N + M - 1 columns, not
-    one per grid point. The sums differ from the per-point ones only by
-    rounding (a few ulps).
+    Each sample is validated and sorted once; eps and every bootstrap row read
+    that copy. A row is an inverse-transform resample of the same size (`a`'s
+    rows drawn before `b`'s), sorted and read at the grid runs' order
+    statistics, so it has at most N + M - 1 columns, not one per grid point.
+    Each eps* is the run-weighted sum of `violation_ratio`; the sums differ
+    from the per-point ones only by rounding (a few ulps).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -133,17 +130,20 @@ def aso(a, b, alpha: float = 0.05, num_bootstrap: int = 1000, dt: float = 0.005,
         raise ValueError("num_bootstrap must be >= 1")
     if rng is None:
         rng = np.random.default_rng()
-    arr_a = as_sample(a)
-    arr_b = as_sample(b)
-    n, m = arr_a.size, arr_b.size
+    srt_a = _sorted_sample(a)
+    srt_b = _sorted_sample(b)
+    n, m = srt_a.size, srt_b.size
     if n < 2 or m < 2:
         raise ValueError("ASO needs at least two observations per sample")
+    if not 0.0 < dt < 1.0:  # before any run is cached
+        raise ValueError("dt must lie in (0, 1)")
 
-    eps = violation_ratio(arr_a, arr_b, dt)  # checks dt before any run is cached
-
-    _, idx_a, idx_b, weight = _grid_runs(n, m, dt)
-    f_star = _bootstrap_quantiles(arr_a, idx_a, num_bootstrap, rng)
-    g_star = _bootstrap_quantiles(arr_b, idx_b, num_bootstrap, rng)
+    eps = _violation_ratio(srt_a, srt_b, dt)
+    idx_a, idx_b, weight = _grid_runs(n, m, dt)
+    f_star, g_star = (
+        np.sort(srt[order_statistic_index(srt.size, rng.random((num_bootstrap, srt.size)))],
+                axis=1)[:, idx]
+        for srt, idx in ((srt_a, idx_a), (srt_b, idx_b)))
 
     sq = (g_star - f_star) ** 2 * weight
     denominator = sq.sum(axis=1)

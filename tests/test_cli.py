@@ -51,15 +51,14 @@ class TestAsoSim:
         assert result.returncode == 2
         assert "usage error" in result.stderr
 
-    def test_aso_single_observation_data_error(self):
-        result = run_cli(["aso-sim", "--test", "aso", "--n", "1", "--trials", "2"])
-        assert result.returncode == 3
-        assert result.stderr.startswith("error:")
-        assert len(result.stderr.splitlines()) == 1
-        # n = 1 fails in the first test that runs on it, here the t-test
-        result = run_cli(["aso-sim", "--test", "student_t,aso", "--n", "5,1", "--trials", "2"])
-        assert result.returncode == 3
-        assert result.stderr == "error: t-test needs at least two observations per sample\n"
+    def test_single_observation_is_usage_error(self, capsys):
+        """Every test kind needs two observations per sample, so `--n` is checked at parse time."""
+        for kind in ("aso", "student_t", "bootstrap", "permutation", "wilcoxon", "mann_whitney"):
+            for sizes in ("1", "5,1"):
+                assert main(["aso-sim", "--test", kind, "--n", sizes, "--trials", "2"]) == 2
+                out, err = capsys.readouterr()
+                assert (out, err) == ("", "usage error: argument --n: expected an integer >= 2, "
+                                          "got '1'\n"), (kind, sizes)
 
     def test_plot_written(self, tmp_path):
         svg = tmp_path / "rates.svg"
@@ -330,9 +329,26 @@ class TestConformalEvalValidation:
                           "--test-steps", "5", "--noise", "1e200", "--method", "knn"])
         assert result.returncode == 3
         assert result.stderr.splitlines() == [
-            "k=50 exceeds datastore size 20; using the entire store",
-            "error: latent must be finite"]
+            "error: noise 1e+200 puts a test latent's squared norm beyond the float32 range "
+            "of the k-NN keys"]
         assert result.stdout == ""
+
+    def test_overflowing_query_norms_are_one_data_error_line(self):
+        """Latents near 1e30 fit float32, but their squared norms and l2 keys do not."""
+        result = run_cli(["conformal-eval", "--vocab", "5", "--dim", "2", "--cal-steps", "60",
+                          "--test-steps", "5", "--k", "5", "--noise", "1e30", "--method", "knn",
+                          "--metric", "l2,cos"])
+        assert result.returncode == 3
+        assert result.stderr.splitlines() == [
+            "error: noise 1e+30 puts a test latent's squared norm beyond the float32 range "
+            "of the k-NN keys"]
+        assert result.stdout == ""
+
+    def test_split_only_tolerates_noise_the_keys_could_not(self):
+        result = run_cli(["conformal-eval", "--vocab", "5", "--dim", "2", "--cal-steps", "60",
+                          "--test-steps", "5", "--noise", "1e30", "--method", "split"])
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)[0]["noise"] == 1e30
 
     def test_split_only_nan_noise_is_usage_error(self):
         result = run_cli(["conformal-eval", "--vocab", "10", "--dim", "3", "--method", "split",
@@ -355,7 +371,8 @@ class TestAsoSimDirichletValidation:
         (ASO_SIM_T, "--alpha", "0"), (ASO_SIM_T, "--alpha", "1.5"),
         (DIRICHLET, "--samples", "0"), (DIRICHLET, "--num-random", "0"),
         (ASO_SIM_T, "--test", "aso,foo"), (DIRICHLET, "--samples", "1"),
-        (DIRICHLET, "--alpha", "1e308,1e308"),
+        (DIRICHLET, "--alpha", "1e308,1e308"), (ASO_SIM_T, "--n", "1"),
+        (DIRICHLET, "--alpha", "1e160,1"),
     ])
     def test_bad_option_is_usage_error(self, command, option, value):
         result = run_cli(command + [option, value])

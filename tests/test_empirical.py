@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from uqkit.empirical import (as_sample, bootstrap_resample, empirical_cdf,
-                             empirical_quantile, quantile_function, rankdata)
+                             empirical_quantile, order_statistic_index, quantile_function,
+                             rankdata)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 samples = st.lists(finite_floats, min_size=1, max_size=50)
@@ -31,6 +32,22 @@ def test_quantile_index_rule():
     assert empirical_quantile([1, 2, 3, 4], 0.99) == 4
     assert empirical_quantile([5], 0.3) == 5
     assert empirical_quantile([5], 0.97) == 5
+
+
+def test_order_statistic_index_is_clamped_ceil_rule():
+    levels = np.array([0.0, 0.1, 0.25, 0.26, 0.5, 0.99, 1.0, 1.5])
+    assert order_statistic_index(4, levels).tolist() == [0, 0, 0, 1, 1, 3, 3, 3]
+    assert order_statistic_index(4, 0.5) == 1
+    assert order_statistic_index(1, levels).tolist() == [0] * levels.size
+
+
+@given(st.integers(min_value=1, max_value=500), st.floats(min_value=1e-9, max_value=1 - 1e-9))
+@settings(max_examples=200)
+def test_order_statistic_index_matches_integer_rule(n, p):
+    """In (0, 1) the 1-based order statistic k = index + 1 is the least k with k >= n * p."""
+    k = int(order_statistic_index(n, p)) + 1
+    assert 1 <= k <= n
+    assert k >= n * p > k - 1
 
 
 def test_quantile_level_out_of_range():

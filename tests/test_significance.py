@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import aso_grid_oracle
+from uqkit import significance
 from uqkit.empirical import quantile_function
 from uqkit.significance import (_grid_runs, _mann_whitney_exact_p, _mann_whitney_null_counts,
                                 aso, bonferroni, classic_test, violation_ratio)
@@ -161,6 +162,52 @@ class TestAso:
                   for al in sorted(alphas)]
         assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
 
+    # (a, b, keyword arguments, rng seed, (eps_min, violation_ratio, sigma_hat) as float.hex)
+    PINNED = [
+        ([0.31, -1.2, 0.77, 1.5, 0.02, -0.4, 0.9],
+         [0.1, -0.3, 0.25, -1.1, 0.6, 0.05, -0.75, 1.2, -0.2, 0.4, 0.15],
+         {"num_bootstrap": 300}, 1,
+         ("0x1.46c9e4d0e813bp-1", "0x1.4ed39401afb1ap-4", "0x1.6648dcf572892p-1")),
+        ([2.5, 1.75, 3.0, 0.5, 2.0, 1.25, 2.25, 0.75, 1.5, 2.75],
+         [1.0, 2.2, 0.3, 1.4, 3.4, 0.8, 1.9, 0.1, 2.6, 2.4],
+         {"num_bootstrap": 500}, 2,
+         ("0x1.66c76134fdad6p-1", "0x1.124cc08758659p-3", "0x1.8a833e10ab95ep-1")),
+        ([3.0, 1.0, 3.0, 2.0, 1.0, 3.0, 2.0, 2.0], [1.0, 2.0, 4.0, 1.0, 2.0, 3.0, 1.0, 0.0, 2.0],
+         {"num_bootstrap": 400}, 3,
+         ("0x1.6d2f9a5fed401p-1", "0x1.9249249249249p-3", "0x1.4b138de6ab479p-1")),
+        ([0.9, 0.1, 0.5, 0.7, 0.3], [0.2, 0.6, 0.4, 0.8, 0.0, 1.0],
+         {"num_bootstrap": 200, "dt": 0.3}, 4,
+         ("0x1.0000000000000p+0", "0x1.5555555555556p-1", "0x1.606c0d159a2c2p-1")),
+        ([11.0, 12.0, 13.0, 14.0], [1.0, 2.0, 3.0, 4.0, 12.5],
+         {"num_bootstrap": 100}, 5,
+         ("0x1.255f6635a9951p-8", "0x0.0p+0", "0x1.09e1598867750p-8")),
+        ([0.12, 0.55, 0.31, 0.78, 0.44, 0.09], [0.5, 0.41, 0.67, 0.23, 0.58, 0.36, 0.71],
+         {"alpha": 0.1, "num_bootstrap": 250, "dt": 0.01}, 6,
+         ("0x1.0000000000000p+0", "0x1.ec0e7120d690cp-1", "0x1.042c140bc8853p-1")),
+    ]
+
+    @pytest.mark.parametrize("a, b, kwargs, seed, expected", PINNED,
+                             ids=["n_ne_m", "n_eq_m", "tied_integers", "coarse_dt", "one_high",
+                                  "alpha_and_dt"])
+    def test_pinned_results_to_the_bit(self, a, b, kwargs, seed, expected):
+        """Every field equals its pinned value exactly: n != m, n == m, ties, dt = 0.3."""
+        result = aso(a, b, rng=np.random.default_rng(seed), **kwargs)
+        got = (result.eps_min.hex(), result.violation_ratio.hex(), result.sigma_hat.hex())
+        assert got == expected
+
+    def test_validates_each_sample_once(self, monkeypatch):
+        calls = []
+        real = significance.as_sample
+
+        def counting(values):
+            calls.append(len(values))
+            return real(values)
+
+        monkeypatch.setattr(significance, "as_sample", counting)
+        aso([1.0, 3.0, 2.0], [2.0, 0.5, 4.0, 1.0], num_bootstrap=20,
+            rng=np.random.default_rng(0))
+        assert calls == [3, 4]
+
     def test_result_fields_in_range(self):
         rng = np.random.default_rng(8)
         result = aso(rng.normal(size=10), rng.normal(size=12), rng=np.random.default_rng(4))
@@ -180,16 +227,18 @@ class TestGridRuns:
     @settings(max_examples=200, deadline=None)
     def test_runs_cover_the_grid(self, n, m, dt):
         grid = np.arange(dt, 1.0, dt)
-        level, idx_a, idx_b, weight = _grid_runs(n, m, dt)
-        assert all(not arr.flags.writeable for arr in (level, idx_a, idx_b, weight))
+        runs = _grid_runs(n, m, dt)
+        assert len(runs) == 3
+        idx_a, idx_b, weight = runs
+        assert all(not arr.flags.writeable for arr in runs)
         assert weight.sum() == pytest.approx(grid.size * dt, rel=1e-12)
-        assert level.size <= min(n + m - 1, grid.size)
+        assert idx_a.size == idx_b.size == weight.size <= min(n + m - 1, grid.size)
         if n == m and n * dt < 1:
-            assert level.size == n
+            assert idx_a.size == n
+        # Runs are maximal: neighbouring runs differ in their pair.
+        assert np.all((np.diff(idx_a) > 0) | (np.diff(idx_b) > 0))
         # Expanded back to one entry per grid point, the runs give every point's pair.
         lengths = np.rint(weight / dt).astype(np.int64)
-        first = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        assert np.array_equal(level, grid[first])
         assert np.array_equal(np.repeat(idx_a, lengths),
                               np.clip(np.ceil(n * grid).astype(np.int64) - 1, 0, n - 1))
         assert np.array_equal(np.repeat(idx_b, lengths),
