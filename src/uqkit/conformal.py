@@ -1,10 +1,10 @@
 """Split and nearest-neighbor-weighted conformal prediction.
 
 Non-conformity scores, calibration quantiles (exchangeable and weighted),
-prediction-set construction, RBF relevance weights, the composed per-step
-generation routine, its batched (steps, k) counterpart (`KnnQuantiles`, and
-`AdaptiveSets` or `ThresholdSets` as `SCORE_RULES` pairs them with the score),
-and the stochastic temperature search.
+prediction sets, RBF relevance weights and the stochastic temperature search.
+Each score kind is one class (`SCORE_RULES`) that computes both the calibration
+scores and the test sets of a (steps, classes) matrix, and one weighted-quantile
+core serves `KnnQuantiles` and its one-row case, `weighted_quantile`.
 
 Quantile levels are compared with a 1e-9 slack so that mathematically exact
 boundaries such as (N+1)*(1-alpha) landing on an integer are not perturbed by
@@ -17,7 +17,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -105,24 +104,6 @@ def _descending_order(p: np.ndarray) -> np.ndarray:
     return np.argsort(-p, axis=-1, kind="stable")
 
 
-def score_simple(probs, label: int) -> float:
-    """Non-conformity as one minus the probability assigned to the label."""
-    p = as_prob_vector(probs)
-    if not 0 <= label < p.size:
-        raise ValueError("label out of range")
-    return float(1.0 - p[label])
-
-
-def score_adaptive(probs, label: int) -> float:
-    """Cumulative descending-sorted probability mass up to and including the label."""
-    p = as_prob_vector(probs)
-    if not 0 <= label < p.size:
-        raise ValueError("label out of range")
-    order = _descending_order(p)
-    position = int(np.nonzero(order == label)[0][0])
-    return min(float(p[order[: position + 1]].sum()), 1.0)
-
-
 def split_quantile(scores, alpha: float):
     """The ceil((N+1)(1-alpha))-th smallest score, or FULL_SET when that index exceeds N."""
     s = np.asarray(scores, dtype=float).ravel()
@@ -136,26 +117,43 @@ def split_quantile(scores, alpha: float):
     return float(np.sort(s, kind="stable")[rank - 1])
 
 
+def _quantile_level(alpha: float) -> float:
+    """The cumulative-mass level 1 - alpha, less the slack; ValueError unless 0 < alpha < 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    return (1.0 - alpha) - _LEVEL_SLACK
+
+
+def _first_reaching(sorted_scores: np.ndarray, order: np.ndarray, weights: np.ndarray,
+                    level: float) -> tuple[np.ndarray, np.ndarray]:
+    """(q_hat, full) per row: the smallest score whose cumulative weight w_i / (1 + sum(w)),
+    summed in the stable score `order`, reaches `level`; `full` where none does.
+
+    Tied scores need no run ends: the cumulative mass never decreases and a
+    run shares one score, so the first position that reaches the level names
+    the same score as the end of its run.
+    """
+    normalized = weights / (1.0 + weights.sum(axis=1, keepdims=True))
+    cumulative = np.cumsum(np.take_along_axis(normalized, order, axis=1), axis=1)
+    reached = cumulative >= level
+    first = reached.argmax(axis=1)
+    rows = np.arange(first.size)
+    return sorted_scores[rows, first], ~reached[rows, first]
+
+
 def weighted_quantile(cal: WeightedCalibration, alpha: float):
     """Smallest score whose normalized cumulative weight reaches 1 - alpha.
 
     Weights are normalized as w_i / (1 + sum(w)); when even the total
     normalized mass stays below 1 - alpha the quantile is FULL_SET. With unit
-    weights this reduces exactly to split_quantile.
+    weights this reduces exactly to split_quantile. One `KnnQuantiles` row.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    normalized = cal.weights / (1.0 + cal.weights.sum())
-    order = np.argsort(cal.scores, kind="stable")
-    sorted_scores = cal.scores[order]
-    cumulative = np.cumsum(normalized[order])
-    # Mass at a score value must include every point tied at that value.
-    last_of_run = np.nonzero(np.diff(sorted_scores, append=np.inf) != 0.0)[0]
-    mass_at_value = cumulative[last_of_run]
-    reached = np.nonzero(mass_at_value >= (1.0 - alpha) - _LEVEL_SLACK)[0]
-    if reached.size == 0:
+    level = _quantile_level(alpha)
+    if cal.scores.size == 0:  # no calibration mass at all
         return FULL_SET
-    return float(sorted_scores[last_of_run[reached[0]]])
+    order = np.argsort(cal.scores, kind="stable")[None]
+    q_hat, full = _first_reaching(cal.scores[order], order, cal.weights[None], level)
+    return FULL_SET if full[0] else float(q_hat[0])
 
 
 def rbf_weights(dists, tau: float, metric: str = "l2") -> np.ndarray:
@@ -193,45 +191,22 @@ def build_set_adaptive(probs, q_hat) -> PredictionSet:
     return PredictionSet(indices=tuple(int(i) for i in order[:size]), q_hat=q)
 
 
-def build_set_threshold(probs, q_hat) -> PredictionSet:
-    """All classes whose score 1 - p (as `score_simple`) is <= q_hat; may be empty."""
-    p = as_prob_vector(probs)
-    order = _descending_order(p)
-    if is_full_set(q_hat):
-        return PredictionSet(indices=tuple(int(i) for i in order), q_hat=FULL_SET)
-    q = float(q_hat)
-    keep = order[1.0 - p[order] <= q]
-    return PredictionSet(indices=tuple(int(i) for i in keep), q_hat=q)
-
-
-def knn_set(neighbors, probs, alpha: float, tau: float, metric: str = "l2") -> PredictionSet:
-    """The tau-dependent half of a step: weight retrieved neighbors, find q_hat, build the set."""
-    weights = rbf_weights(neighbors.keys, tau, metric=metric)
-    q_hat = weighted_quantile(WeightedCalibration(scores=neighbors.scores, weights=weights), alpha)
-    return build_set_adaptive(probs, q_hat)
-
-
 class KnnQuantiles:
-    """`knn_set`'s q_hat for every row of a (steps, k) `Neighbors` block, at any tau.
+    """The weighted q_hat of every row of a (steps, k) `Neighbors` block, at any tau.
 
-    Row i at temperature tau equals `weighted_quantile` of the RBF-weighted
-    neighbor scores of row i, bit for bit: the weight total is a row sum in
-    retrieval order, as there, and the cumulative mass runs in stable score
-    order. That order does not depend on tau, so it is computed once here and
-    reused by every call. Tied scores need no run ends: the cumulative mass
-    never decreases and a run shares one score, so the first position that
-    reaches the level names the same score as the end of its run.
+    Row i at temperature tau is `weighted_quantile` of the RBF-weighted
+    neighbor scores of row i: both run `_first_reaching`. The stable score
+    order does not depend on tau, so it is computed once here and reused by
+    every call.
     """
 
     def __init__(self, neighbors, alpha: float, metric: str = "l2"):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        self._level = _quantile_level(alpha)
         scores = np.asarray(neighbors.scores, dtype=float)
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
         self._keys = np.asarray(neighbors.keys, dtype=float)
         self._metric = metric
-        self._level = (1.0 - alpha) - _LEVEL_SLACK
         self._order = np.argsort(scores, axis=1, kind="stable")
         self._sorted = np.take_along_axis(scores, self._order, axis=1)
 
@@ -240,12 +215,7 @@ class KnnQuantiles:
         weights = rbf_weights(self._keys, tau, metric=self._metric)
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite and non-negative")
-        normalized = weights / (1.0 + weights.sum(axis=1, keepdims=True))
-        cumulative = np.cumsum(np.take_along_axis(normalized, self._order, axis=1), axis=1)
-        reached = cumulative >= self._level
-        first = reached.argmax(axis=1)
-        rows = np.arange(first.size)
-        return self._sorted[rows, first], ~reached[rows, first]
+        return _first_reaching(self._sorted, self._order, weights, self._level)
 
 
 def _as_labels(labels, p: np.ndarray) -> np.ndarray:
@@ -259,24 +229,40 @@ def _as_labels(labels, p: np.ndarray) -> np.ndarray:
 
 
 class AdaptiveSets:
-    """`build_set_adaptive` for every row of a (steps, classes) matrix: set sizes and label hits.
+    """Adaptive label scores and `build_set_adaptive` sets of each row of a (steps, classes) matrix.
 
-    The descending-probability prefix sums and the mass ranked before each
-    label do not depend on q_hat, so they are computed once here. A label is
-    in its row's set iff the set is FULL_SET, or the label is the top class,
-    or the mass ranked before it is below the clamped q_hat.
+    A label's score is the descending-probability mass up to and including
+    it. The prefix sums and the mass ranked before each label do not depend
+    on q_hat, so they are computed once here. A label is in its row's set iff
+    the set is FULL_SET, or the label is the top class, or the mass ranked
+    before it is below the clamped q_hat.
     """
 
     def __init__(self, probs, labels):
         p = as_prob_matrix(probs)
         labels = _as_labels(labels, p)
         order = _descending_order(p)
-        self._cumulative = np.cumsum(np.take_along_axis(p, order, axis=1), axis=1)
+        self._sorted = np.take_along_axis(p, order, axis=1)
+        self._cumulative = np.cumsum(self._sorted, axis=1)
         rows = np.arange(labels.size)
-        position = np.argmax(order == labels[:, None], axis=1)
+        self._position = position = np.argmax(order == labels[:, None], axis=1)
         # -inf keeps the top class in every set, even at q_hat = 0.
         self._before_label = np.where(position > 0, self._cumulative[rows, position - 1],
                                       -np.inf)
+
+    def scores(self) -> np.ndarray:
+        """Per-row label score: the descending mass up to and including the label, at most 1.
+
+        Each row's prefix is summed on its own, with one row sum per prefix
+        length, so it equals `sorted_row[:position + 1].sum()` to the bit; a
+        cumsum adds in another order and differs in the last bits.
+        """
+        lengths = self._position + 1
+        mass = np.empty(lengths.size)
+        for length in np.flatnonzero(np.bincount(lengths)):
+            rows = np.flatnonzero(lengths == length)
+            mass[rows] = self._sorted[rows, :length].sum(axis=1)
+        return np.minimum(mass, 1.0)
 
     def sizes(self, q_hat: np.ndarray, full: np.ndarray) -> np.ndarray:
         """Per-row set size: the descending prefix reaching the clamped q_hat, never empty."""
@@ -291,10 +277,10 @@ class AdaptiveSets:
 
 
 class ThresholdSets:
-    """`build_set_threshold` for every row of a (steps, classes) matrix: set sizes and label hits.
+    """Simple label scores, 1 - p, and threshold sets for every row of a (steps, classes) matrix.
 
-    A label is in its row's set iff the set is FULL_SET or the label's score,
-    1 - p as `score_simple` computes it, is <= q_hat. A set may be empty.
+    A label is in its row's set iff the set is FULL_SET or the label's score
+    is <= q_hat. A set may be empty.
     """
 
     def __init__(self, probs, labels):
@@ -302,6 +288,10 @@ class ThresholdSets:
         labels = _as_labels(labels, p)
         self._scores = 1.0 - p
         self._label_scores = self._scores[np.arange(labels.size), labels]
+
+    def scores(self) -> np.ndarray:
+        """Per-row label score, 1 - p[label]."""
+        return self._label_scores
 
     def sizes(self, q_hat: np.ndarray, full: np.ndarray) -> np.ndarray:
         """Per-row set size: the number of labels whose score is <= q_hat."""
@@ -313,19 +303,22 @@ class ThresholdSets:
         return full | (self._label_scores <= q_hat)
 
 
-class ScoreRule(NamedTuple):
-    """A non-conformity score and the batched set rule that keeps labels by it."""
-
-    score: Callable
-    sets: type
+def score_simple(probs, label: int) -> float:
+    """One minus the probability assigned to the label: one `ThresholdSets` row."""
+    return float(ThresholdSets(np.reshape(probs, (1, -1)), [label]).scores()[0])
 
 
-# Calibration scores and test sets must come from the same rule.
-SCORE_RULES = {"adaptive": ScoreRule(score_adaptive, AdaptiveSets),
-               "simple": ScoreRule(score_simple, ThresholdSets)}
+def score_adaptive(probs, label: int) -> float:
+    """Descending-sorted probability mass up to and including the label: one `AdaptiveSets` row."""
+    return float(AdaptiveSets(np.reshape(probs, (1, -1)), [label]).scores()[0])
 
 
-def score_rule(kind: str) -> ScoreRule:
+# Each kind's class scores the calibration steps and builds the test sets, so both
+# follow one rule.
+SCORE_RULES = {"adaptive": AdaptiveSets, "simple": ThresholdSets}
+
+
+def score_rule(kind: str) -> type:
     """`SCORE_RULES[kind]`, or ValueError naming an unknown kind."""
     try:
         return SCORE_RULES[kind]
@@ -340,7 +333,10 @@ def conformal_generate_step(store, latent, probs, alpha: float, k: int, tau: flo
         raise ValueError("empty datastore")
     if k > len(store):
         logger.warning("k=%d exceeds datastore size %d; using the entire store", k, len(store))
-    return knn_set(store.query(latent, k, metric=metric), probs, alpha, tau, metric=metric)
+    neighbors = store.query(latent, k, metric=metric)
+    weights = rbf_weights(neighbors.keys, tau, metric=metric)
+    q_hat = weighted_quantile(WeightedCalibration(scores=neighbors.scores, weights=weights), alpha)
+    return build_set_adaptive(probs, q_hat)
 
 
 def temperature_search(coverage_eval, alpha: float, tau_min: float, tau_max: float,

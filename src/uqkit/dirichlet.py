@@ -3,9 +3,10 @@
 Every quantity here has a seeded Monte Carlo counterpart (normalized Gamma
 draws) used by the verification harness; the closed forms are the product,
 the sampler is the oracle. Concentrations below 1e-3 are rejected to keep
-the digamma-based expressions well conditioned, and those above 1e100 so that
-the log densities (about alpha log alpha) and their squares in the Monte Carlo
-checks stay finite.
+the digamma-based expressions well conditioned, and those above 1e8 because
+`log_beta` is a difference of log-gamma values that cancels as alpha grows:
+KL(Dir(c, 1) || Dir(1, 1)) = log c - (c - 1)/c holds to a relative 3e-9 at
+c = 1e8, 3.5e-8 at 1e9, and comes out 0 at 1e100.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .special import lgam, psi
 
 _MIN_ALPHA = 1e-3
-_MAX_ALPHA = 1e100
+_MAX_ALPHA = 1e8
 
 
 def digamma(x):

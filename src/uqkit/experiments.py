@@ -144,7 +144,7 @@ def resolve_tau(store, cal: Chain, cfg: ConformalEvalConfig, metric: str,
     batch = cal[: cfg.search_batch]
     neighbors = store.query_batch(batch.latents, cfg.k, metric=metric)
     quantiles = KnnQuantiles(neighbors, cfg.alpha, metric)
-    sets = score_rule(cfg.score_kind).sets(batch.probs, batch.golds)
+    sets = score_rule(cfg.score_kind)(batch.probs, batch.golds)
 
     def coverage_eval(tau: float) -> float:
         return int(np.count_nonzero(sets.covers(*quantiles(tau)))) / len(batch)
@@ -219,7 +219,7 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
     test = chain[cfg.burn_in + cfg.cal_steps:]
 
     store = calibration_store(cal, cfg.score_kind)
-    set_rule = score_rule(cfg.score_kind).sets
+    score_sets = score_rule(cfg.score_kind)
     latent_std = float(cal.latents.std())
     fixed_q = {"split": split_quantile(store.scores, cfg.alpha),
                "knn_unit": weighted_quantile(
@@ -238,7 +238,7 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
         for block, corrupted in _noisy_blocks(test, noise * latent_std, seed):
             # the clean rows: generate already holds their distributions
             probs = block.probs if noise == 0 else step_probs(model, corrupted)
-            sets = set_rule(probs, block.golds)
+            sets = score_sets(probs, block.golds)
             for method, metric in [c[:2] for c in blocks if c[2] == noise]:
                 if method == "knn":
                     neighbors = store.query_batch(corrupted, cfg.k, metric=metric)

@@ -5,7 +5,9 @@ for a neural decoder: gold tokens are sampled from the emitted distribution,
 so calibration and test scores are exchangeable by construction, and additive
 latent noise reproduces the distribution-shift protocol without any network.
 `generate` returns one `Chain`: aligned step columns of latents, emitted
-distributions and gold tokens, which slice together.
+distributions and gold tokens, which slice together. `calibration_store`
+scores a whole chain at once, with the class that also builds the test sets
+of its score kind.
 """
 
 from __future__ import annotations
@@ -125,19 +127,13 @@ def inject_noise(latent: np.ndarray, sigma: float, rng: np.random.Generator) -> 
     return arr + rng.normal(0.0, 1.0, size=arr.shape) * sigma
 
 
-def nonconformity(score_kind: str, probs: np.ndarray, gold: int) -> float:
-    return score_rule(score_kind).score(probs, gold)
+def nonconformity(score_kind: str, probs: np.ndarray, golds: np.ndarray) -> np.ndarray:
+    """The gold score of every row of a (T, V) distribution matrix, under `score_kind`."""
+    return score_rule(score_kind)(probs, golds).scores()
 
 
 def calibration_store(chain: Chain, score_kind: str) -> Datastore:
     """Teacher-forced collection: store every step's latent with its gold score."""
     store = Datastore(chain.latents.shape[1])
-    store.add_batch(chain.latents, [nonconformity(score_kind, p, gold)
-                                    for p, gold in zip(chain.probs, chain.golds)])
+    store.add_batch(chain.latents, nonconformity(score_kind, chain.probs, chain.golds))
     return store
-
-
-def build_calibration_store(model: SynthModel, num_steps: int, score_kind: str,
-                            rng: np.random.Generator) -> Datastore:
-    """`calibration_store` of a fresh num_steps chain."""
-    return calibration_store(generate(model, num_steps, rng), score_kind)

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used to check the library routines.
 
 Everything here is deliberately independent of the code paths under test:
-plain loops, or for ASO the uncompressed computation on every grid point.
+plain loops, one row at a time, or the computation a batched or compressed
+routine replaced (ASO on every grid point, the weighted quantile by run ends).
 """
 
 import math
@@ -211,3 +212,62 @@ def generate_oracle(model, num_steps, rng, init_latent=None):
         steps.append((z.copy(), probs, gold))
         z = np.tanh(model.mixing @ z) + rng.normal(0.0, model.noise_std, size=d)
     return steps
+
+
+def weighted_quantile_oracle(cal, alpha):
+    """Smallest score whose normalized cumulative weight reaches 1 - alpha, by run ends.
+
+    The mass at a score value includes every point tied at that value, so the
+    cumulative mass is read at the last position of each run of equal sorted
+    scores. Weights are normalized as w_i / (1 + sum(w)); FULL_SET when even
+    the total mass stays below 1 - alpha.
+    """
+    from uqkit.conformal import _LEVEL_SLACK, FULL_SET
+
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    normalized = cal.weights / (1.0 + cal.weights.sum())
+    order = np.argsort(cal.scores, kind="stable")
+    sorted_scores = cal.scores[order]
+    cumulative = np.cumsum(normalized[order])
+    last_of_run = np.nonzero(np.diff(sorted_scores, append=np.inf) != 0.0)[0]
+    mass_at_value = cumulative[last_of_run]
+    reached = np.nonzero(mass_at_value >= (1.0 - alpha) - _LEVEL_SLACK)[0]
+    if reached.size == 0:
+        return FULL_SET
+    return float(sorted_scores[last_of_run[reached[0]]])
+
+
+def knn_set_oracle(neighbors, probs, alpha, tau, metric="l2"):
+    """One k-NN step's set: RBF-weight the retrieved neighbors, find q_hat by
+    `weighted_quantile_oracle`, and build the adaptive set."""
+    from uqkit.conformal import WeightedCalibration, build_set_adaptive, rbf_weights
+
+    weights = rbf_weights(neighbors.keys, tau, metric=metric)
+    q_hat = weighted_quantile_oracle(WeightedCalibration(scores=neighbors.scores,
+                                                         weights=weights), alpha)
+    return build_set_adaptive(probs, q_hat)
+
+
+def build_set_threshold_oracle(probs, q_hat):
+    """All classes whose score 1 - p is <= q_hat, in descending-probability order;
+    may be empty. FULL_SET keeps every class."""
+    from uqkit.conformal import FULL_SET, PredictionSet, is_full_set
+
+    p = np.asarray(probs, dtype=float)
+    order = np.argsort(-p, kind="stable")
+    if is_full_set(q_hat):
+        return PredictionSet(indices=tuple(int(i) for i in order), q_hat=FULL_SET)
+    keep = order[1.0 - p[order] <= float(q_hat)]
+    return PredictionSet(indices=tuple(int(i) for i in keep), q_hat=float(q_hat))
+
+
+def label_score_oracle(score_kind, probs, label):
+    """One step's gold score, one row at a time: the descending-probability mass up to
+    and including the label ("adaptive", at most 1), or 1 - p[label] ("simple")."""
+    p = np.asarray(probs, dtype=float)
+    if score_kind == "simple":
+        return float(1.0 - p[label])
+    order = np.argsort(-p, kind="stable")
+    position = int(np.nonzero(order == label)[0][0])
+    return min(float(p[order[: position + 1]].sum()), 1.0)

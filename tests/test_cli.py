@@ -372,7 +372,7 @@ class TestAsoSimDirichletValidation:
         (DIRICHLET, "--samples", "0"), (DIRICHLET, "--num-random", "0"),
         (ASO_SIM_T, "--test", "aso,foo"), (DIRICHLET, "--samples", "1"),
         (DIRICHLET, "--alpha", "1e308,1e308"), (ASO_SIM_T, "--n", "1"),
-        (DIRICHLET, "--alpha", "1e160,1"),
+        (DIRICHLET, "--alpha", "1e160,1"), (DIRICHLET, "--alpha", "1e100,1"),
     ])
     def test_bad_option_is_usage_error(self, command, option, value):
         result = run_cli(command + [option, value])

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (build_set_threshold_oracle, knn_set_oracle, label_score_oracle,
+                     weighted_quantile_oracle)
 
 from uqkit import experiments, synthetic
 from uqkit.conformal import (FULL_SET, AdaptiveSets, KnnQuantiles, ThresholdSets,
                              WeightedCalibration, as_prob_matrix, as_prob_vector,
-                             build_set_adaptive, build_set_threshold, conformal_generate_step,
-                             is_full_set, knn_set, rbf_weights, score_adaptive, score_simple,
-                             split_quantile, temperature_search, weighted_quantile)
+                             build_set_adaptive, conformal_generate_step, is_full_set,
+                             rbf_weights, score_adaptive, score_simple, split_quantile,
+                             temperature_search, weighted_quantile)
 from uqkit.datastore import Datastore, Neighbors
 from uqkit.experiments import (ConformalEvalConfig, resolve_tau, run_conformal_condition,
                                run_conformal_eval)
@@ -22,6 +24,18 @@ from uqkit.seeds import derive_rng
 from uqkit.synthetic import generate, inject_noise, new_model, nonconformity, step_probs
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def random_prob_rows(rng, steps, vocab):
+    """(steps, vocab) distributions; some rows come from a coarse grid, so they hold tied
+    and zero probabilities, and some are uniform."""
+    probs = rng.dirichlet(np.full(vocab, 0.5), size=steps)
+    grid = rng.random(steps) < 0.4
+    counts = rng.integers(0, 4, size=(steps, vocab)).astype(float)
+    counts[:, 0] += counts.sum(axis=1) == 0  # at least one positive count per row
+    probs[grid] = (counts / counts.sum(axis=1, keepdims=True))[grid]
+    probs[rng.random(steps) < 0.1] = 1.0 / vocab
+    return probs
 
 
 def random_prob_vector(rng, size):
@@ -41,8 +55,13 @@ class TestScores:
         assert score_simple([0.6, 0.3, 0.1], 1) == pytest.approx(0.7)
 
     def test_simple_label_out_of_range(self):
-        with pytest.raises(ValueError, match="label out of range"):
-            score_simple([0.5, 0.5], 2)
+        for label in (2, -1):
+            for score in (score_simple, score_adaptive):
+                with pytest.raises(ValueError, match="label out of range"):
+                    score([0.5, 0.5], label)
+            for sets in (ThresholdSets, AdaptiveSets):
+                with pytest.raises(ValueError, match="label out of range"):
+                    sets([[0.5, 0.5], [0.5, 0.5]], [0, label])
 
     def test_adaptive_values(self):
         assert score_adaptive([0.5, 0.3, 0.2], 0) == pytest.approx(0.5)
@@ -55,10 +74,18 @@ class TestScores:
         assert score_adaptive([0.25, 0.25, 0.25, 0.25], 3) == pytest.approx(1.0)
 
     def test_rejects_bad_prob_vectors(self):
-        with pytest.raises(ValueError):
-            score_simple([0.5, 0.6], 0)  # does not sum to 1
-        with pytest.raises(ValueError):
-            score_simple([1.0], 0)  # single class
+        for score in (score_simple, score_adaptive):
+            with pytest.raises(ValueError, match="sum to 1"):
+                score([0.5, 0.6], 0)
+            with pytest.raises(ValueError, match="two classes"):
+                score([1.0], 0)
+        for sets in (ThresholdSets, AdaptiveSets):
+            with pytest.raises(ValueError, match="sum to 1"):
+                sets([[0.5, 0.5], [0.5, 0.6]], [0, 0])
+            with pytest.raises(ValueError, match="two classes"):
+                sets([[1.0], [1.0]], [0, 0])
+            with pytest.raises(ValueError, match="one label per"):
+                sets([[0.5, 0.5], [0.5, 0.5]], [0])
 
     @pytest.mark.parametrize("probs", [[math.nan, math.nan], [math.nan, 0.5, 0.5],
                                        [0.5, 0.5, math.nan], [math.inf, 0.0]])
@@ -140,6 +167,32 @@ class TestWeightedQuantile:
             assert value <= previous + 1e-12
             previous = value
 
+    def test_empty_calibration_is_full_set(self):
+        cal = WeightedCalibration(scores=np.array([]), weights=np.array([]))
+        assert is_full_set(weighted_quantile(cal, 0.1))
+        assert is_full_set(weighted_quantile_oracle(cal, 0.1))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300),
+           st.sampled_from(["ties", "distinct", "zeros", "unit"]),
+           st.sampled_from([0.02, 0.05, 0.1, 0.3, 0.5, 0.9]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_run_end_oracle(self, seed, n, kind, alpha):
+        """The first-reaching core equals the run-end rule, to the bit, with ties in the
+        scores, zero weights and unit weights."""
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, 6, size=n) / 5 if kind == "ties" else rng.random(n)
+        if kind == "unit":
+            weights = np.ones(n)
+        else:
+            weights = rng.exponential(size=n) * rng.choice([1e-3, 1.0, 1e3])
+            if kind == "zeros":
+                weights[rng.random(n) < 0.5] = 0.0
+        cal = WeightedCalibration(scores=scores, weights=weights)
+        expected, got = weighted_quantile_oracle(cal, alpha), weighted_quantile(cal, alpha)
+        assert is_full_set(got) == is_full_set(expected)
+        if not is_full_set(got):
+            assert got.hex() == expected.hex()
+
     @given(st.lists(st.tuples(st.integers(0, 8).map(lambda i: i / 8),
                               st.integers(0, 12).map(lambda i: i * 0.25)),
                     min_size=1, max_size=40),
@@ -201,12 +254,16 @@ class TestPredictionSets:
             assert len(build_set_adaptive(p, q)) == exhaustive_adaptive_oracle(p, q)
 
     def test_threshold_cases(self):
-        assert len(build_set_threshold([0.6, 0.3, 0.1], 1.0)) == 3
-        assert len(build_set_threshold([0.6, 0.3, 0.1], 0.0)) == 0
-        assert build_set_threshold([0.6, 0.3, 0.1], 0.75).indices == (0, 1)
+        sets = ThresholdSets([[0.6, 0.3, 0.1]] * 3, [0, 1, 2])
+        kept = np.zeros(3, bool)
+        assert sets.sizes(np.array([1.0, 0.0, 0.75]), kept).tolist() == [3, 0, 2]
+        # at q_hat 0.75 the set is {0, 1}
+        assert sets.covers(np.full(3, 0.75), kept).tolist() == [True, True, False]
 
     def test_threshold_one_hot_at_zero(self):
-        assert build_set_threshold([1.0, 0.0], 0.0).indices == (0,)
+        sets = ThresholdSets([[1.0, 0.0]] * 2, [0, 1])
+        assert sets.sizes(np.zeros(2), np.zeros(2, bool)).tolist() == [1, 1]
+        assert sets.covers(np.zeros(2), np.zeros(2, bool)).tolist() == [True, False]
 
     @given(prob_vectors, st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=0.0, max_value=1.0))
@@ -257,6 +314,27 @@ def random_block(data, metric):
     return Neighbors(np.sort(keys, axis=1), scores, ids), probs, gold
 
 
+class TestBatchedScores:
+    @given(st.data(), st.integers(2, 300), st.integers(1, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_scores_match_per_step_oracle(self, data, vocab, steps):
+        """Each row's label score equals the one-row sum to the bit. Prefixes up to 300
+        classes cross numpy's 8-wide unrolled and 128-element pairwise summation blocks."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        probs = random_prob_rows(rng, steps, vocab)
+        order = np.argsort(-probs, axis=1, kind="stable")
+        edge_ranks = [r for r in (0, 7, 8, 9, 127, 128, 129, vocab - 1) if r < vocab]
+        ranks = data.draw(st.lists(st.one_of(st.integers(0, vocab - 1),
+                                             st.sampled_from(edge_ranks)),
+                                   min_size=steps, max_size=steps))
+        labels = order[np.arange(steps), ranks]
+        for kind, sets, one_row in (("adaptive", AdaptiveSets, score_adaptive),
+                                    ("simple", ThresholdSets, score_simple)):
+            expected = [label_score_oracle(kind, p, y).hex() for p, y in zip(probs, labels)]
+            assert [float(s).hex() for s in sets(probs, labels).scores()] == expected
+            assert [one_row(p, y).hex() for p, y in zip(probs, labels)] == expected
+
+
 class TestBatchedKernel:
     @given(st.data(), st.sampled_from(["l2", "ip", "cos"]),
            # 1e-4 pushes |key| / tau past the +-700 exponent clamp
@@ -270,7 +348,7 @@ class TestBatchedKernel:
         sizes, covers = sets.sizes(q_hat, full), sets.covers(q_hat, full)
         for i in range(len(gold)):
             row = Neighbors(neighbors.keys[i], neighbors.scores[i], neighbors.ids[i])
-            pset = knn_set(row, probs[i], alpha, tau, metric=metric)
+            pset = knn_set_oracle(row, probs[i], alpha, tau, metric=metric)
             assert full[i] == is_full_set(pset.q_hat)
             if not full[i]:
                 assert np.clip(q_hat[i], 0.0, 1.0) == pset.q_hat  # bit-exact
@@ -309,7 +387,7 @@ class TestBatchedKernel:
         sets = ThresholdSets(probs, gold)
         sizes, covers = sets.sizes(q_hat, full), sets.covers(q_hat, full)
         for i in range(gold.size):
-            pset = build_set_threshold(probs[i], FULL_SET if full[i] else q_hat[i])
+            pset = build_set_threshold_oracle(probs[i], FULL_SET if full[i] else q_hat[i])
             assert sizes[i] == len(pset)
             assert covers[i] == (gold[i] in pset)
 
@@ -392,8 +470,7 @@ class TestSplitCoverageProperty:
         """Share of the test steps whose gold score is <= the split q_hat of the calibration steps."""
         cfg = self.CFG
         steps = chain[cfg.burn_in:]
-        scores = np.array([nonconformity(cfg.score_kind, probs, gold)
-                           for probs, gold in zip(steps.probs, steps.golds)])
+        scores = nonconformity(cfg.score_kind, steps.probs, steps.golds)
         q_hat = split_quantile(scores[:cfg.cal_steps], cfg.alpha)
         assert not is_full_set(q_hat)
         return float(np.mean(scores[cfg.cal_steps:] <= q_hat))
@@ -431,12 +508,12 @@ def calibration_store(cfg, seed):
 
 
 def per_step_coverage(store, cal, cfg, tau, metric):
-    """Reference: the search batch's coverage at tau, one query and one `knn_set` per step."""
+    """Reference: the search batch's coverage at tau, one query and one k-NN set per step."""
     batch = cal[: cfg.search_batch]
     hits = 0
     for latent, probs, gold in zip(batch.latents, batch.probs, batch.golds):
         neighbors = store.query(latent, cfg.k, metric=metric)
-        hits += gold in knn_set(neighbors, probs, cfg.alpha, tau, metric=metric)
+        hits += gold in knn_set_oracle(neighbors, probs, cfg.alpha, tau, metric=metric)
     return hits / len(batch)
 
 

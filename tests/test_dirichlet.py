@@ -34,6 +34,8 @@ class TestHelpers:
             dr.DirichletParams([1.0, 1e-4])
         with pytest.raises(ValueError):
             dr.DirichletParams([1.0, math.inf])
+        with pytest.raises(ValueError, match=r"<= 1e\+08"):  # 1e8 itself is allowed
+            dr.DirichletParams([1.0, 1e8 * (1 + 1e-15)])
 
 
 class TestClosedForms:
@@ -77,6 +79,13 @@ class TestClosedForms:
     def test_kl_uniform_of_ones(self):
         assert dr.kl_uniform(dr.DirichletParams([1, 1, 1])) == pytest.approx(0.0, abs=1e-12)
         assert dr.kl_uniform(dr.DirichletParams(np.ones(7))) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [10.0 ** e for e in range(1, 9)])
+    def test_kl_uniform_of_one_large_concentration(self, c):
+        # KL(Dir(c, 1) || Dir(1, 1)) = log c - (c - 1)/c; log_beta's lgam difference cancels
+        # more as c grows, and 1e8, the largest concentration allowed, still holds to 1e-8.
+        exact = math.log(c) - (c - 1) / c
+        assert dr.kl_uniform(dr.DirichletParams([c, 1.0])) == pytest.approx(exact, rel=1e-8)
 
     def test_kl_nonnegative_random_pairs(self):
         rng = np.random.default_rng(2)

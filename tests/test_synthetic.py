@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import generate_oracle
+from oracles import generate_oracle, label_score_oracle
 from uqkit.conformal import build_set_adaptive, split_quantile
 from uqkit.seeds import derive_rng
-from uqkit.synthetic import (SynthModel, build_calibration_store, generate, inject_noise,
-                             new_model, nonconformity, step_probs)
+from uqkit.synthetic import (SynthModel, calibration_store, generate, inject_noise, new_model,
+                             nonconformity, step_probs)
 
 
 class TestModelConstruction:
@@ -158,14 +158,14 @@ class TestInjectNoise:
 class TestCalibrationStore:
     def test_count_and_score_range(self):
         model = new_model(20, 5, seed=13)
-        store = build_calibration_store(model, 250, "adaptive", derive_rng(14))
+        store = calibration_store(generate(model, 250, derive_rng(14)), "adaptive")
         assert len(store) == 250
         assert np.all(store.scores > 0.0)
         assert np.all(store.scores <= 1.0)
 
     def test_stored_latent_self_query(self):
         model = new_model(20, 5, seed=15)
-        store = build_calibration_store(model, 100, "simple", derive_rng(16))
+        store = calibration_store(generate(model, 100, derive_rng(16)), "simple")
         hit = store.query(store.latents[17], 1, metric="l2")
         assert hit.keys[0] == 0.0
         assert hit.ids[0] == 17
@@ -173,7 +173,14 @@ class TestCalibrationStore:
     def test_unknown_score_kind(self):
         model = new_model(5, 3, seed=0)
         with pytest.raises(ValueError, match="score kind"):
-            build_calibration_store(model, 10, "fancy", derive_rng(0))
+            calibration_store(generate(model, 10, derive_rng(0)), "fancy")
+
+    @pytest.mark.parametrize("kind", ["adaptive", "simple"])
+    def test_scores_equal_per_step_oracle(self, kind):
+        # 300 classes: label prefixes cross numpy's 8- and 128-element summation blocks
+        chain = generate(new_model(300, 4, seed=19, temperature=4.0), 400, derive_rng(20))
+        expected = [label_score_oracle(kind, p, gold) for p, gold in zip(chain.probs, chain.golds)]
+        assert calibration_store(chain, kind).scores.tobytes() == np.array(expected).tobytes()
 
 
 class TestExchangeabilityByConstruction:
@@ -181,8 +188,7 @@ class TestExchangeabilityByConstruction:
         model = new_model(40, 8, seed=17)
         chain = generate(model, 1050, derive_rng(18))
         cal, test = chain[50:550], chain[550:]
-        scores = [nonconformity("adaptive", probs, gold)
-                  for probs, gold in zip(cal.probs, cal.golds)]
+        scores = nonconformity("adaptive", cal.probs, cal.golds)
         alpha = 0.1
         q_hat = split_quantile(scores, alpha)
         covered = [gold in build_set_adaptive(probs, q_hat)
