@@ -15,11 +15,10 @@ Usage:
 import argparse
 from pathlib import Path
 
-from uqkit.cli import number
+from uqkit.cli import ASO_SIM_TESTS, number
 from uqkit.error_sim import Laplace, Normal, NormalMixture, Rayleigh
 from uqkit.experiments import aso_sim_csv, run_aso_grid
 
-TESTS = ["aso", "student_t", "bootstrap", "permutation", "wilcoxon", "mann_whitney"]
 SIZES = [5, 10, 15, 20]
 THRESHOLDS = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
 
@@ -50,12 +49,12 @@ def main() -> None:
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     for name, dist in DISTRIBUTIONS.items():
-        records = run_aso_grid(TESTS, [dist], SIZES, THRESHOLDS,
+        records = run_aso_grid(ASO_SIM_TESTS, [dist], SIZES, THRESHOLDS,
                                trials=args.trials, seed=args.seed)
         write_csv(args.out_dir / f"type1_{name}.csv", records)
 
     for name, (better, worse) in TYPE2_PAIRS.items():
-        records = run_aso_grid(TESTS, [better], SIZES, THRESHOLDS,
+        records = run_aso_grid(ASO_SIM_TESTS, [better], SIZES, THRESHOLDS,
                                trials=args.trials, seed=args.seed, dist_b=worse)
         write_csv(args.out_dir / f"type2_{name}.csv", records)
 

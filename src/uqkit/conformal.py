@@ -3,8 +3,9 @@
 Non-conformity scores, calibration quantiles (exchangeable and weighted),
 prediction sets, RBF relevance weights and the stochastic temperature search.
 Each score kind is one class (`SCORE_RULES`) that computes both the calibration
-scores and the test sets of a (steps, classes) matrix, and one weighted-quantile
-core serves `KnnQuantiles` and its one-row case, `weighted_quantile`.
+scores and the test sets of a (steps, classes) matrix. One weighted-quantile
+core serves `KnnQuantiles` and `weighted_quantile`; `conformal_generate_step`
+is one `KnnQuantiles` row.
 
 Quantile levels are compared with a 1e-9 slack so that mathematically exact
 boundaries such as (N+1)*(1-alpha) landing on an integer are not perturbed by
@@ -23,6 +24,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 _LEVEL_SLACK = 1e-9
+_SEARCH_ETA = 0.1  # the temperature search's step size, eta
 
 
 class _FullSet:
@@ -328,28 +330,24 @@ def score_rule(kind: str) -> type:
 
 def conformal_generate_step(store, latent, probs, alpha: float, k: int, tau: float,
                             metric: str = "l2") -> PredictionSet:
-    """One generation step: retrieve neighbors, weight, find q_hat, build the set."""
-    if len(store) == 0:
-        raise ValueError("empty datastore")
+    """One generation step's adaptive set: the one-row case of `query_batch` + `KnnQuantiles`."""
+    neighbors = store.query_batch(np.reshape(latent, (1, -1)), k, metric=metric)
     if k > len(store):
         logger.warning("k=%d exceeds datastore size %d; using the entire store", k, len(store))
-    neighbors = store.query(latent, k, metric=metric)
-    weights = rbf_weights(neighbors.keys, tau, metric=metric)
-    q_hat = weighted_quantile(WeightedCalibration(scores=neighbors.scores, weights=weights), alpha)
-    return build_set_adaptive(probs, q_hat)
+    q_hat, full = KnnQuantiles(neighbors, alpha, metric)(tau)
+    return build_set_adaptive(probs, FULL_SET if full[0] else float(q_hat[0]))
 
 
 def temperature_search(coverage_eval, alpha: float, tau_min: float, tau_max: float,
-                       eta: float = 0.1, steps: int = 20,
-                       rng: np.random.Generator | None = None) -> float:
+                       steps: int = 20, rng: np.random.Generator | None = None) -> float:
     """Stochastic hill climb on the RBF temperature toward coverage 1 - alpha.
 
     Starts at tau_0 ~ U[tau_min, tau_max] and proposes
-    tau_{t+1} = tau_t + eta * eps * sign(1 - alpha - coverage(tau_t)),
-    clamping candidates into the search interval; returns the visited tau with
-    the smallest coverage gap. The Gaussian draw eps ~ N(0, (tau_max -
-    tau_min)^2) acts as the step magnitude (its absolute value is used) so
-    that the coverage-gap sign alone decides the direction.
+    tau_{t+1} = tau_t + eta * eps * sign(1 - alpha - coverage(tau_t)), with
+    eta = 0.1, clamping candidates into the search interval; returns the
+    visited tau with the smallest coverage gap. The Gaussian draw eps ~ N(0,
+    (tau_max - tau_min)^2) acts as the step magnitude (its absolute value is
+    used) so that the coverage-gap sign alone decides the direction.
     """
     if not tau_min < tau_max:
         raise ValueError("tau_min must be smaller than tau_max")
@@ -372,7 +370,7 @@ def temperature_search(coverage_eval, alpha: float, tau_min: float, tau_max: flo
         if best_gap == 0.0:
             return best_tau
         noise = abs(rng.normal(0.0, tau_max - tau_min))
-        tau = tau + eta * noise * float(np.sign(-gap))
+        tau = tau + _SEARCH_ETA * noise * float(np.sign(-gap))
         tau = min(max(tau, tau_min), tau_max)
         gap = gap_of(tau)
         if abs(gap) < best_gap:

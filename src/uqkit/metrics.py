@@ -17,11 +17,15 @@ from .conformal import PredictionSet, as_prob_matrix, as_prob_vector
 from .empirical import rankdata
 
 
-def _bin_index(values: np.ndarray, upper: float, num_bins: int) -> np.ndarray:
-    """Equal-width bin of each value over [0, upper]; the last bin is right-inclusive."""
+def _bin_means(values: np.ndarray, upper: float, num_bins: int,
+               *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(counts, *means) of equal-width bins of `values` over [0, upper], the last bin
+    right-inclusive: each column's mean per bin, +0.0 (a sum of +0.0 over 1) in an empty one."""
     edges = np.arange(num_bins + 1) * (upper / num_bins)
-    idx = np.searchsorted(edges, values, side="right") - 1
-    return np.clip(idx, 0, num_bins - 1)
+    idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, num_bins - 1)
+    counts = np.bincount(idx, minlength=num_bins)
+    return (counts, *(np.bincount(idx, weights=c, minlength=num_bins) / np.maximum(counts, 1)
+                      for c in columns))
 
 
 @dataclass(frozen=True)
@@ -44,13 +48,7 @@ def ece(confidences, correct, num_bins: int = 10) -> BinReport:
         raise ValueError("confidences and correctness flags must have equal length")
     if np.any(conf < 0.0) or np.any(conf > 1.0):
         raise ValueError("confidences must lie in [0, 1]")
-    idx = _bin_index(conf, 1.0, num_bins)
-    counts = np.bincount(idx, minlength=num_bins)
-    sum_conf = np.bincount(idx, weights=conf, minlength=num_bins)
-    sum_hits = np.bincount(idx, weights=hits, minlength=num_bins)
-    with np.errstate(invalid="ignore"):
-        mean_conf = np.where(counts > 0, sum_conf / np.maximum(counts, 1), 0.0)
-        mean_acc = np.where(counts > 0, sum_hits / np.maximum(counts, 1), 0.0)
+    counts, mean_conf, mean_acc = _bin_means(conf, 1.0, num_bins, conf, hits)
     value = float((counts / conf.size * np.abs(mean_acc - mean_conf)).sum())
     return BinReport(value=value, counts=counts, confidence=mean_conf, accuracy=mean_acc)
 
@@ -95,11 +93,7 @@ def coverage_report_arrays(sizes, covered, alpha: float, num_size_bins: int = 75
     if vocab_size < sizes.max():
         raise ValueError("vocab_size smaller than the largest prediction set")
 
-    idx = _bin_index(sizes, float(vocab_size), num_size_bins)
-    counts = np.bincount(idx, minlength=num_size_bins)
-    cov_sum = np.bincount(idx, weights=covered, minlength=num_size_bins)
-    with np.errstate(invalid="ignore"):
-        bin_cov = np.where(counts > 0, cov_sum / np.maximum(counts, 1), 0.0)
+    counts, bin_cov = _bin_means(sizes, float(vocab_size), num_size_bins, covered)
     nonempty = counts > 0
     ecg_val = float((counts[nonempty] / covered.size *
                      np.maximum(1.0 - alpha - bin_cov[nonempty], 0.0)).sum())

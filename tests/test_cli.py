@@ -293,8 +293,6 @@ class TestUsageErrors:
 
 class TestScripts:
     @pytest.mark.parametrize("script, args, option", [
-        ("noise_sweep.py", ["--tau", "nan", "--seeds", "1", "--noise", "0"], "--tau"),
-        ("noise_sweep.py", ["--k", "0", "--seeds", "1", "--noise", "0"], "--k"),
         ("error_rate_tables.py", ["--trials", "0"], "--trials"),
     ])
     def test_bad_option_exits_2_without_traceback(self, script, args, option, tmp_path):
@@ -394,6 +392,15 @@ class TestAsoSimDirichletValidation:
         assert result.stderr.splitlines() == [
             f"usage error: argument {option}: cannot parse distribution spec {spec!r}: "
             "parameters must be finite with magnitude <= 1e+100"]
+        assert result.stdout == ""
+
+    def test_degenerate_test_data_stops_the_grid(self):
+        # a std of 1 vanishes next to a mean of 1e99 in float64, so the t-test's draws
+        # have no variance; one test that cannot decide stops every test of the grid
+        result = run_cli(["aso-sim", "--dist", "normal:1e99:1", "--test", "aso,student_t",
+                          "--trials", "3"])
+        assert result.returncode == 3
+        assert result.stderr.splitlines() == ["error: degenerate variance"]
         assert result.stdout == ""
 
     def test_dirichlet_check_num_random_unused_with_alpha_list(self):

@@ -436,6 +436,31 @@ class TestConformalGenerateStep:
         with pytest.raises(ValueError, match="dimension"):
             conformal_generate_step(store, np.zeros(4), [0.6, 0.4], alpha=0.3, k=2, tau=1.0)
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["l2", "ip", "cos"]), st.integers(1, 40),
+           # 1e-4 pushes |key| / tau past the +-700 exponent clamp; small l2 weights or a
+           # small k leave too little mass, so some steps are FULL_SET
+           st.sampled_from([1e-4, 1e-2, 0.5, 2.0, 50.0]),
+           st.sampled_from([0.05, 0.1, 0.3, 0.6]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_step_oracle(self, seed, metric, n, tau, alpha):
+        """The one-row batched step equals the per-step chain of `knn_set_oracle`, to the bit,
+        with duplicated store rows (tied keys), tied scores and k up to two beyond the store."""
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 5))
+        distinct = rng.integers(-2, 3, size=(int(rng.integers(1, n + 1)), dim))
+        latents = distinct[rng.integers(0, len(distinct), size=n)]
+        store = self.make_store(latents, rng.integers(0, 9, size=n) / 8)
+        latent = latents[rng.integers(n)] if rng.random() < 0.5 else rng.normal(size=dim)
+        k = int(rng.integers(1, n + 3))
+        probs = rng.dirichlet(np.full(int(rng.integers(2, 7)), 0.5))
+        pset = conformal_generate_step(store, latent, probs, alpha, k, tau, metric=metric)
+        expected = knn_set_oracle(store.query(latent, k, metric=metric), probs, alpha, tau,
+                                  metric=metric)
+        assert pset.indices == expected.indices
+        assert is_full_set(pset.q_hat) == is_full_set(expected.q_hat)
+        if not is_full_set(pset.q_hat):
+            assert pset.q_hat.hex() == expected.q_hat.hex()
+
     def test_end_to_end_synthetic_coverage(self):
         # i.i.d. calibration/test replay: weighted conformal keeps coverage well
         # above the 1 - alpha target minus slack
@@ -729,7 +754,7 @@ class TestTemperatureSearch:
                 return min(max(tau, 0.0), 1.0)
 
             result = temperature_search(eval_cov, alpha=0.1, tau_min=0.0, tau_max=1.0,
-                                        eta=0.5, steps=1, rng=rng)
+                                        steps=1, rng=rng)
             assert len(visited) <= 2
             best = min(visited, key=lambda t: abs(min(max(t, 0.0), 1.0) - 0.9))
             assert result == pytest.approx(best)

@@ -35,10 +35,16 @@ class TestEce:
         assert report.value == pytest.approx(ece_oracle(conf, correct, 10), abs=1e-12)
 
     def test_zero_when_bins_internally_calibrated(self):
-        # in each bin the accuracy equals the mean confidence by construction
+        # in each bin the accuracy equals the mean confidence by construction; at 4 bins the
+        # middle bin [0.5, 0.75) is empty, and an empty bin's means are +0.0
         conf = [0.25, 0.25, 0.25, 0.25, 0.75, 0.75, 0.75, 0.75]
         correct = [1, 0, 0, 0, 1, 1, 1, 0]
         assert ece(conf, correct, num_bins=2).value == pytest.approx(0.0)
+        report = ece(conf, correct, num_bins=4)
+        assert report.value == pytest.approx(0.0)
+        assert report.counts.tolist() == [0, 4, 0, 4]
+        for means in (report.confidence[[0, 2]], report.accuracy[[0, 2]]):
+            assert means.tolist() == [0.0, 0.0] and not np.signbit(means).any()
 
     def test_errors(self):
         with pytest.raises(ValueError):
