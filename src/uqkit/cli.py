@@ -26,13 +26,11 @@ import numpy as np
 from .conformal import SCORE_RULES
 from .datastore import Datastore
 from .dirichlet import DirichletParams
-from .error_sim import DistSpec, Laplace, Normal, NormalMixture, Rayleigh
+from .error_sim import TEST_KINDS, DistSpec, Laplace, Normal, NormalMixture, Rayleigh
 from .experiments import (CONFORMAL_METHODS, ConformalEvalConfig, aso_sim_csv,
                           run_aso_grid, run_conformal_eval, run_dirichlet_check)
-from .significance import CLASSIC_TEST_KINDS
 
 DATASTORE_CSV_SCHEMA = "uqkit.datastore.csv.v1"
-ASO_SIM_TESTS = ("aso", *CLASSIC_TEST_KINDS)
 _MAX_DIST_PARAM = 1e100
 
 
@@ -131,12 +129,14 @@ def _emit(payload: str, out: str | None) -> None:
 # -- tiny self-contained SVG emitter ------------------------------------------
 
 
-def _svg_line_chart(records: list[dict], name, x: str, y: str, title: str,
-                    width: int = 640, height: int = 400) -> str:
-    """Minimal chart of `y` against `x`, one line per `name(record)`; enough to eyeball curves."""
+def _svg_line_chart(records: list, point, title: str, width: int = 640,
+                    height: int = 400) -> str:
+    """Minimal chart of one line per name, from `point(record) -> (name, x, y)`;
+    enough to eyeball curves."""
     series = {}
     for record in records:
-        series.setdefault(name(record), []).append((record[x], record[y]))
+        name, x, y = point(record)
+        series.setdefault(name, []).append((x, y))
     pad = 50.0
     points = [pt for pts in series.values() for pt in pts]
     xs = [p[0] for p in points] or [0.0, 1.0]
@@ -177,8 +177,8 @@ def cmd_aso_sim(args) -> int:
         resamples=args.resamples, dist_b=args.dist_b)
     _emit(aso_sim_csv(records), args.out)
     if args.plot:
-        _emit(_svg_line_chart(records, lambda r: f"{r['test']} tau={r['threshold']:g}", "n",
-                              "rate", "error rate vs sample size"), args.plot)
+        _emit(_svg_line_chart(records, lambda r: (f"{r.test} tau={r.threshold:g}", r.n, r.rate),
+                              "error rate vs sample size"), args.plot)
     return 0
 
 
@@ -191,8 +191,9 @@ def cmd_conformal_eval(args) -> int:
     _emit(json.dumps(records, sort_keys=True, indent=2) + "\n", args.out)
     if args.plot:
         _emit(_svg_line_chart(
-            records, lambda r: r["method"] + ("" if r["metric"] == "-" else "/" + r["metric"]),
-            "noise", "coverage", "coverage vs injected noise"), args.plot)
+            records, lambda r: (r["method"] + ("" if r["metric"] == "-" else "/" + r["metric"]),
+                                r["noise"], r["coverage"]),
+            "coverage vs injected noise"), args.plot)
     return 0
 
 
@@ -249,8 +250,8 @@ def build_parser() -> ArgumentParser:
     unit_interval = number(float, above=0.0, below=1.0)
 
     p = sub.add_parser("aso-sim", help="Type I/II error-rate grids")
-    p.add_argument("--test", default="aso", type=names(ASO_SIM_TESTS),
-                   help=f"comma list: {','.join(ASO_SIM_TESTS)}")
+    p.add_argument("--test", default="aso", type=names(TEST_KINDS),
+                   help=f"comma list: {','.join(TEST_KINDS)}")
     p.add_argument("--dist", default="normal:0:1.5", type=comma_list(parse_dist),
                    help="comma list of distribution specs")
     p.add_argument("--dist-b", default=None, dest="dist_b", type=parse_dist,

@@ -19,6 +19,14 @@ import numpy as np
 from .seeds import derive_rng
 from .significance import CLASSIC_TEST_KINDS, aso, classic_test
 
+TEST_KINDS = ("aso", *CLASSIC_TEST_KINDS)
+
+
+def _param(x: float) -> str:
+    """A spec parameter as `:g` prints it when that reads back as `x`, else as `repr`."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
 
 @dataclass(frozen=True)
 class Normal:
@@ -30,7 +38,7 @@ class Normal:
             raise ValueError("std must be positive")
 
     def label(self) -> str:
-        return f"normal:{self.mean:g}:{self.std:g}"
+        return f"normal:{_param(self.mean)}:{_param(self.std)}"
 
 
 @dataclass(frozen=True)
@@ -49,7 +57,8 @@ class NormalMixture:
             raise ValueError("weights must sum to 1")
 
     def label(self) -> str:
-        parts = ":".join(f"{m:g}:{s:g}:{w:g}" for (m, s), w in zip(self.components, self.weights))
+        parts = ":".join(f"{_param(m)}:{_param(s)}:{_param(w)}"
+                         for (m, s), w in zip(self.components, self.weights))
         return f"mixture:{parts}"
 
 
@@ -63,7 +72,7 @@ class Laplace:
             raise ValueError("scale must be positive")
 
     def label(self) -> str:
-        return f"laplace:{self.loc:g}:{self.scale:g}"
+        return f"laplace:{_param(self.loc)}:{_param(self.scale)}"
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,7 @@ class Rayleigh:
             raise ValueError("scale must be positive")
 
     def label(self) -> str:
-        return f"rayleigh:{self.scale:g}"
+        return f"rayleigh:{_param(self.scale)}"
 
 
 DistSpec = Normal | NormalMixture | Laplace | Rayleigh
@@ -117,7 +126,7 @@ class TestSpec:
     resamples: int = 1000        # bootstrap/permutation test resamples
 
     def __post_init__(self):
-        if self.kind != "aso" and self.kind not in CLASSIC_TEST_KINDS:
+        if self.kind not in TEST_KINDS:
             raise ValueError(f"unknown test kind: {self.kind!r}")
 
     def statistic(self, a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> float:

@@ -18,10 +18,10 @@ import numpy as np
 from . import dirichlet as dr
 from .conformal import (KnnQuantiles, WeightedCalibration, is_full_set, score_rule,
                         split_quantile, temperature_search, weighted_quantile)
-from .error_sim import DistSpec, TestSpec, error_rates
+from .error_sim import DistSpec, ErrorRateReport, TestSpec, error_rates
 from .metrics import coverage_report_arrays, predictive_entropy
 from .seeds import derive_rng
-from .synthetic import Chain, calibration_store, generate, inject_noise, new_model, step_probs
+from .synthetic import Chain, calibration_store, generate, new_model, step_probs
 
 logger = logging.getLogger(__name__)
 
@@ -42,8 +42,9 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 def run_aso_grid(tests: list[str], dists: list[DistSpec], sizes: list[int],
                  thresholds: list[float], trials: int, seed: int, alpha: float = 0.05,
                  num_bootstrap: int = 1000, resamples: int = 1000,
-                 dist_b: DistSpec | None = None) -> list[dict]:
-    """Type I (or, with dist_b, Type II) error rates over the full grid.
+                 dist_b: DistSpec | None = None) -> list[ErrorRateReport]:
+    """Type I (or, with dist_b, Type II) error rates over the full grid, sorted by
+    (test, dist, n, threshold).
 
     Each (n, dist) condition runs its trials once for all tests: every test
     reads the same per-trial draw, and every threshold reuses the same
@@ -53,27 +54,20 @@ def run_aso_grid(tests: list[str], dists: list[DistSpec], sizes: list[int],
         return []
     specs = [TestSpec(kind=kind, threshold=thresholds[0], alpha=alpha,
                       num_bootstrap=num_bootstrap, resamples=resamples) for kind in tests]
-    records = []
-    for n in sizes:
-        for dist in dists:
-            for report in error_rates(specs, dist, dist_b, n, thresholds, trials, seed):
-                records.append({
-                    "test": report.test, "dist": report.dist, "n": report.n,
-                    "threshold": report.threshold, "trials": report.trials,
-                    "rate": report.rate, "se": report.se, "seed": report.seed,
-                })
-    records.sort(key=lambda r: (r["test"], r["dist"], r["n"], r["threshold"]))
-    return records
+    reports = [report for n in sizes for dist in dists
+               for report in error_rates(specs, dist, dist_b, n, thresholds, trials, seed)]
+    reports.sort(key=lambda r: (r.test, r.dist, r.n, r.threshold))
+    return reports
 
 
-def aso_sim_csv(records: list[dict]) -> str:
-    """`run_aso_grid` records as the schema-tagged CSV, with rate and se at 6 decimals."""
+def aso_sim_csv(reports: list[ErrorRateReport]) -> str:
+    """`run_aso_grid` reports as the schema-tagged CSV, with rate and se at 6 decimals."""
     buffer = io.StringIO()
     buffer.write(f"# schema={ASO_SIM_SCHEMA}\n")
-    writer = csv.DictWriter(buffer, fieldnames=["test", "dist", "n", "threshold", "trials",
-                                                "rate", "se", "seed"], lineterminator="\n")
-    writer.writeheader()
-    writer.writerows({**r, "rate": f"{r['rate']:.6f}", "se": f"{r['se']:.6f}"} for r in records)
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["test", "dist", "n", "threshold", "trials", "rate", "se", "seed"])
+    writer.writerows([r.test, r.dist, r.n, r.threshold, r.trials, f"{r.rate:.6f}",
+                      f"{r.se:.6f}", r.seed] for r in reports)
     return buffer.getvalue()
 
 
@@ -162,20 +156,6 @@ def resolve_tau(store, cal: Chain, cfg: ConformalEvalConfig, metric: str,
     return tau
 
 
-def _noisy_blocks(test: Chain, sigma: float, seed: int):
-    """Each block of `_CHUNK_STEPS` test steps with its latents plus N(0, sigma^2) noise.
-
-    Every pass replays one stream, `derive_rng(seed, 2)`, drawn in step order,
-    so every pass at one noise level reads the same latents. At sigma 0 the
-    clean latents are yielded and nothing is drawn.
-    """
-    noise_rng = derive_rng(seed, 2)
-    for start in range(0, len(test), _CHUNK_STEPS):
-        block = test[start: start + _CHUNK_STEPS]
-        yield block, (block.latents if sigma == 0 else
-                      inject_noise(block.latents, sigma, noise_rng))
-
-
 def _check_key_range(latents: np.ndarray, noise: float) -> None:
     """ValueError if a noisy test latent's squared norm, in float64, exceeds the float32 range.
 
@@ -203,13 +183,17 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
     latents' per-coordinate standard deviation. Gold tokens always come from the
     clean emission distribution; sets are built from the corrupted one, mirroring
     a shifted-representation deployment. Everything else is built once per call,
-    tau once per metric, and the test blocks' noise, rows and sets once per noise level;
-    noise 0 reads the rows `generate` made. Before any tau search or query, a
-    noisy latent that a knn condition would query with a squared norm beyond
-    the float32 range raises ValueError.
+    tau once per metric, and the test blocks' rows and sets once per noise level.
+    One unit-normal draw of the test latents' shape, from `derive_rng(seed, 2)`,
+    serves every noise level, scaled by its sigma; noise 0 reads the latents and
+    rows `generate` made, and a call with no non-zero level draws nothing. Before
+    any tau search or query, a noisy latent that a knn condition would query
+    with a squared norm beyond the float32 range raises ValueError.
     """
     if not set(methods) <= set(CONFORMAL_METHODS):
         raise ValueError(f"unknown method in {methods!r}; expected {CONFORMAL_METHODS}")
+    if not all(noise >= 0 for noise in noises):  # written so that NaN fails it
+        raise ValueError(f"noise levels must be non-negative, got {noises!r}")
     conditions = [(method, metric, noise) for method in sorted(methods) for noise in sorted(noises)
                   for metric in (sorted(metrics) if method == "knn" else ["-"])]
 
@@ -225,17 +209,22 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
                "knn_unit": weighted_quantile(
                    WeightedCalibration(store.scores, np.ones(len(store))), cfg.alpha)}
 
+    unit = derive_rng(seed, 2).normal(0.0, 1.0, size=test.latents.shape) if any(noises) else None
+    noisy = {noise: test.latents if noise == 0 else test.latents + unit * (noise * latent_std)
+             for noise in sorted(set(noises))}
+
     knn_metrics = sorted({metric for method, metric, _ in conditions if method == "knn"})
     for noise in sorted({noise for method, _, noise in conditions if method == "knn"}):
-        for _, corrupted in _noisy_blocks(test, noise * latent_std, seed):
-            _check_key_range(corrupted, noise)
+        _check_key_range(noisy[noise], noise)
     if knn_metrics and len(store) < cfg.k:
         logger.warning("k=%d exceeds datastore size %d; using the entire store", cfg.k, len(store))
     taus = {metric: resolve_tau(store, cal, cfg, metric, tau, seed) for metric in knn_metrics}
 
     blocks = {c: [] for c in conditions}  # per block: (clamped q_hat, FULL_SET mask, sizes, hits)
-    for noise in sorted(set(noises)):
-        for block, corrupted in _noisy_blocks(test, noise * latent_std, seed):
+    for noise, latents in noisy.items():
+        for start in range(0, len(test), _CHUNK_STEPS):
+            rows = slice(start, start + _CHUNK_STEPS)
+            block, corrupted = test[rows], latents[rows]
             # the clean rows: generate already holds their distributions
             probs = block.probs if noise == 0 else step_probs(model, corrupted)
             sets = score_sets(probs, block.golds)
@@ -289,7 +278,7 @@ def dirichlet_mc_checks(alpha_vec, num_samples: int, rng: np.random.Generator) -
     checks["log_expectation"] = max(
         z_score(dr.log_expectation(d, k), log_draws[:, k]) for k in range(len(d)))
     checks["entropy"] = z_score(dr.entropy(d), -log_density)
-    point_entropies = -np.sum(np.where(draws > 0, draws * log_draws, 0.0), axis=1)
+    point_entropies = -np.sum(draws * log_draws, axis=1)
     checks["expected_entropy"] = z_score(dr.expected_entropy(d), point_entropies)
 
     ref = dr.DirichletParams(np.roll(d.alpha, 1) + 0.5)

@@ -546,6 +546,11 @@ class TestConformalEvalDriver:
     CFG = ConformalEvalConfig(vocab_size=20, latent_dim=4, cal_steps=30, test_steps=40,
                               k=10, burn_in=10, search_batch=12)
 
+    @pytest.mark.parametrize("noises", [[0.0, -0.1], [float("nan")]])
+    def test_negative_or_nan_noise_is_rejected(self, noises):
+        with pytest.raises(ValueError, match="noise levels must be non-negative"):
+            run_conformal_eval(self.CFG, ["split"], ["l2"], noises, 1.0, seed=0)
+
     @pytest.mark.parametrize("search_steps", [1, 6])
     def test_auto_tau_queries_each_latent_once(self, monkeypatch, search_steps):
         cfg = replace(self.CFG, search_steps=search_steps)
@@ -612,7 +617,8 @@ class TestConformalEvalDriver:
 
     def test_noise_zero_reads_the_generated_rows(self, monkeypatch):
         """At noise 0 the recomputation, step_probs of inject_noise(latents, 0), gives the
-        generated rows to the bit; the noise-0 records equal the golden ones without it."""
+        generated rows to the bit; the noise-0 records equal the golden ones without it,
+        and a call at noise 0 alone draws nothing from the noise stream (seed, 2)."""
         cfg = ConformalEvalConfig(vocab_size=20, latent_dim=4, cal_steps=120, test_steps=60,
                                   k=10)  # the conformal_eval_tau_auto golden, seed 3
         model = new_model(cfg.vocab_size, cfg.latent_dim, seed=3)
@@ -623,11 +629,18 @@ class TestConformalEvalDriver:
         assert np.array_equal([step_probs(model, z) for z in recomputed], test.probs)
 
         golden = json.loads((GOLDEN_DIR / "conformal_eval_tau_auto.json").read_text())
+        streams = []
+
+        def recording_derive_rng(*key):
+            streams.append(key)
+            return derive_rng(*key)
+
         monkeypatch.setattr(experiments, "step_probs", None)  # any call would raise TypeError
-        monkeypatch.setattr(experiments, "inject_noise", None)
+        monkeypatch.setattr(experiments, "derive_rng", recording_derive_rng)
         records = run_conformal_eval(cfg, ["split", "knn", "knn_unit"], ["l2", "ip", "cos"],
                                      [0.0], "auto", seed=3)
         assert records == [r for r in golden if r["noise"] == 0.0]
+        assert (3, 1) in streams and (3, 2) not in streams
 
     @pytest.mark.parametrize("metrics, noises, expected", [
         (["ip", "l2"], [0.1, 0.0], [

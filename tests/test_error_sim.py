@@ -98,8 +98,6 @@ class TestGridMatchesPerThresholdRates:
     """run_aso_grid computes each trial once for all tests and thresholds; its
     rows must equal the rates of running every test and threshold on its own."""
 
-    FIELDS = ("test", "dist", "n", "threshold", "trials", "rate", "se", "seed")
-
     # "all" runs every test in one call: each must read the shared draw and then
     # its own stream from the state right after it, not a stream another test
     # has already consumed.
@@ -122,10 +120,9 @@ class TestGridMatchesPerThresholdRates:
                         else:
                             expected.append(type2_rate(spec, dist, dist_b, n, 12, seed=13))
         expected.sort(key=lambda r: (r.test, r.dist, r.n, r.threshold))
-        assert [tuple(r[f] for f in self.FIELDS) for r in records] == \
-            [tuple(getattr(r, f) for f in self.FIELDS) for r in expected]
+        assert records == expected
         # the thresholds must actually separate some trials for the check to bite
-        assert len({r["rate"] for r in records}) > 1
+        assert len({r.rate for r in records}) > 1
 
     def test_one_stream_and_one_draw_per_trial_whatever_the_tests(self, monkeypatch):
         calls = {"derive_rng": 0, "sample_dist": 0}
