@@ -7,6 +7,11 @@ scores and the test sets of a (steps, classes) matrix. One weighted-quantile
 core serves `KnnQuantiles` and `weighted_quantile`; `conformal_generate_step`
 is one `KnnQuantiles` row.
 
+FULL_SET, "keep every class", is the quantile q_hat = +inf: the weighted
+quantile puts the leftover mass 1 / (1 + sum(w)) at +inf, so when the
+calibration mass never reaches 1 - alpha the quantile is that point mass at
+infinity. Every quantile, scalar or per row, is one float.
+
 Quantile levels are compared with a 1e-9 slack so that mathematically exact
 boundaries such as (N+1)*(1-alpha) landing on an integer are not perturbed by
 float representation error; the slack is far below the 1/(N+1) mass resolution
@@ -27,25 +32,11 @@ _LEVEL_SLACK = 1e-9
 _SEARCH_ETA = 0.1  # the temperature search's step size, eta
 
 
-class _FullSet:
-    """Sentinel quantile meaning "insufficient calibration mass: keep every class"."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "FULL_SET"
-
-
-FULL_SET = _FullSet()
+FULL_SET = math.inf  # the quantile when the calibration mass falls short: keep every class
 
 
 def is_full_set(q_hat) -> bool:
-    return q_hat is FULL_SET
+    return q_hat == FULL_SET
 
 
 def as_prob_matrix(probs) -> np.ndarray:
@@ -72,7 +63,7 @@ class PredictionSet:
     """Retained class ids in descending-probability order plus the quantile used."""
 
     indices: tuple[int, ...]
-    q_hat: object  # float in [0, 1] or FULL_SET
+    q_hat: float  # in [0, 1], or FULL_SET (+inf)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -127,9 +118,9 @@ def _quantile_level(alpha: float) -> float:
 
 
 def _first_reaching(sorted_scores: np.ndarray, order: np.ndarray, weights: np.ndarray,
-                    level: float) -> tuple[np.ndarray, np.ndarray]:
-    """(q_hat, full) per row: the smallest score whose cumulative weight w_i / (1 + sum(w)),
-    summed in the stable score `order`, reaches `level`; `full` where none does.
+                    level: float) -> np.ndarray:
+    """q_hat per row: the smallest score whose cumulative weight w_i / (1 + sum(w)),
+    summed in the stable score `order`, reaches `level`; FULL_SET where none does.
 
     Tied scores need no run ends: the cumulative mass never decreases and a
     run shares one score, so the first position that reaches the level names
@@ -140,7 +131,7 @@ def _first_reaching(sorted_scores: np.ndarray, order: np.ndarray, weights: np.nd
     reached = cumulative >= level
     first = reached.argmax(axis=1)
     rows = np.arange(first.size)
-    return sorted_scores[rows, first], ~reached[rows, first]
+    return np.where(reached[rows, first], sorted_scores[rows, first], FULL_SET)
 
 
 def weighted_quantile(cal: WeightedCalibration, alpha: float):
@@ -154,8 +145,7 @@ def weighted_quantile(cal: WeightedCalibration, alpha: float):
     if cal.scores.size == 0:  # no calibration mass at all
         return FULL_SET
     order = np.argsort(cal.scores, kind="stable")[None]
-    q_hat, full = _first_reaching(cal.scores[order], order, cal.weights[None], level)
-    return FULL_SET if full[0] else float(q_hat[0])
+    return float(_first_reaching(cal.scores[order], order, cal.weights[None], level)[0])
 
 
 def rbf_weights(dists, tau: float, metric: str = "l2") -> np.ndarray:
@@ -181,7 +171,8 @@ def build_set_adaptive(probs, q_hat) -> PredictionSet:
     """Smallest descending-probability prefix whose mass reaches q_hat, never empty.
 
     The retained size is sup{c : cumulative mass of top-c classes < q_hat} + 1
-    with sup of the empty set taken as 0; FULL_SET keeps the whole vocabulary.
+    with sup of the empty set taken as 0; FULL_SET keeps the whole vocabulary. It is
+    tested, not clamped to 1: a cumulative mass may round to 1.0 before the last class.
     """
     p = as_prob_vector(probs)
     order = _descending_order(p)
@@ -212,8 +203,8 @@ class KnnQuantiles:
         self._order = np.argsort(scores, axis=1, kind="stable")
         self._sorted = np.take_along_axis(scores, self._order, axis=1)
 
-    def __call__(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        """(q_hat, full): the per-row quantile, and True where it is FULL_SET (q_hat then unused)."""
+    def __call__(self, tau: float) -> np.ndarray:
+        """The per-row quantile, FULL_SET where the row's mass falls short."""
         weights = rbf_weights(self._keys, tau, metric=self._metric)
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite and non-negative")
@@ -237,7 +228,9 @@ class AdaptiveSets:
     it. The prefix sums and the mass ranked before each label do not depend
     on q_hat, so they are computed once here. A label is in its row's set iff
     the set is FULL_SET, or the label is the top class, or the mass ranked
-    before it is below the clamped q_hat.
+    before it is below the clamped q_hat. FULL_SET is tested, not clamped: the
+    clamp maps +inf to 1, and a descending cumsum may round to 1.0 before its
+    last class.
     """
 
     def __init__(self, probs, labels):
@@ -266,23 +259,23 @@ class AdaptiveSets:
             mass[rows] = self._sorted[rows, :length].sum(axis=1)
         return np.minimum(mass, 1.0)
 
-    def sizes(self, q_hat: np.ndarray, full: np.ndarray) -> np.ndarray:
+    def sizes(self, q_hat: np.ndarray) -> np.ndarray:
         """Per-row set size: the descending prefix reaching the clamped q_hat, never empty."""
         q = np.clip(q_hat, 0.0, 1.0)
         vocab = self._cumulative.shape[1]
         below = np.count_nonzero(self._cumulative < q[:, None], axis=1)
-        return np.where(full, vocab, np.minimum(below + 1, vocab))
+        return np.where(q_hat == FULL_SET, vocab, np.minimum(below + 1, vocab))
 
-    def covers(self, q_hat: np.ndarray, full: np.ndarray) -> np.ndarray:
+    def covers(self, q_hat: np.ndarray) -> np.ndarray:
         """Per-row flag: the row's label is in its set."""
-        return full | (self._before_label < np.clip(q_hat, 0.0, 1.0))
+        return (q_hat == FULL_SET) | (self._before_label < np.clip(q_hat, 0.0, 1.0))
 
 
 class ThresholdSets:
     """Simple label scores, 1 - p, and threshold sets for every row of a (steps, classes) matrix.
 
-    A label is in its row's set iff the set is FULL_SET or the label's score
-    is <= q_hat. A set may be empty.
+    A label is in its row's set iff its score is <= q_hat; every score is
+    <= FULL_SET. A set may be empty.
     """
 
     def __init__(self, probs, labels):
@@ -295,14 +288,13 @@ class ThresholdSets:
         """Per-row label score, 1 - p[label]."""
         return self._label_scores
 
-    def sizes(self, q_hat: np.ndarray, full: np.ndarray) -> np.ndarray:
+    def sizes(self, q_hat: np.ndarray) -> np.ndarray:
         """Per-row set size: the number of labels whose score is <= q_hat."""
-        in_set = np.count_nonzero(self._scores <= np.asarray(q_hat)[:, None], axis=1)
-        return np.where(full, self._scores.shape[1], in_set)
+        return np.count_nonzero(self._scores <= np.asarray(q_hat)[:, None], axis=1)
 
-    def covers(self, q_hat: np.ndarray, full: np.ndarray) -> np.ndarray:
+    def covers(self, q_hat: np.ndarray) -> np.ndarray:
         """Per-row flag: the row's label is in its set."""
-        return full | (self._label_scores <= q_hat)
+        return self._label_scores <= q_hat
 
 
 def score_simple(probs, label: int) -> float:
@@ -334,8 +326,8 @@ def conformal_generate_step(store, latent, probs, alpha: float, k: int, tau: flo
     neighbors = store.query_batch(np.reshape(latent, (1, -1)), k, metric=metric)
     if k > len(store):
         logger.warning("k=%d exceeds datastore size %d; using the entire store", k, len(store))
-    q_hat, full = KnnQuantiles(neighbors, alpha, metric)(tau)
-    return build_set_adaptive(probs, FULL_SET if full[0] else float(q_hat[0]))
+    q_hat = KnnQuantiles(neighbors, alpha, metric)(tau)
+    return build_set_adaptive(probs, float(q_hat[0]))
 
 
 def temperature_search(coverage_eval, alpha: float, tau_min: float, tau_max: float,

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dirichlet as dr
-from .conformal import (KnnQuantiles, WeightedCalibration, is_full_set, score_rule,
+from .conformal import (FULL_SET, KnnQuantiles, WeightedCalibration, score_rule,
                         split_quantile, temperature_search, weighted_quantile)
+from .datastore import _FLOAT32_MAX
 from .error_sim import DistSpec, ErrorRateReport, TestSpec, error_rates
 from .metrics import coverage_report_arrays, predictive_entropy
 from .seeds import derive_rng
@@ -33,7 +34,6 @@ CONFORMAL_METHODS = ("split", "knn", "knn_unit")
 # per-call overhead, small enough that a block's arrays stay small. One block per
 # noise level raised the conformal-knn benchmark's peak RSS from 40.6 to 45.3 MB.
 _CHUNK_STEPS = 128
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 # -- error-rate grids ---------------------------------------------------------
@@ -90,11 +90,11 @@ class ConformalEvalConfig:
     search_batch: int = 400
 
 
-def _q_digest(q_hat: np.ndarray, full: np.ndarray) -> str:
+def _q_digest(q_hat: np.ndarray) -> str:
     """Stable digest of a q-hat stream in step order; FULL_SET steps hash as the tag "FULL"."""
     h = hashlib.sha256()
-    for q, is_full in zip(q_hat, full):
-        h.update(b"FULL" if is_full else q.tobytes())
+    for q in q_hat:
+        h.update(b"FULL" if q == FULL_SET else q.tobytes())
     return h.hexdigest()[:16]
 
 
@@ -141,12 +141,12 @@ def resolve_tau(store, cal: Chain, cfg: ConformalEvalConfig, metric: str,
     sets = score_rule(cfg.score_kind)(batch.probs, batch.golds)
 
     def coverage_eval(tau: float) -> float:
-        return int(np.count_nonzero(sets.covers(*quantiles(tau)))) / len(batch)
+        return int(np.count_nonzero(sets.covers(quantiles(tau)))) / len(batch)
 
     tau = temperature_search(coverage_eval, cfg.alpha, tau_min=0.1 * scale,
                              tau_max=4.0 * scale, steps=cfg.search_steps,
                              rng=derive_rng(seed, 902))
-    full_share = float(quantiles(tau)[1].mean())
+    full_share = float((quantiles(tau) == FULL_SET).mean())
     if full_share >= 0.5:
         k = neighbors.keys.shape[1]
         ceiling = (f"; l2 weights are at most 1, so the normalized mass of k neighbors stays "
@@ -220,7 +220,7 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
         logger.warning("k=%d exceeds datastore size %d; using the entire store", cfg.k, len(store))
     taus = {metric: resolve_tau(store, cal, cfg, metric, tau, seed) for metric in knn_metrics}
 
-    blocks = {c: [] for c in conditions}  # per block: (clamped q_hat, FULL_SET mask, sizes, hits)
+    blocks = {c: [] for c in conditions}  # per block: (q_hat, sizes, hits)
     for noise, latents in noisy.items():
         for start in range(0, len(test), _CHUNK_STEPS):
             rows = slice(start, start + _CHUNK_STEPS)
@@ -231,17 +231,15 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
             for method, metric in [c[:2] for c in blocks if c[2] == noise]:
                 if method == "knn":
                     neighbors = store.query_batch(corrupted, cfg.k, metric=metric)
-                    q_hat, full = KnnQuantiles(neighbors, cfg.alpha, metric)(taus[metric])
+                    q_hat = KnnQuantiles(neighbors, cfg.alpha, metric)(taus[metric])
                 else:
-                    full = np.full(len(block), is_full_set(fixed_q[method]))
-                    q_hat = np.full(len(block), 0.0 if full[0] else fixed_q[method])
-                blocks[method, metric, noise].append((np.clip(q_hat, 0.0, 1.0), full,
-                                                      sets.sizes(q_hat, full),
-                                                      sets.covers(q_hat, full)))
+                    q_hat = np.full(len(block), fixed_q[method])
+                blocks[method, metric, noise].append((q_hat, sets.sizes(q_hat),
+                                                      sets.covers(q_hat)))
 
     records = []
     for method, metric, noise in conditions:
-        q_hat, full, sizes, covered = map(np.concatenate, zip(*blocks[method, metric, noise]))
+        q_hat, sizes, covered = map(np.concatenate, zip(*blocks[method, metric, noise]))
         report = coverage_report_arrays(sizes, covered, cfg.alpha, vocab_size=cfg.vocab_size)
         records.append({
             "schema": CONFORMAL_EVAL_SCHEMA, "method": method, "metric": metric,
@@ -249,7 +247,7 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
             "alpha": cfg.alpha, "noise": noise, "seed": seed,
             "coverage": round(report.coverage, 6), "width": round(report.mean_width_fraction, 6),
             "ssc": round(report.ssc, 6), "ecg": round(report.ecg, 6),
-            "q_digest": _q_digest(q_hat, full),
+            "q_digest": _q_digest(q_hat),
             "mean_set_size": round(report.mean_width_fraction * cfg.vocab_size, 6),
         })
     return records
@@ -281,7 +279,9 @@ def dirichlet_mc_checks(alpha_vec, num_samples: int, rng: np.random.Generator) -
     point_entropies = -np.sum(draws * log_draws, axis=1)
     checks["expected_entropy"] = z_score(dr.expected_entropy(d), point_entropies)
 
-    ref = dr.DirichletParams(np.roll(d.alpha, 1) + 0.5)
+    # A shifted reference that differs from d; an entry near the cap steps down, not up.
+    rolled = np.roll(d.alpha, 1)
+    ref = dr.DirichletParams(rolled + np.where(rolled + 0.5 > dr._MAX_ALPHA, -0.5, 0.5))
     checks["kl"] = z_score(dr.kl(d, ref), log_density - dr._log_pdf_of_logs(ref, log_draws))
 
     # Delta-method linearization of H[mean pi] so the MI estimate has a usable SE.

@@ -46,8 +46,10 @@ def ece(confidences, correct, num_bins: int = 10) -> BinReport:
         raise ValueError("empty input")
     if conf.size != hits.size:
         raise ValueError("confidences and correctness flags must have equal length")
-    if np.any(conf < 0.0) or np.any(conf > 1.0):
+    if not (conf.min() >= 0.0 and conf.max() <= 1.0):  # written so that NaN fails it
         raise ValueError("confidences must lie in [0, 1]")
+    if not (hits.min() >= 0.0 and hits.max() <= 1.0):  # written so that NaN fails it
+        raise ValueError("correctness flags must lie in [0, 1]")
     counts, mean_conf, mean_acc = _bin_means(conf, 1.0, num_bins, conf, hits)
     value = float((counts / conf.size * np.abs(mean_acc - mean_conf)).sum())
     return BinReport(value=value, counts=counts, confidence=mean_conf, accuracy=mean_acc)
@@ -113,6 +115,8 @@ def brier(confidences, correct) -> float:
     hits = np.asarray(correct, dtype=float).ravel()
     if conf.size == 0 or conf.size != hits.size:
         raise ValueError("inputs must be non-empty and equal-length")
+    if not (np.all(np.isfinite(conf)) and np.all(np.isfinite(hits))):
+        raise ValueError("inputs must be finite")
     return float(((conf - hits) ** 2).mean())
 
 
@@ -137,6 +141,8 @@ def aupr(scores, labels) -> float:
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == y.size:
         raise ValueError("undefined: labels contain a single class")
+    if np.isnan(s).any():
+        raise ValueError("scores must not be NaN")
     order = np.argsort(-s, kind="stable")
     sorted_scores = s[order]
     sorted_hits = y[order].astype(float)

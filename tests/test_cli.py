@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -163,6 +164,13 @@ class TestDirichletCheck:
         a = (tmp_path / "a.json").read_bytes()
         assert a == (tmp_path / "b.json").read_bytes()
         assert json.loads(a)["overall_max_abs_z"] <= 4.0
+
+    def test_alpha_at_the_cap(self):
+        # The KL reference shifts each entry by 0.5; at the 1e8 cap it must step down.
+        result = run_cli(["dirichlet-check", "--alpha", "1e8,1e8", "--samples", "1000"])
+        assert result.returncode == 0, result.stderr
+        z_scores = json.loads(result.stdout)["records"][0]["z_scores"]
+        assert all(math.isfinite(z) for z in z_scores.values())
 
 
 class TestDatastoreCli:

@@ -255,15 +255,14 @@ class TestPredictionSets:
 
     def test_threshold_cases(self):
         sets = ThresholdSets([[0.6, 0.3, 0.1]] * 3, [0, 1, 2])
-        kept = np.zeros(3, bool)
-        assert sets.sizes(np.array([1.0, 0.0, 0.75]), kept).tolist() == [3, 0, 2]
+        assert sets.sizes(np.array([1.0, 0.0, 0.75])).tolist() == [3, 0, 2]
         # at q_hat 0.75 the set is {0, 1}
-        assert sets.covers(np.full(3, 0.75), kept).tolist() == [True, True, False]
+        assert sets.covers(np.full(3, 0.75)).tolist() == [True, True, False]
 
     def test_threshold_one_hot_at_zero(self):
         sets = ThresholdSets([[1.0, 0.0]] * 2, [0, 1])
-        assert sets.sizes(np.zeros(2), np.zeros(2, bool)).tolist() == [1, 1]
-        assert sets.covers(np.zeros(2), np.zeros(2, bool)).tolist() == [True, False]
+        assert sets.sizes(np.zeros(2)).tolist() == [1, 1]
+        assert sets.covers(np.zeros(2)).tolist() == [True, False]
 
     @given(prob_vectors, st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=0.0, max_value=1.0))
@@ -294,6 +293,23 @@ class TestPredictionSets:
         pset = build_set_adaptive(p, 1.0)
         probs_in_order = [p[i] for i in pset.indices]
         assert probs_in_order == sorted(probs_in_order, reverse=True)
+
+
+class TestFullSet:
+    def test_short_mass_is_plus_infinity(self):
+        assert split_quantile([0.1, 0.2, 0.3, 0.4], 0.1) == math.inf
+        cal = WeightedCalibration(scores=np.array([0.2, 0.4]), weights=np.zeros(2))
+        assert weighted_quantile(cal, 0.1) == math.inf
+
+    def test_full_set_is_tested_not_clamped(self):
+        # The descending cumsum of this row reaches 1.0 at class 1, so a q_hat of +inf
+        # clamped to 1 would drop class 2.
+        p = [0.9, 0.1, 1e-18]
+        assert np.cumsum(p)[1] == 1.0
+        sets = AdaptiveSets([p], [2])
+        assert sets.sizes(np.array([FULL_SET])).tolist() == [3]
+        assert sets.covers(np.array([FULL_SET])).tolist() == [True]
+        assert build_set_adaptive(p, FULL_SET).indices == (0, 1, 2)
 
 
 def random_block(data, metric):
@@ -343,9 +359,10 @@ class TestBatchedKernel:
     @settings(max_examples=200, deadline=None)
     def test_matches_per_row_knn_set(self, data, metric, tau, alpha):
         neighbors, probs, gold = random_block(data, metric)
-        q_hat, full = KnnQuantiles(neighbors, alpha, metric)(tau)
+        q_hat = KnnQuantiles(neighbors, alpha, metric)(tau)
+        full = q_hat == FULL_SET
         sets = AdaptiveSets(probs, gold)
-        sizes, covers = sets.sizes(q_hat, full), sets.covers(q_hat, full)
+        sizes, covers = sets.sizes(q_hat), sets.covers(q_hat)
         for i in range(len(gold)):
             row = Neighbors(neighbors.keys[i], neighbors.scores[i], neighbors.ids[i])
             pset = knn_set_oracle(row, probs[i], alpha, tau, metric=metric)
@@ -360,20 +377,19 @@ class TestBatchedKernel:
         # such neighbors carry half the mass each; the tied scores of row 1 form one run.
         keys = np.array([[1.0, 1.0, 0.5], [1.0, 0.0, 0.0]])
         scores = np.array([[0.25, 0.75, 0.5], [0.5, 0.5, 0.5]])
-        q_hat, full = KnnQuantiles(Neighbors(keys, scores, np.zeros((2, 3), int)), 0.1,
-                                   "cos")(1e-3)
-        assert full.tolist() == [False, False]
+        q_hat = KnnQuantiles(Neighbors(keys, scores, np.zeros((2, 3), int)), 0.1, "cos")(1e-3)
+        assert (q_hat == FULL_SET).tolist() == [False, False]
         assert q_hat.tolist() == [0.75, 0.5]
         # A lone neighbor of weight exp(0) = 1 carries half the mass: FULL_SET at alpha 0.1.
-        q_hat, full = KnnQuantiles(Neighbors(keys[:, 1:2], scores[:, 1:2],
-                                             np.zeros((2, 1), int)), 0.1, "cos")(1e-3)
-        assert full.tolist() == [False, True]
+        q_hat = KnnQuantiles(Neighbors(keys[:, 1:2], scores[:, 1:2],
+                                       np.zeros((2, 1), int)), 0.1, "cos")(1e-3)
+        assert (q_hat == FULL_SET).tolist() == [False, True]
         assert q_hat[0] == 0.75
         sets = AdaptiveSets([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]], [2, 2])
-        assert sets.sizes(q_hat, full).tolist() == [2, 3]
-        assert sets.covers(q_hat, full).tolist() == [False, True]
+        assert sets.sizes(q_hat).tolist() == [2, 3]
+        assert sets.covers(q_hat).tolist() == [False, True]
         # The top class is in every set, even at q_hat = 0.
-        assert sets.covers(np.zeros(2), np.zeros(2, bool)).tolist() == [False, True]
+        assert sets.covers(np.zeros(2)).tolist() == [False, True]
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -384,8 +400,9 @@ class TestBatchedKernel:
             st.sampled_from([0.0, 1.0, 1.0 - p[g], 1.0 - p[data.draw(st.integers(0, p.size - 1))]]),
             st.floats(0.0, 1.0))) for p, g in zip(probs, gold)])
         full = np.array(data.draw(st.lists(st.booleans(), min_size=gold.size, max_size=gold.size)))
+        q_hat[full] = FULL_SET
         sets = ThresholdSets(probs, gold)
-        sizes, covers = sets.sizes(q_hat, full), sets.covers(q_hat, full)
+        sizes, covers = sets.sizes(q_hat), sets.covers(q_hat)
         for i in range(gold.size):
             pset = build_set_threshold_oracle(probs[i], FULL_SET if full[i] else q_hat[i])
             assert sizes[i] == len(pset)

@@ -203,6 +203,17 @@ class TestDiscrimination:
             assert aupr(scores, labels) == pytest.approx(
                 aupr_oracle(list(scores), list(labels)), abs=1e-12)
 
+    @pytest.mark.parametrize("metric, args, match", [
+        (ece, ([np.nan, 0.5], [1, 0]), "confidences"),
+        (ece, ([0.5, 0.5], [np.nan, 0]), "correctness"),
+        (brier, ([np.nan, 0.5], [1, 0]), "finite"),
+        (brier, ([0.5, 0.5], [1, np.inf]), "finite"),
+        (aupr, ([np.nan, 0.5, 0.2], [1, 0, 1]), "NaN"),
+    ])
+    def test_rejects_nan_inputs(self, metric, args, match):
+        with pytest.raises(ValueError, match=match):
+            metric(*args)
+
     def test_kendall_identical_and_reversed(self):
         assert kendall_tau([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
         assert kendall_tau([1, 2, 3, 4], [40, 30, 20, 10]) == pytest.approx(-1.0)
