@@ -155,7 +155,7 @@ def rbf_weights(dists, tau: float, metric: str = "l2") -> np.ndarray:
     similarities map to exp(+sim / tau). Exponents are clamped to +-700 to
     keep exp() finite.
     """
-    if tau <= 0:
+    if not tau > 0:  # written so that NaN fails it
         raise ValueError("tau must be positive")
     d = np.asarray(dists, dtype=float)
     if metric == "l2":

@@ -20,6 +20,8 @@ from .seeds import derive_rng
 from .significance import CLASSIC_TEST_KINDS, aso, classic_test
 
 TEST_KINDS = ("aso", *CLASSIC_TEST_KINDS)
+_MAX_PARAM = 1e100
+_ARITY = {"normal": 2, "laplace": 2, "rayleigh": 1}  # a mixture has (mean, std, weight) triples
 
 
 def _param(x: float) -> str:
@@ -29,84 +31,80 @@ def _param(x: float) -> str:
 
 
 @dataclass(frozen=True)
-class Normal:
-    mean: float
-    std: float
+class DistSpec:
+    """A score distribution `kind:p1:p2...`: `normal:MEAN:STD`, `laplace:LOC:SCALE`,
+    `rayleigh:SCALE` or `mixture:M1:S1:W1:M2:S2:W2[...]` (two or more normal components).
+
+    Every parameter must be finite with magnitude <= 1e100, so that the sums
+    and squares of the draws, and hence every test's means and variances, stay
+    finite at any sample size.
+    """
+
+    kind: str
+    params: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.std > 0:
-            raise ValueError("std must be positive")
-
-    def label(self) -> str:
-        return f"normal:{_param(self.mean)}:{_param(self.std)}"
-
-
-@dataclass(frozen=True)
-class NormalMixture:
-    components: tuple[tuple[float, float], ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.components) != len(self.weights) or not self.components:
-            raise ValueError("components and weights must be non-empty and equal-length")
-        if any(std <= 0 for _, std in self.components):
-            raise ValueError("std must be positive")
-        if any(w < 0 for w in self.weights):
+        params = tuple(float(x) for x in self.params)
+        object.__setattr__(self, "params", params)
+        if not all(abs(x) <= _MAX_PARAM for x in params):  # written so that NaN fails it
+            raise ValueError(f"parameters must be finite with magnitude <= {_MAX_PARAM:g}")
+        mixture, count = self.kind == "mixture", len(params)
+        if not (count == _ARITY.get(self.kind) or mixture and count >= 6 and count % 3 == 0):
+            raise ValueError("unknown kind or wrong number of parameters")
+        scale = "std" if self.kind in ("normal", "mixture") else "scale"
+        if not all(s > 0 for s in (params[1::3] if mixture else params[-1:])):
+            raise ValueError(f"{scale} must be positive")
+        weights = params[2::3] if mixture else (1.0,)  # one component has weight 1
+        if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
 
-    def label(self) -> str:
-        parts = ":".join(f"{_param(m)}:{_param(s)}:{_param(w)}"
-                         for (m, s), w in zip(self.components, self.weights))
-        return f"mixture:{parts}"
-
-
-@dataclass(frozen=True)
-class Laplace:
-    loc: float
-    scale: float
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+    @classmethod
+    def parse(cls, text: str) -> DistSpec:
+        """The spec `text` names; `label` prints the text back."""
+        kind, *fields = text.split(":")
+        return cls(kind, tuple(float(field) for field in fields))
 
     def label(self) -> str:
-        return f"laplace:{_param(self.loc)}:{_param(self.scale)}"
+        return ":".join([self.kind, *map(_param, self.params)])
 
 
-@dataclass(frozen=True)
-class Rayleigh:
-    scale: float
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-
-    def label(self) -> str:
-        return f"rayleigh:{_param(self.scale)}"
+def Normal(mean: float, std: float) -> DistSpec:
+    return DistSpec("normal", (mean, std))
 
 
-DistSpec = Normal | NormalMixture | Laplace | Rayleigh
+def Laplace(loc: float, scale: float) -> DistSpec:
+    return DistSpec("laplace", (loc, scale))
+
+
+def Rayleigh(scale: float) -> DistSpec:
+    return DistSpec("rayleigh", (scale,))
+
+
+def NormalMixture(components: tuple[tuple[float, float], ...],
+                  weights: tuple[float, ...]) -> DistSpec:
+    """A mixture of normal (mean, std) components with the given weights."""
+    if len(components) != len(weights) or not components:
+        raise ValueError("components and weights must be non-empty and equal-length")
+    return DistSpec("mixture", tuple(x for (mean, std), w in zip(components, weights)
+                                     for x in (mean, std, w)))
 
 
 def sample_dist(spec: DistSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from the specified distribution."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(spec, Normal):
-        return rng.normal(spec.mean, spec.std, size=n)
-    if isinstance(spec, NormalMixture):
-        weights = np.asarray(spec.weights)
-        choice = rng.choice(len(spec.components), size=n, p=weights / weights.sum())
-        means = np.asarray([m for m, _ in spec.components])
-        stds = np.asarray([s for _, s in spec.components])
-        return rng.normal(means[choice], stds[choice])
-    if isinstance(spec, Laplace):
-        return rng.laplace(spec.loc, spec.scale, size=n)
-    if isinstance(spec, Rayleigh):
-        return rng.rayleigh(spec.scale, size=n)
-    raise ValueError(f"unknown distribution spec: {spec!r}")
+    p = spec.params
+    if spec.kind == "normal":
+        return rng.normal(p[0], p[1], size=n)
+    if spec.kind == "laplace":
+        return rng.laplace(p[0], p[1], size=n)
+    if spec.kind == "rayleigh":
+        return rng.rayleigh(p[0], size=n)
+    means, stds, weights = (np.asarray(p[i::3]) for i in range(3))
+    choice = rng.choice(weights.size, size=n, p=weights / weights.sum())
+    return rng.normal(means[choice], stds[choice])
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,21 @@ def _bin_means(values: np.ndarray, upper: float, num_bins: int,
                *columns: np.ndarray) -> tuple[np.ndarray, ...]:
     """(counts, *means) of equal-width bins of `values` over [0, upper], the last bin
     right-inclusive: each column's mean per bin, +0.0 (a sum of +0.0 over 1) in an empty one."""
+    if not num_bins >= 1:
+        raise ValueError("need at least one bin")
     edges = np.arange(num_bins + 1) * (upper / num_bins)
     idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, num_bins - 1)
     counts = np.bincount(idx, minlength=num_bins)
     return (counts, *(np.bincount(idx, weights=c, minlength=num_bins) / np.maximum(counts, 1)
                       for c in columns))
+
+
+def _check_unit_interval(conf: np.ndarray, hits: np.ndarray) -> None:
+    """Raises unless every confidence and correctness flag lies in [0, 1]; NaN fails too."""
+    if not (conf.min() >= 0.0 and conf.max() <= 1.0):  # written so that NaN fails it
+        raise ValueError("confidences must lie in [0, 1]")
+    if not (hits.min() >= 0.0 and hits.max() <= 1.0):  # written so that NaN fails it
+        raise ValueError("correctness flags must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -46,10 +56,7 @@ def ece(confidences, correct, num_bins: int = 10) -> BinReport:
         raise ValueError("empty input")
     if conf.size != hits.size:
         raise ValueError("confidences and correctness flags must have equal length")
-    if not (conf.min() >= 0.0 and conf.max() <= 1.0):  # written so that NaN fails it
-        raise ValueError("confidences must lie in [0, 1]")
-    if not (hits.min() >= 0.0 and hits.max() <= 1.0):  # written so that NaN fails it
-        raise ValueError("correctness flags must lie in [0, 1]")
+    _check_unit_interval(conf, hits)
     counts, mean_conf, mean_acc = _bin_means(conf, 1.0, num_bins, conf, hits)
     value = float((counts / conf.size * np.abs(mean_acc - mean_conf)).sum())
     return BinReport(value=value, counts=counts, confidence=mean_conf, accuracy=mean_acc)
@@ -110,13 +117,14 @@ def coverage_report_arrays(sizes, covered, alpha: float, num_size_bins: int = 75
 
 
 def brier(confidences, correct) -> float:
-    """Mean squared gap between confidence and the correctness indicator."""
+    """Mean squared gap between confidence and the correctness indicator, both in [0, 1]."""
     conf = np.asarray(confidences, dtype=float).ravel()
     hits = np.asarray(correct, dtype=float).ravel()
     if conf.size == 0 or conf.size != hits.size:
         raise ValueError("inputs must be non-empty and equal-length")
     if not (np.all(np.isfinite(conf)) and np.all(np.isfinite(hits))):
         raise ValueError("inputs must be finite")
+    _check_unit_interval(conf, hits)
     return float(((conf - hits) ** 2).mean())
 
 

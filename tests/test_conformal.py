@@ -224,6 +224,8 @@ class TestRbfWeights:
     def test_tau_validation(self):
         with pytest.raises(ValueError):
             rbf_weights([1.0], tau=0.0)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            rbf_weights([1.0], tau=float("nan"))
 
 
 def exhaustive_adaptive_oracle(p, q):

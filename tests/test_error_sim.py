@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import uqkit.error_sim
-from uqkit.error_sim import (Laplace, Normal, NormalMixture, Rayleigh, TestSpec,
+from uqkit.error_sim import (DistSpec, Laplace, Normal, NormalMixture, Rayleigh, TestSpec,
                              sample_dist, type1_rate, type2_rate)
 from uqkit.experiments import run_aso_grid
 from uqkit.significance import CLASSIC_TEST_KINDS
@@ -39,6 +39,21 @@ class TestSamplers:
             NormalMixture(components=((0.0, 1.0),), weights=(0.9,))
         with pytest.raises(ValueError):
             sample_dist(Normal(0.0, 1.0), 0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="finite"):
+            Normal(math.nan, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            Laplace(math.inf, 1.0)
+        with pytest.raises(ValueError, match="magnitude <= 1e\\+100"):
+            Rayleigh(1e101)
+        with pytest.raises(ValueError, match="wrong number of parameters"):
+            NormalMixture(components=((0.0, 1.0),), weights=(1.0,))
+
+    def test_constructors_and_parse_make_one_spec_type(self):
+        assert Normal(0, 1.5) == DistSpec("normal", (0.0, 1.5)) == DistSpec.parse("normal:0:1.5")
+        mixture = NormalMixture(components=((0.0, 1.5), (-0.5, 0.25)), weights=(0.75, 0.25))
+        assert mixture == DistSpec.parse("mixture:0:1.5:0.75:-0.5:0.25:0.25")
+        assert mixture.label() == "mixture:0:1.5:0.75:-0.5:0.25:0.25"
+        assert Rayleigh(1).label() == "rayleigh:1"
 
 
 class TestRates:
@@ -85,6 +100,14 @@ class TestRates:
         spec = TestSpec(kind="student_t", threshold=0.05)
         report = type1_rate(spec, Normal(0.0, 1.5), 10, 200, seed=9)
         assert report.se == pytest.approx(math.sqrt(report.rate * (1 - report.rate) / 200))
+
+    def test_overflowing_spec_raises_before_any_draw(self, monkeypatch):
+        # a std of 1e200 would overflow the t-test's squares and read as rate 0.0
+        draws = []
+        monkeypatch.setattr(uqkit.error_sim, "sample_dist", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match="magnitude <= 1e\\+100"):
+            type1_rate(TestSpec("student_t", 0.05), Normal(0.0, 1e200), 5, 3, seed=0)
+        assert draws == []
 
     def test_trials_validation(self):
         spec = TestSpec(kind="student_t", threshold=0.05)

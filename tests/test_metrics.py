@@ -119,6 +119,14 @@ class TestCoverageReport:
         with pytest.raises(ValueError, match="vocab"):
             coverage_report(sets, [0], alpha=0.1, num_size_bins=5, vocab_size=3)
 
+    @pytest.mark.parametrize("metric, args", [
+        (ece, ([0.5], [1], 0)),
+        (coverage_report_arrays, ([1], [1], 0.1, 0, 2)),
+    ], ids=["ece", "coverage_report_arrays"])
+    def test_zero_bins_is_a_value_error(self, metric, args):
+        with pytest.raises(ValueError, match="at least one bin"):
+            metric(*args)
+
     def test_ecg_zero_when_every_bin_covers(self):
         rng = np.random.default_rng(2)
         sizes = rng.integers(1, 11, size=100)
@@ -209,6 +217,8 @@ class TestDiscrimination:
         (brier, ([np.nan, 0.5], [1, 0]), "finite"),
         (brier, ([0.5, 0.5], [1, np.inf]), "finite"),
         (aupr, ([np.nan, 0.5, 0.2], [1, 0, 1]), "NaN"),
+        (brier, ([1.5], [1]), "confidences must lie in"),
+        (brier, ([0.5], [3]), "correctness flags must lie in"),
     ])
     def test_rejects_nan_inputs(self, metric, args, match):
         with pytest.raises(ValueError, match=match):
