@@ -92,15 +92,15 @@ def coverage_report(sets: list[PredictionSet], labels, alpha: float,
 
 def coverage_report_arrays(sizes, covered, alpha: float, num_size_bins: int = 75,
                            vocab_size: int | None = None) -> CoverageReport:
-    """`coverage_report` from each set's size and whether it covers its label."""
+    """`coverage_report` from set sizes and coverage flags; vocab_size >= max(1, largest set)."""
     sizes = np.asarray(sizes, dtype=float).ravel()
     covered = np.asarray(covered, dtype=float).ravel()
     if sizes.size != covered.size or not sizes.size:
         raise ValueError("sets and labels must be non-empty and equal-length")
     if vocab_size is None:
         vocab_size = int(sizes.max())
-    if vocab_size < sizes.max():
-        raise ValueError("vocab_size smaller than the largest prediction set")
+    if not vocab_size >= max(1.0, sizes.max()):  # NaN fails too
+        raise ValueError("vocab_size must be >= 1 and >= the largest prediction set")
 
     counts, bin_cov = _bin_means(sizes, float(vocab_size), num_size_bins, covered)
     nonempty = counts > 0

@@ -58,8 +58,10 @@ def _grid_runs(n: int, m: int, dt: float) -> tuple[np.ndarray, ...]:
     points sharing that pair. Returns read-only arrays with one entry per run:
     the two indices and its weight run_length * dt. Both indices are
     non-decreasing in t, so there are at most n + m - 1 runs, and n when n == m
-    and n * dt < 1. Callers check dt first.
+    and n * dt < 1. A dt outside (0, 1) raises, so lru_cache stores no run for it.
     """
+    if not 0.0 < dt < 1.0:
+        raise ValueError("dt must lie in (0, 1)")
     grid = np.arange(dt, 1.0, dt)
     idx_a = order_statistic_index(n, grid)
     idx_b = order_statistic_index(m, grid)
@@ -71,22 +73,30 @@ def _grid_runs(n: int, m: int, dt: float) -> tuple[np.ndarray, ...]:
     return runs
 
 
-def _sorted_sample(values) -> np.ndarray:
-    """The validated sample, stable-sorted: every order statistic ASO reads comes from it."""
-    return np.sort(as_sample(values), kind="stable")
+def _sorted_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Both validated samples, stable-sorted: every order statistic ASO reads comes from them.
+
+    Raises ValueError if the pair's squared range overflows; below it every sum in
+    `_ratios` is finite, as the run weights sum to less than 1.
+    """
+    srt_a, srt_b = (np.sort(as_sample(x), kind="stable") for x in (a, b))
+    span = max(float(srt_a[-1]), float(srt_b[-1])) - min(float(srt_a[0]), float(srt_b[0]))
+    if not math.isfinite(span * span):
+        raise ValueError("the squared range of the two samples overflows")
+    return srt_a, srt_b
 
 
-def _violation_ratio(srt_a: np.ndarray, srt_b: np.ndarray, dt: float) -> float:
-    """`violation_ratio` of two sorted samples, for a dt already checked."""
-    idx_a, idx_b, weight = _grid_runs(srt_a.size, srt_b.size, dt)
-    f = srt_a[idx_a]
-    g = srt_b[idx_b]
+def _ratios(f: np.ndarray, g: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Violation ratio of each row of quantiles (f, g) read at the grid runs (0.5 if W2 is 0).
+
+    The numerator sums the denominator's terms in the same order, with zeros where
+    f >= g; rounded addition is monotone, so every ratio lies in [0, 1].
+    """
     sq = (g - f) ** 2 * weight
-    denominator = float(sq.sum())
-    if denominator == 0.0:
-        return 0.5
-    numerator = float(sq[f < g].sum())
-    return numerator / denominator
+    denominator = sq.sum(axis=-1)
+    sq *= f < g  # every term is finite (`_sorted_pair`), so a 0 factor gives 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denominator == 0.0, 0.5, sq.sum(axis=-1) / denominator)
 
 
 def violation_ratio(a, b, dt: float = 0.005) -> float:
@@ -95,15 +105,13 @@ def violation_ratio(a, b, dt: float = 0.005) -> float:
     Integrates (F^-1(t) - G^-1(t))^2 on the grid t = dt, 2*dt, ... < 1; the
     numerator keeps only grid points in the violation set {t : F^-1(t) < G^-1(t)},
     the denominator (the squared 1-D 2-Wasserstein distance) uses all of them.
-    The integrand is constant on each run of grid points that share the same
-    pair of order statistics, so both sums are taken over runs: each run's
-    squared difference times its length * dt.
+    Both are summed over `_grid_runs` by `_ratios`, so the ratio lies in [0, 1].
     Returns 0.5 by convention when the quantile functions coincide on the grid,
     so identical samples signal "no dominance either way".
     """
-    if not 0.0 < dt < 1.0:
-        raise ValueError("dt must lie in (0, 1)")
-    return _violation_ratio(_sorted_sample(a), _sorted_sample(b), dt)
+    srt_a, srt_b = _sorted_pair(a, b)
+    idx_a, idx_b, weight = _grid_runs(srt_a.size, srt_b.size, dt)
+    return float(_ratios(srt_a[idx_a], srt_b[idx_b], weight))
 
 
 def aso(a, b, alpha: float = 0.05, num_bootstrap: int = 1000, dt: float = 0.005,
@@ -117,12 +125,11 @@ def aso(a, b, alpha: float = 0.05, num_bootstrap: int = 1000, dt: float = 0.005,
     sample needs at least two observations: with one, every bootstrap resample
     equals the sample, sigma_hat is 0 and eps_min carries no uncertainty.
 
-    Each sample is validated and sorted once; eps and every bootstrap row read
-    that copy. A row is an inverse-transform resample of the same size (`a`'s
-    rows drawn before `b`'s), sorted and read at the grid runs' order
-    statistics, so it has at most N + M - 1 columns, not one per grid point.
-    Each eps* is the run-weighted sum of `violation_ratio`; the sums differ
-    from the per-point ones only by rounding (a few ulps).
+    Each sample is validated and sorted once. A bootstrap row is an inverse-transform
+    resample of the same size (`a`'s rows drawn before `b`'s), sorted and read at the
+    grid runs' order statistics: at most N + M - 1 columns, not one per grid point.
+    `_ratios` turns each row into its eps*; eps (= `violation_ratio`) is its one-row
+    call on the samples' own order statistics, so it is rounded as each eps* is.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -130,26 +137,18 @@ def aso(a, b, alpha: float = 0.05, num_bootstrap: int = 1000, dt: float = 0.005,
         raise ValueError("num_bootstrap must be >= 1")
     if rng is None:
         rng = np.random.default_rng()
-    srt_a = _sorted_sample(a)
-    srt_b = _sorted_sample(b)
+    srt_a, srt_b = _sorted_pair(a, b)
     n, m = srt_a.size, srt_b.size
     if n < 2 or m < 2:
         raise ValueError("ASO needs at least two observations per sample")
-    if not 0.0 < dt < 1.0:  # before any run is cached
-        raise ValueError("dt must lie in (0, 1)")
 
-    eps = _violation_ratio(srt_a, srt_b, dt)
     idx_a, idx_b, weight = _grid_runs(n, m, dt)
+    eps = float(_ratios(srt_a[idx_a], srt_b[idx_b], weight))
     f_star, g_star = (
         np.sort(srt[order_statistic_index(srt.size, rng.random((num_bootstrap, srt.size)))],
                 axis=1)[:, idx]
         for srt, idx in ((srt_a, idx_a), (srt_b, idx_b)))
-
-    sq = (g_star - f_star) ** 2 * weight
-    denominator = sq.sum(axis=1)
-    numerator = np.where(f_star < g_star, sq, 0.0).sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        eps_star = np.where(denominator == 0.0, 0.5, numerator / denominator)
+    eps_star = _ratios(f_star, g_star, weight)
 
     scale = math.sqrt(n * m / (n + m))
     sigma_hat = float(np.std(scale * (eps_star - eps), ddof=1)) if num_bootstrap > 1 else 0.0

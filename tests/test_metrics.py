@@ -118,6 +118,10 @@ class TestCoverageReport:
         sets = make_sets([5], [True], vocab=10)
         with pytest.raises(ValueError, match="vocab"):
             coverage_report(sets, [0], alpha=0.1, num_size_bins=5, vocab_size=3)
+        # Every set empty: no vocab_size, or a NaN one, used to give a NaN width fraction.
+        for vocab_size in (None, float("nan")):
+            with pytest.raises(ValueError, match="vocab"):
+                coverage_report_arrays([0, 0], [False, False], 0.1, vocab_size=vocab_size)
 
     @pytest.mark.parametrize("metric, args", [
         (ece, ([0.5], [1], 0)),

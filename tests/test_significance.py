@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -21,6 +21,13 @@ aso_samples = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max
 # Small integer scores: a common integer shift is exact, a scale keeps distinct values apart.
 integer_samples = st.lists(st.integers(min_value=-50, max_value=50).map(float), min_size=1,
                            max_size=30)
+# Scores rounded to one decimal: samples of size 2..60 with many ties.
+tied_samples = st.lists(st.integers(min_value=-20, max_value=20).map(lambda k: k / 10),
+                        min_size=2, max_size=60)
+
+# Grid steps for the run tests: 0.3 gives a three-point grid, coarser than the
+# order statistics of most samples; the others give grids of 99 to 333 points.
+GRID_STEPS = [0.005, 0.003, 0.007, 0.01, 0.3]
 
 
 def brute_force_violation_ratio(a, b, dt):
@@ -48,6 +55,9 @@ class TestViolationRatio:
 
     def test_total_inverse_dominance(self):
         assert violation_ratio([1, 2, 3], [11, 12, 13]) == 1.0
+        # No quantile of a exceeds b's; a numerator summed from a masked copy gave 1 + 2**-52.
+        assert violation_ratio([-0.6, -0.2, 0.7, -1.9, -0.3, -0.6, -1.1, 0.7, -0.8, -1.0],
+                               [1.8, -1.1, 1.8, 1.9, -1.2, 0.6, 1.1, 1.8, 0.3, 0.6]) == 1.0
 
     def test_identical_samples_convention(self):
         assert violation_ratio([1, 2, 3], [1, 2, 3]) == 0.5
@@ -82,6 +92,20 @@ class TestViolationRatio:
         assume(not np.array_equal(quantile_function(a)(grid), quantile_function(b)(grid)))
         total = violation_ratio(a, b) + violation_ratio(b, a)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @given(tied_samples, tied_samples, st.sampled_from(GRID_STEPS))
+    @example([-0.6, -0.2, 0.7, -1.9, -0.3, -0.6, -1.1, 0.7, -0.8, -1.0],
+             [1.8, -1.1, 1.8, 1.9, -1.2, 0.6, 1.1, 1.8, 0.3, 0.6], 0.005)
+    @settings(max_examples=200, deadline=None)
+    def test_ratio_lies_in_unit_interval_and_is_aso_eps(self, a, b, dt):
+        """The numerator sums a subset of the denominator's terms in the same order.
+
+        In the example, a numerator summed from a masked copy exceeds the denominator.
+        """
+        ratio = violation_ratio(a, b, dt)
+        assert 0.0 <= ratio <= 1.0
+        eps = aso(a, b, num_bootstrap=20, dt=dt, rng=np.random.default_rng(0)).violation_ratio
+        assert eps.hex() == ratio.hex()
 
     @given(finite_samples)
     @settings(max_examples=200, deadline=None)
@@ -208,17 +232,17 @@ class TestAso:
             rng=np.random.default_rng(0))
         assert calls == [3, 4]
 
+    @pytest.mark.parametrize("call", [aso, violation_ratio], ids=["aso", "violation_ratio"])
+    def test_overflowing_squared_range_raises(self, call):
+        with pytest.raises(ValueError, match="squared range"):
+            call([1e160, -1e160, 3.0], [0.0, 1.0, 2.0])
+
     def test_result_fields_in_range(self):
         rng = np.random.default_rng(8)
         result = aso(rng.normal(size=10), rng.normal(size=12), rng=np.random.default_rng(4))
         assert 0.0 <= result.violation_ratio <= 1.0
         assert 0.0 <= result.eps_min <= 1.0
         assert result.sigma_hat >= 0.0
-
-
-# Grid steps for the run tests: 0.3 gives a three-point grid, coarser than the
-# order statistics of most samples; the others give grids of 99 to 333 points.
-GRID_STEPS = [0.005, 0.003, 0.007, 0.01, 0.3]
 
 
 class TestGridRuns:
