@@ -1,6 +1,6 @@
 """uqkit: numerical toolkit for model comparison and uncertainty quantification.
 
-Subpackages cover empirical-distribution primitives, the almost-stochastic-order
+Modules cover empirical-distribution primitives, the almost-stochastic-order
 significance test and its classical baselines, Monte Carlo error-rate harnesses,
 split and nearest-neighbor-weighted conformal prediction, a binary vector
 datastore with exact and inverted-file search, calibration/discrimination

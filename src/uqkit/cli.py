@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import SCORE_RULES
-from .datastore import Datastore
+from .datastore import METRICS, Datastore
 from .dirichlet import DirichletParams
 from .error_sim import TEST_KINDS, DistSpec
 from .experiments import (CONFORMAL_METHODS, ConformalEvalConfig, aso_sim_csv,
@@ -261,8 +261,8 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--alpha", type=unit_interval, default=0.1)
     p.add_argument("--method", default="split,knn", type=names(CONFORMAL_METHODS),
                    help=f"comma list: {','.join(CONFORMAL_METHODS)}")
-    p.add_argument("--metric", default="l2", type=names(("l2", "ip", "cos")),
-                   help="comma list: l2,ip,cos")
+    p.add_argument("--metric", default="l2", type=names(METRICS),
+                   help=f"comma list: {','.join(METRICS)}")
     p.add_argument("--noise", default="0", type=comma_list(number(float, at_least=0.0)),
                    help="comma list of noise levels (fractions of latent std)")
     p.add_argument("--k", type=at_least_1, default=50)

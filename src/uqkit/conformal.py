@@ -331,7 +331,7 @@ def conformal_generate_step(store, latent, probs, alpha: float, k: int, tau: flo
 
 
 def temperature_search(coverage_eval, alpha: float, tau_min: float, tau_max: float,
-                       steps: int = 20, rng: np.random.Generator | None = None) -> float:
+                       steps: int = 20, *, rng: np.random.Generator) -> float:
     """Stochastic hill climb on the RBF temperature toward coverage 1 - alpha.
 
     Starts at tau_0 ~ U[tau_min, tau_max] and proposes
@@ -345,8 +345,6 @@ def temperature_search(coverage_eval, alpha: float, tau_min: float, tau_max: flo
         raise ValueError("tau_min must be smaller than tau_max")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
     target = 1.0 - alpha
 
     def gap_of(tau: float) -> float:

@@ -33,6 +33,8 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 # block is (queries, rows, dim). One unbounded block was no faster and raised
 # peak RSS by ~17 MB.
 _BLOCK_ELEMENTS = 1 << 18
+# k-NN metric names, in the order the CLI lists them.
+METRICS = ("l2", "ip", "cos")
 
 
 def _best_first(signed: np.ndarray, k: int) -> np.ndarray:
@@ -144,7 +146,7 @@ class Datastore:
         and cos), then `_best_first` keeps each query's best k in the order of
         a stable sort, so equal keys keep row order.
         """
-        if metric not in ("l2", "ip", "cos"):
+        if metric not in METRICS:
             raise ValueError(f"unknown metric: {metric!r}")
         k = min(k, len(rows))
         positions = np.empty((queries.shape[0], k), dtype=np.intp)

@@ -4,8 +4,8 @@ A "sample" throughout this package is a non-empty 1-D collection of finite
 real scores. Every empirical quantile of a sample picks its order statistic by
 one rule, `order_statistic_index`: level p of an n-sample is its ceil(n * p)-th
 order statistic, clamped into the sample, with no interpolation. The quantile
-function, the inverse-transform bootstrap, and ASO's grid and bootstrap rows
-all use it, so every statistic built on them is reproducible to the bit.
+function and ASO's grid and bootstrap rows use it, so every statistic built on
+them is reproducible to the bit.
 """
 
 from __future__ import annotations
@@ -23,12 +23,6 @@ def as_sample(values) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("sample contains non-finite values")
     return arr
-
-
-def empirical_cdf(sample, t: float) -> float:
-    """Fraction of observations <= t (right-continuous step function)."""
-    arr = as_sample(sample)
-    return float(np.count_nonzero(arr <= t)) / arr.size
 
 
 def order_statistic_index(n: int, p) -> np.ndarray:
@@ -56,13 +50,6 @@ def quantile_function(sample) -> Callable[[np.ndarray], np.ndarray]:
     return inverse_cdf
 
 
-def empirical_quantile(sample, p: float) -> float:
-    """p-quantile of a sample for a single level p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile level out of range")
-    return float(quantile_function(sample)(p))
-
-
 def rankdata(values) -> tuple[np.ndarray, np.ndarray]:
     """Mid-ranks (1-based, ties averaged) of finite values, and each distinct value's count.
 
@@ -82,12 +69,3 @@ def rankdata(values) -> tuple[np.ndarray, np.ndarray]:
     ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
     return ranks, counts
 
-
-def bootstrap_resample(sample, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-transform bootstrap: draw p ~ U(0,1) and map through the quantile function.
-
-    Every returned value is a member of the input sample.
-    """
-    if m < 1:
-        raise ValueError("resample size must be >= 1")
-    return quantile_function(sample)(rng.random(m))

@@ -73,6 +73,13 @@ def _grid_runs(n: int, m: int, dt: float) -> tuple[np.ndarray, ...]:
     return runs
 
 
+def _check_squared_range(low: float, high: float) -> None:
+    """Raise ValueError if the squared range (high - low)**2 of two samples overflows."""
+    span = float(high) - float(low)
+    if not math.isfinite(span * span):
+        raise ValueError("the squared range of the two samples overflows")
+
+
 def _sorted_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Both validated samples, stable-sorted: every order statistic ASO reads comes from them.
 
@@ -80,9 +87,7 @@ def _sorted_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     `_ratios` is finite, as the run weights sum to less than 1.
     """
     srt_a, srt_b = (np.sort(as_sample(x), kind="stable") for x in (a, b))
-    span = max(float(srt_a[-1]), float(srt_b[-1])) - min(float(srt_a[0]), float(srt_b[0]))
-    if not math.isfinite(span * span):
-        raise ValueError("the squared range of the two samples overflows")
+    _check_squared_range(min(srt_a[0], srt_b[0]), max(srt_a[-1], srt_b[-1]))
     return srt_a, srt_b
 
 
@@ -114,8 +119,8 @@ def violation_ratio(a, b, dt: float = 0.005) -> float:
     return float(_ratios(srt_a[idx_a], srt_b[idx_b], weight))
 
 
-def aso(a, b, alpha: float = 0.05, num_bootstrap: int = 1000, dt: float = 0.005,
-        rng: np.random.Generator | None = None) -> AsoResult:
+def aso(a, b, alpha: float = 0.05, num_bootstrap: int = 1000, dt: float = 0.005, *,
+        rng: np.random.Generator) -> AsoResult:
     """ASO test: violation ratio, bootstrap sigma, and the eps_min bound.
 
     eps_min = eps - sqrt((N+M)/(N*M)) * sigma_hat * Phi^-1(alpha), clamped into
@@ -135,8 +140,6 @@ def aso(a, b, alpha: float = 0.05, num_bootstrap: int = 1000, dt: float = 0.005,
         raise ValueError("alpha must lie in (0, 1)")
     if num_bootstrap < 1:
         raise ValueError("num_bootstrap must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
     srt_a, srt_b = _sorted_pair(a, b)
     n, m = srt_a.size, srt_b.size
     if n < 2 or m < 2:
@@ -171,6 +174,7 @@ def _student_t(a: np.ndarray, b: np.ndarray) -> TestResult:
     n, m = a.size, b.size
     if n < 2 or m < 2:
         raise ValueError("t-test needs at least two observations per sample")
+    _check_squared_range(min(a.min(), b.min()), max(a.max(), b.max()))
     pooled_var = ((n - 1) * a.var(ddof=1) + (m - 1) * b.var(ddof=1)) / (n + m - 2)
     if pooled_var == 0.0:
         raise ValueError("degenerate variance")
@@ -314,14 +318,17 @@ def _mann_whitney(a: np.ndarray, b: np.ndarray) -> TestResult:
 
 def classic_test(kind: str, a, b, resamples: int = 1000,
                  rng: np.random.Generator | None = None) -> TestResult:
-    """Run one of the classical tests; see CLASSIC_TEST_KINDS for valid kinds."""
+    """Run one of the classical tests; see CLASSIC_TEST_KINDS for valid kinds.
+
+    The resampling kinds, "bootstrap" and "permutation", need `rng`; the others ignore it.
+    """
     arr_a = as_sample(a)
     arr_b = as_sample(b)
     if kind in ("bootstrap", "permutation"):
         if resamples < 1:
             raise ValueError("resamples must be >= 1")
         if rng is None:
-            rng = np.random.default_rng()
+            raise ValueError(f"the {kind} test needs an explicit rng")
     if kind == "student_t":
         return _student_t(arr_a, arr_b)
     if kind == "bootstrap":

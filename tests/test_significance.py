@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -9,6 +10,7 @@ from scipy import stats
 
 from oracles import aso_grid_oracle
 from uqkit import significance
+from uqkit.conformal import temperature_search
 from uqkit.empirical import quantile_function
 from uqkit.significance import (_grid_runs, _mann_whitney_exact_p, _mann_whitney_null_counts,
                                 aso, bonferroni, classic_test, violation_ratio)
@@ -159,10 +161,11 @@ class TestAso:
         assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
 
     def test_validates_arguments(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            aso([1.0, 2.0], [1.0, 2.0], num_bootstrap=0)
+            aso([1.0, 2.0], [1.0, 2.0], num_bootstrap=0, rng=rng)
         with pytest.raises(ValueError):
-            aso([1.0, 2.0], [1.0, 2.0], alpha=1.5)
+            aso([1.0, 2.0], [1.0, 2.0], alpha=1.5, rng=rng)
 
     @pytest.mark.parametrize("a, b", [([1.0], [1.0, 2.0]), ([1.0, 2.0], [3.0]), ([1.0], [2.0])])
     def test_needs_two_observations_per_sample(self, a, b):
@@ -232,7 +235,10 @@ class TestAso:
             rng=np.random.default_rng(0))
         assert calls == [3, 4]
 
-    @pytest.mark.parametrize("call", [aso, violation_ratio], ids=["aso", "violation_ratio"])
+    @pytest.mark.parametrize("call", [functools.partial(aso, rng=np.random.default_rng(0)),
+                                      violation_ratio,
+                                      functools.partial(classic_test, "student_t")],
+                             ids=["aso", "violation_ratio", "student_t"])
     def test_overflowing_squared_range_raises(self, call):
         with pytest.raises(ValueError, match="squared range"):
             call([1e160, -1e160, 3.0], [0.0, 1.0, 2.0])
@@ -485,6 +491,17 @@ class TestClassicTests:
             base = classic_test(kind, a, b).p_value
             transformed = classic_test(kind, scale * a + shift, scale * b + shift).p_value
             assert transformed == pytest.approx(base, rel=1e-9)
+
+
+def test_stochastic_calls_need_an_explicit_rng():
+    a, b = [1.0, 2.0, 3.0], [0.0, 1.0, 2.0]
+    with pytest.raises(TypeError, match="rng"):
+        aso(a, b)
+    with pytest.raises(TypeError, match="rng"):
+        temperature_search(lambda tau: 0.9, 0.1, tau_min=0.0, tau_max=1.0)
+    for kind in ("bootstrap", "permutation"):
+        with pytest.raises(ValueError, match="rng"):
+            classic_test(kind, a, b)
 
 
 class TestBonferroni:
