@@ -168,20 +168,14 @@ def rbf_weights(dists, tau: float, metric: str = "l2") -> np.ndarray:
 
 
 def build_set_adaptive(probs, q_hat) -> PredictionSet:
-    """Smallest descending-probability prefix whose mass reaches q_hat, never empty.
-
-    The retained size is sup{c : cumulative mass of top-c classes < q_hat} + 1
-    with sup of the empty set taken as 0; FULL_SET keeps the whole vocabulary. It is
-    tested, not clamped to 1: a cumulative mass may round to 1.0 before the last class.
+    """Smallest descending-probability prefix whose mass reaches q_hat, never empty: one
+    `AdaptiveSets` row, whose `sizes` states the rule. FULL_SET keeps the whole vocabulary.
     """
-    p = as_prob_vector(probs)
-    order = _descending_order(p)
-    if is_full_set(q_hat):
-        return PredictionSet(indices=tuple(int(i) for i in order), q_hat=FULL_SET)
-    q = min(max(float(q_hat), 0.0), 1.0)
-    cumulative = np.cumsum(p[order])
-    size = min(int(np.count_nonzero(cumulative < q)) + 1, p.size)
-    return PredictionSet(indices=tuple(int(i) for i in order[:size]), q_hat=q)
+    sets = AdaptiveSets(np.reshape(probs, (1, -1)), [0])  # sizes do not read the label
+    q = float(q_hat)
+    size = int(sets.sizes(np.array([q]))[0])
+    return PredictionSet(indices=tuple(int(i) for i in sets.order[0, :size]),
+                         q_hat=q if is_full_set(q) else min(max(q, 0.0), 1.0))
 
 
 class KnnQuantiles:
@@ -236,7 +230,7 @@ class AdaptiveSets:
     def __init__(self, probs, labels):
         p = as_prob_matrix(probs)
         labels = _as_labels(labels, p)
-        order = _descending_order(p)
+        self.order = order = _descending_order(p)  # class ids, most probable first
         self._sorted = np.take_along_axis(p, order, axis=1)
         self._cumulative = np.cumsum(self._sorted, axis=1)
         rows = np.arange(labels.size)
@@ -260,7 +254,11 @@ class AdaptiveSets:
         return np.minimum(mass, 1.0)
 
     def sizes(self, q_hat: np.ndarray) -> np.ndarray:
-        """Per-row set size: the descending prefix reaching the clamped q_hat, never empty."""
+        """Per-row set size: the descending prefix reaching the clamped q_hat, never empty.
+
+        The size is sup{c : cumulative mass of the top c classes < q_hat} + 1, with sup
+        of the empty set taken as 0, and at most the vocabulary.
+        """
         q = np.clip(q_hat, 0.0, 1.0)
         vocab = self._cumulative.shape[1]
         below = np.count_nonzero(self._cumulative < q[:, None], axis=1)

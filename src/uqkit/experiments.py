@@ -3,6 +3,10 @@
 Each driver is deterministic given (seed, config): RNG streams are derived per
 condition/trial via hashing, conditions are enumerated in canonical sorted
 order, and results are returned as plain records ready for CSV/JSON emission.
+The conformal coverage study is a source and an evaluation: `synthetic_source`
+builds the calibration chain and the noisy test views of the synthetic model, and
+`evaluate_conformal` evaluates any calibration chain and test views, reading only
+their arrays.
 """
 
 from __future__ import annotations
@@ -177,70 +181,96 @@ def run_conformal_condition(cfg: ConformalEvalConfig, method: str, metric: str,
 
 def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: list[str],
                        noises: list[float], tau, seed: int) -> list[dict]:
-    """All requested conditions in canonical order, one result record each.
-
-    `noise` is the injected latent noise as a fraction of the calibration
-    latents' per-coordinate standard deviation. Gold tokens always come from the
-    clean emission distribution; sets are built from the corrupted one, mirroring
-    a shifted-representation deployment. Everything else is built once per call,
-    tau once per metric, and the test blocks' rows and sets once per noise level.
-    One unit-normal draw of the test latents' shape, from `derive_rng(seed, 2)`,
-    serves every noise level, scaled by its sigma; noise 0 reads the latents and
-    rows `generate` made, and a call with no non-zero level draws nothing. Before
-    any tau search or query, a noisy latent that a knn condition would query
-    with a squared norm beyond the float32 range raises ValueError.
-    """
+    """All requested conditions on the synthetic source, in canonical order, one
+    record each: `evaluate_conformal` of `synthetic_source`."""
     if not set(methods) <= set(CONFORMAL_METHODS):
         raise ValueError(f"unknown method in {methods!r}; expected {CONFORMAL_METHODS}")
+    cal, views = synthetic_source(cfg, noises, seed)
+    return evaluate_conformal(cfg, cal, views, methods, metrics, noises, tau, seed)
+
+
+def synthetic_source(cfg: ConformalEvalConfig, noises: list[float],
+                     seed: int) -> tuple[Chain, dict[float, Chain]]:
+    """The synthetic model's calibration chain and one test view per distinct noise level.
+
+    After `cfg.burn_in` steps come the calibration and then the test steps of one
+    generated chain. A view holds the test latents plus noise, their distributions
+    and the clean gold tokens: a shifted-representation deployment. `noise` is a
+    fraction of the calibration latents' standard deviation; one unit-normal draw
+    from `derive_rng(seed, 2)`, made only when some level is non-zero, serves every
+    level. Noise 0 is the generated test slice itself. ValueError names a negative
+    or NaN level, or one whose noisy latents or distributions are not finite.
+    """
     if not all(noise >= 0 for noise in noises):  # written so that NaN fails it
         raise ValueError(f"noise levels must be non-negative, got {noises!r}")
-    conditions = [(method, metric, noise) for method in sorted(methods) for noise in sorted(noises)
-                  for metric in (sorted(metrics) if method == "knn" else ["-"])]
-
     model = new_model(cfg.vocab_size, cfg.latent_dim, seed=seed)
     chain = generate(model, cfg.burn_in + cfg.cal_steps + cfg.test_steps, derive_rng(seed, 1))
     cal = chain[cfg.burn_in: cfg.burn_in + cfg.cal_steps]
     test = chain[cfg.burn_in + cfg.cal_steps:]
 
+    latent_std = float(cal.latents.std())
+    unit = derive_rng(seed, 2).normal(0.0, 1.0, size=test.latents.shape) if any(noises) else None
+    views = {noise: test for noise in noises if noise == 0}
+    for noise in sorted(set(noises) - {0.0}):
+        probs = np.empty_like(test.probs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            latents = test.latents + unit * (noise * latent_std)
+            for start in range(0, len(test), _CHUNK_STEPS):  # a (T, V) call peaks higher
+                probs[start: start + _CHUNK_STEPS] = step_probs(
+                    model, latents[start: start + _CHUNK_STEPS])
+        if not (np.isfinite(latents).all() and np.isfinite(probs).all()):
+            raise ValueError(f"noise {noise:g} makes a test latent or its token distribution "
+                             "non-finite")
+        views[noise] = Chain(latents, probs, test.golds)
+    return cal, views
+
+
+def evaluate_conformal(cfg: ConformalEvalConfig, cal: Chain, views: dict[float, Chain],
+                       methods: list[str], metrics: list[str], noises: list[float], tau,
+                       seed: int) -> list[dict]:
+    """All requested conditions in canonical order, one record each, calibrated on
+    `cal` and tested on `views[noise]`, reading only their arrays.
+
+    The store and quantiles are built once per call, tau once per knn metric and
+    each test block's sets once per noise level. Before any tau search or query, a
+    latent that a knn condition would query with a squared norm beyond the float32
+    range raises ValueError.
+    """
+    conditions = [(method, metric, noise) for method in sorted(methods) for noise in sorted(noises)
+                  for metric in (sorted(metrics) if method == "knn" else ["-"])]
     store = calibration_store(cal, cfg.score_kind)
     score_sets = score_rule(cfg.score_kind)
-    latent_std = float(cal.latents.std())
     fixed_q = {"split": split_quantile(store.scores, cfg.alpha),
                "knn_unit": weighted_quantile(
                    WeightedCalibration(store.scores, np.ones(len(store))), cfg.alpha)}
 
-    unit = derive_rng(seed, 2).normal(0.0, 1.0, size=test.latents.shape) if any(noises) else None
-    noisy = {noise: test.latents if noise == 0 else test.latents + unit * (noise * latent_std)
-             for noise in sorted(set(noises))}
-
     knn_metrics = sorted({metric for method, metric, _ in conditions if method == "knn"})
     for noise in sorted({noise for method, _, noise in conditions if method == "knn"}):
-        _check_key_range(noisy[noise], noise)
+        _check_key_range(views[noise].latents, noise)
     if knn_metrics and len(store) < cfg.k:
         logger.warning("k=%d exceeds datastore size %d; using the entire store", cfg.k, len(store))
     taus = {metric: resolve_tau(store, cal, cfg, metric, tau, seed) for metric in knn_metrics}
 
     blocks = {c: [] for c in conditions}  # per block: (q_hat, sizes, hits)
-    for noise, latents in noisy.items():
-        for start in range(0, len(test), _CHUNK_STEPS):
-            rows = slice(start, start + _CHUNK_STEPS)
-            block, corrupted = test[rows], latents[rows]
-            # the clean rows: generate already holds their distributions
-            probs = block.probs if noise == 0 else step_probs(model, corrupted)
-            sets = score_sets(probs, block.golds)
+    for noise in sorted(set(noises)):
+        view = views[noise]
+        for start in range(0, len(view), _CHUNK_STEPS):
+            block = view[start: start + _CHUNK_STEPS]
+            sets = score_sets(block.probs, block.golds)
             for method, metric in [c[:2] for c in blocks if c[2] == noise]:
                 if method == "knn":
-                    neighbors = store.query_batch(corrupted, cfg.k, metric=metric)
+                    neighbors = store.query_batch(block.latents, cfg.k, metric=metric)
                     q_hat = KnnQuantiles(neighbors, cfg.alpha, metric)(taus[metric])
                 else:
                     q_hat = np.full(len(block), fixed_q[method])
                 blocks[method, metric, noise].append((q_hat, sets.sizes(q_hat),
                                                       sets.covers(q_hat)))
 
+    vocab = cal.probs.shape[1]
     records = []
     for method, metric, noise in conditions:
         q_hat, sizes, covered = map(np.concatenate, zip(*blocks[method, metric, noise]))
-        report = coverage_report_arrays(sizes, covered, cfg.alpha, vocab_size=cfg.vocab_size)
+        report = coverage_report_arrays(sizes, covered, cfg.alpha, vocab_size=vocab)
         records.append({
             "schema": CONFORMAL_EVAL_SCHEMA, "method": method, "metric": metric,
             "tau": round(taus[metric], 6) if method == "knn" else None,
@@ -248,7 +278,7 @@ def run_conformal_eval(cfg: ConformalEvalConfig, methods: list[str], metrics: li
             "coverage": round(report.coverage, 6), "width": round(report.mean_width_fraction, 6),
             "ssc": round(report.ssc, 6), "ecg": round(report.ecg, 6),
             "q_digest": _q_digest(q_hat),
-            "mean_set_size": round(report.mean_width_fraction * cfg.vocab_size, 6),
+            "mean_set_size": round(report.mean_width_fraction * vocab, 6),
         })
     return records
 

@@ -169,12 +169,26 @@ def bonferroni(alpha: float, num_comparisons: int) -> float:
     return alpha / num_comparisons
 
 
+def _check_mean_range(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise ValueError unless the sums and squares of the mean-based tests stay finite.
+
+    With N = a.size + b.size, M the largest |value| and S the range of the two
+    samples, every sum those tests form is at most N * (M + S) in magnitude (a
+    bootstrap null value lies within S of the pooled mean) and every sum of
+    squared deviations at most N * S**2; both bounds, doubled for rounding, must be
+    finite.
+    """
+    low, high = float(min(a.min(), b.min())), float(max(a.max(), b.max()))
+    count, span = 2.0 * (a.size + b.size), high - low
+    if not (math.isfinite(count * (max(-low, high) + span)) and math.isfinite(count * span * span)):
+        raise ValueError("the sums or the squared range of the two samples overflow")
+
+
 def _student_t(a: np.ndarray, b: np.ndarray) -> TestResult:
     """One-sided pooled-variance two-sample t-test for H1: mean(a) > mean(b)."""
     n, m = a.size, b.size
     if n < 2 or m < 2:
         raise ValueError("t-test needs at least two observations per sample")
-    _check_squared_range(min(a.min(), b.min()), max(a.max(), b.max()))
     pooled_var = ((n - 1) * a.var(ddof=1) + (m - 1) * b.var(ddof=1)) / (n + m - 2)
     if pooled_var == 0.0:
         raise ValueError("degenerate variance")
@@ -324,6 +338,8 @@ def classic_test(kind: str, a, b, resamples: int = 1000,
     """
     arr_a = as_sample(a)
     arr_b = as_sample(b)
+    if kind in ("student_t", "bootstrap", "permutation"):
+        _check_mean_range(arr_a, arr_b)
     if kind in ("bootstrap", "permutation"):
         if resamples < 1:
             raise ValueError("resamples must be >= 1")

@@ -353,6 +353,25 @@ class TestConformalEvalValidation:
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)[0]["noise"] == 1e30
 
+    @pytest.mark.parametrize("method", ["split", "knn"])
+    def test_non_finite_noisy_test_steps_are_one_data_error_line(self, method):
+        """At 1e308 the noisy latents overflow: no numpy warning, one line naming the level."""
+        result = run_cli(["conformal-eval", "--vocab", "100", "--dim", "16", "--cal-steps", "60",
+                          "--test-steps", "50", "--k", "5", "--noise", "1e308",
+                          "--method", method])
+        assert result.returncode == 3
+        assert result.stderr.splitlines() == [
+            "error: noise 1e+308 makes a test latent or its token distribution non-finite"]
+        assert result.stdout == ""
+
+    def test_split_only_takes_noise_whose_latents_stay_finite(self):
+        result = run_cli(["conformal-eval", "--vocab", "100", "--dim", "16", "--cal-steps", "60",
+                          "--test-steps", "50", "--k", "5", "--noise", "1e200",
+                          "--method", "split"])
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert json.loads(result.stdout)[0]["noise"] == 1e200
+
     def test_split_only_nan_noise_is_usage_error(self):
         result = run_cli(["conformal-eval", "--vocab", "10", "--dim", "3", "--method", "split",
                           "--noise", "nan"])

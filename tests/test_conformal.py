@@ -18,10 +18,10 @@ from uqkit.conformal import (FULL_SET, AdaptiveSets, KnnQuantiles, ThresholdSets
                              rbf_weights, score_adaptive, score_simple, split_quantile,
                              temperature_search, weighted_quantile)
 from uqkit.datastore import Datastore, Neighbors
-from uqkit.experiments import (ConformalEvalConfig, resolve_tau, run_conformal_condition,
-                               run_conformal_eval)
+from uqkit.experiments import (ConformalEvalConfig, evaluate_conformal, resolve_tau,
+                               run_conformal_condition, run_conformal_eval, synthetic_source)
 from uqkit.seeds import derive_rng
-from uqkit.synthetic import generate, inject_noise, new_model, nonconformity, step_probs
+from uqkit.synthetic import Chain, generate, inject_noise, new_model, nonconformity, step_probs
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -510,23 +510,14 @@ class TestSplitCoverageProperty:
                               alpha=0.1)
     SEEDS = range(30)
 
-    def score_coverage(self, chain):
+    def score_coverage(self, cal, test):
         """Share of the test steps whose gold score is <= the split q_hat of the calibration steps."""
         cfg = self.CFG
-        steps = chain[cfg.burn_in:]
-        scores = nonconformity(cfg.score_kind, steps.probs, steps.golds)
-        q_hat = split_quantile(scores[:cfg.cal_steps], cfg.alpha)
+        q_hat = split_quantile(nonconformity(cfg.score_kind, cal.probs, cal.golds), cfg.alpha)
         assert not is_full_set(q_hat)
-        return float(np.mean(scores[cfg.cal_steps:] <= q_hat))
+        return float(np.mean(nonconformity(cfg.score_kind, test.probs, test.golds) <= q_hat))
 
-    def test_mean_coverage_within_the_split_bounds(self, monkeypatch):
-        chains = []
-
-        def recording_generate(*args, **kwargs):
-            chains.append(generate(*args, **kwargs))
-            return chains[-1]
-
-        monkeypatch.setattr(experiments, "generate", recording_generate)
+    def test_mean_coverage_within_the_split_bounds(self):
         cfg = self.CFG
         n, t = cfg.cal_steps, cfg.test_steps
         low, high = 1 - cfg.alpha, 1 - cfg.alpha + 1 / (n + 1)
@@ -534,8 +525,9 @@ class TestSplitCoverageProperty:
         sd = math.sqrt(p * (1 - p) * (t + n + 1) / (t * (n + 2)))
         score_cov, set_cov = [], []
         for seed in self.SEEDS:
-            record = run_conformal_eval(cfg, ["split"], ["l2"], [0.0], "auto", seed)[0]
-            score_cov.append(self.score_coverage(chains[-1]))
+            cal, views = synthetic_source(cfg, [0.0], seed)
+            [record] = evaluate_conformal(cfg, cal, views, ["split"], ["l2"], [0.0], "auto", seed)
+            score_cov.append(self.score_coverage(cal, views[0.0]))
             set_cov.append(record["coverage"])
             assert low - 4 * sd <= score_cov[-1] <= high + 4 * sd, seed
             assert set_cov[-1] >= score_cov[-1], seed
@@ -545,7 +537,8 @@ class TestSplitCoverageProperty:
 
 
 def calibration_store(cfg, seed):
-    """The calibration steps of `cfg` and the store built from them, as `run_conformal_eval` does."""
+    """A chain of `cfg.cal_steps` steps from the model and stream (seed, 1) that
+    `synthetic_source` uses, with no burn-in, and the store built from it."""
     cal = generate(new_model(cfg.vocab_size, cfg.latent_dim, seed=seed), cfg.cal_steps,
                    derive_rng(seed, 1))
     return cal, synthetic.calibration_store(cal, cfg.score_kind)
@@ -683,21 +676,37 @@ class TestConformalEvalDriver:
                                                      record["noise"], "auto", seed=4)
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_simple_score_split_coverage_is_the_score_coverage(self, monkeypatch, seed):
+    def test_simple_score_split_coverage_is_the_score_coverage(self, seed):
         """With `score_kind="simple"` the sets threshold the same score that was calibrated."""
-        chains = []
-
-        def recording_generate(*args, **kwargs):
-            chains.append(generate(*args, **kwargs))
-            return chains[-1]
-
-        monkeypatch.setattr(experiments, "generate", recording_generate)
         cfg = ConformalEvalConfig(vocab_size=20, latent_dim=4, score_kind="simple")
-        [record] = run_conformal_eval(cfg, ["split"], ["l2"], [0.0], "auto", seed)
-        steps = chains[-1][cfg.burn_in:]
-        scores = np.array([score_simple(p, gold) for p, gold in zip(steps.probs, steps.golds)])
-        q_hat = split_quantile(scores[:cfg.cal_steps], cfg.alpha)
-        assert record["coverage"] == round(float(np.mean(scores[cfg.cal_steps:] <= q_hat)), 6)
+        cal, views = synthetic_source(cfg, [0.0], seed)
+        [record] = evaluate_conformal(cfg, cal, views, ["split"], ["l2"], [0.0], "auto", seed)
+
+        def scores(chain):
+            return np.array([score_simple(p, gold) for p, gold in zip(chain.probs, chain.golds)])
+
+        q_hat = split_quantile(scores(cal), cfg.alpha)
+        assert record["coverage"] == round(float(np.mean(scores(views[0.0]) <= q_hat)), 6)
+
+    def test_evaluation_reads_only_the_source_arrays(self, monkeypatch, tmp_path):
+        """Chains rebuilt from saved arrays, with no model to call, give the same records."""
+        cfg = replace(self.CFG, search_steps=2)
+        methods, metrics, noises = ["split", "knn", "knn_unit"], ["l2", "ip", "cos"], [0.0, 0.1]
+        expected = run_conformal_eval(cfg, methods, metrics, noises, "auto", seed=3)
+        cal, views = synthetic_source(cfg, noises, seed=3)
+        chains = {"cal": cal, **{f"view{i}": views[noise] for i, noise in enumerate(noises)}}
+        np.savez(tmp_path / "source.npz", **{f"{name}.{column}": getattr(chain, column)
+                                             for name, chain in chains.items()
+                                             for column in ("latents", "probs", "golds")})
+        with np.load(tmp_path / "source.npz", allow_pickle=False) as saved:
+            loaded = {name: Chain(*(saved[f"{name}.{column}"]
+                                    for column in ("latents", "probs", "golds")))
+                      for name in chains}
+        for name in ("new_model", "generate", "step_probs"):
+            monkeypatch.setattr(experiments, name, None)  # any call would raise TypeError
+        views = {noise: loaded[f"view{i}"] for i, noise in enumerate(noises)}
+        assert evaluate_conformal(cfg, loaded["cal"], views, methods, metrics, noises, "auto",
+                                  seed=3) == expected
 
     def test_unknown_method_rejected_before_generation(self, monkeypatch):
         monkeypatch.setattr(experiments, "generate", None)  # any call would raise TypeError

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,18 @@ class TestAso:
     def test_overflowing_squared_range_raises(self, call):
         with pytest.raises(ValueError, match="squared range"):
             call([1e160, -1e160, 3.0], [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("kind, a, b", [
+        ("student_t", [6.5e153] * 3 + [-6.5e153] * 3, [0.0, 1.0]),  # n * span**2 overflows
+        ("student_t", [1.7e308] * 3, [1.7e308] * 2),  # the sums overflow, the span is 0
+        ("bootstrap", [1.7e308] * 3, [1.7e308, 1.6e308]),
+        ("permutation", [1.7e308] * 3, [1.7e308, 1.6e308]),
+    ], ids=["student_t_squares", "student_t_sums", "bootstrap", "permutation"])
+    def test_overflowing_mean_test_sums_raise(self, kind, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                classic_test(kind, a, b, resamples=20, rng=np.random.default_rng(0))
 
     def test_result_fields_in_range(self):
         rng = np.random.default_rng(8)
