@@ -230,7 +230,7 @@ def build_parser() -> ArgumentParser:
     parser = ArgumentParser(prog="uqkit", description=__doc__,
                             formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    at_least_1 = number(int, at_least=1)
+    at_least_0, at_least_1 = number(int, at_least=0), number(int, at_least=1)
     unit_interval = number(float, above=0.0, below=1.0)
 
     p = sub.add_parser("aso-sim", help="Type I/II error-rate grids")
@@ -245,7 +245,7 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--tau", default="0.2", type=comma_list(number(float)),
                    help="comma list of decision thresholds")
     p.add_argument("--trials", type=at_least_1, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=at_least_0, default=0)
     p.add_argument("--alpha", type=unit_interval, default=0.05, help="ASO confidence level")
     p.add_argument("--bootstrap", type=at_least_1, default=1000)
     p.add_argument("--resamples", type=at_least_1, default=1000)
@@ -270,7 +270,7 @@ def build_parser() -> ArgumentParser:
                    help='"auto" (stochastic search), "heuristic" (median neighbor key), '
                         "or a numeric RBF scale")
     p.add_argument("--score", default="adaptive", choices=sorted(SCORE_RULES))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=at_least_0, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--plot", default=None)
     p.set_defaults(func=cmd_conformal_eval)
@@ -280,7 +280,7 @@ def build_parser() -> ArgumentParser:
                    help="explicit comma list of concentrations")
     p.add_argument("--num-random", type=int, default=20, dest="num_random")
     p.add_argument("--samples", type=number(int, at_least=2), default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=at_least_0, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_dirichlet_check)
 

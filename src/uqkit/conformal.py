@@ -102,6 +102,8 @@ def split_quantile(scores, alpha: float):
     s = np.asarray(scores, dtype=float).ravel()
     if s.size == 0:
         raise ValueError("empty scores")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("scores must be finite")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     rank = math.ceil((s.size + 1) * (1.0 - alpha) - _LEVEL_SLACK)

@@ -97,6 +97,13 @@ def coverage_report_arrays(sizes, covered, alpha: float, num_size_bins: int = 75
     covered = np.asarray(covered, dtype=float).ravel()
     if sizes.size != covered.size or not sizes.size:
         raise ValueError("sets and labels must be non-empty and equal-length")
+    # Each check is written so that NaN fails it.
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if not np.all((covered == 0.0) | (covered == 1.0)):
+        raise ValueError("coverage flags must be 0 or 1")
+    if not sizes.min() >= 0.0:
+        raise ValueError("set sizes must be >= 0")
     if vocab_size is None:
         vocab_size = int(sizes.max())
     if not vocab_size >= max(1.0, sizes.max()):  # NaN fails too

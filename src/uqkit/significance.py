@@ -8,6 +8,10 @@ plain (statistic, p-value) pair.
 ASO reads every quantile, of a sample and of its bootstrap resamples, as an
 order statistic of a sorted copy, picked by `empirical.order_statistic_index`
 (level p of an n-sample is its ceil(n * p)-th order statistic, clamped).
+
+Both rank tests' exact nulls are one cached count of integer-rank subsets per
+sum (`_subset_sum_counts`): Wilcoxon's sign patterns are subsets of the doubled
+ranks, and Mann-Whitney's rank sum W = U + n(n+1)/2 is an n-member subset of 1..n+m.
 """
 
 from __future__ import annotations
@@ -222,16 +226,18 @@ def _permutation_test(a: np.ndarray, b: np.ndarray, resamples: int,
 
 
 @functools.lru_cache(maxsize=256)
-def _sign_pattern_counts(doubled_ranks: tuple[int, ...]) -> np.ndarray:
-    """Number of sign patterns of the ranks per doubled positive-rank sum.
+def _subset_sum_counts(values: tuple[int, ...], size: int | None = None) -> np.ndarray:
+    """Number of subsets of the positive integers `values` per sum 0..sum(values), read-only.
 
-    Doubling makes mid-ranks integers. Each rank is positive in half of the
-    patterns, so each step adds the counts so far to themselves shifted by it.
+    Row k of a (members, sum) table counts the k-member subsets: each value adds
+    the table so far to itself, one member up and shifted by the value. Returns
+    row `size`, or with no size the counts of subsets of any size.
     """
-    counts = np.zeros(sum(doubled_ranks) + 1, dtype=np.int64)
-    counts[0] = 1
-    for r in doubled_ranks:
-        counts[r:] += counts[:-r].copy()
+    counts = np.zeros((len(values) + 1, sum(values) + 1), dtype=np.int64)
+    counts[0, 0] = 1
+    for v in values:
+        counts[1:, v:] += counts[:-1, :-v].copy()
+    counts = counts.sum(axis=0) if size is None else counts[size].copy()
     counts.flags.writeable = False
     return counts
 
@@ -261,9 +267,9 @@ def _wilcoxon(a: np.ndarray, b: np.ndarray) -> TestResult:
 
     untied = tie_counts.size == count == a.size
     if a.size <= (_WILCOXON_EXACT_LIMIT if untied else _WILCOXON_EXACT_LIMIT_TIED):
-        doubled = tuple(np.sort(2 * ranks).astype(np.int64).tolist())
-        reached = _sign_pattern_counts(doubled)[int(2 * r_plus):].sum()
-        p = reached / 2 ** count
+        # A sign pattern is the subset of positive ranks; doubling makes mid-ranks integers.
+        counts = _subset_sum_counts(tuple(np.sort(2 * ranks).astype(np.int64).tolist()))
+        p = counts[int(2 * r_plus):].sum() / counts.sum()
     else:
         tie_term = float((tie_counts ** 3 - tie_counts).sum())
         mean = count * (count + 1.0) * 0.25
@@ -273,52 +279,25 @@ def _wilcoxon(a: np.ndarray, b: np.ndarray) -> TestResult:
     return TestResult(statistic=r_plus, p_value=float(p))
 
 
-@functools.lru_cache(maxsize=256)
-def _mann_whitney_null_counts(n: int, m: int) -> np.ndarray:
-    """Number of rank arrangements of groups of n and m untied values per U = 0..n*m.
-
-    Uses the recurrence N(u; n, m) = N(u - m; n - 1, m) + N(u; n, m - 1)
-    obtained by conditioning on whether the largest pooled value belongs to
-    the first or the second sample.
-    """
-    max_u = n * m
-    f = np.zeros((n + 1, m + 1, max_u + 1), dtype=np.int64)
-    f[0, :, 0] = 1
-    f[:, 0, 0] = 1
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            f[i, j, :] = f[i, j - 1, :]
-            f[i, j, j:] += f[i - 1, j, : max_u + 1 - j]
-    counts = f[n, m, :].copy()
-    counts.flags.writeable = False
-    return counts
-
-
-def _mann_whitney_exact_p(n: int, m: int, u_obs: float) -> float:
-    """P(U >= u_obs) under the null by exact counting of rank arrangements.
-
-    Valid only without ties.
-    """
-    dist = _mann_whitney_null_counts(n, m)
-    threshold = math.ceil(u_obs - 1e-9)
-    return float(dist[threshold:].sum() / dist.sum())
-
-
 def _mann_whitney(a: np.ndarray, b: np.ndarray) -> TestResult:
     """One-sided Mann-Whitney U test for H1: `a` tends larger than `b`.
 
-    Exact enumeration when both groups have at most 12 observations and no
-    ties are present; otherwise the normal approximation with tie correction
-    and continuity correction.
+    U is the rank sum W of `a` less n(n+1)/2. When both groups have at most 12
+    observations and no ties are present, the p-value is the exact share of the
+    n-member subsets of the ranks 1..n+m whose sum reaches W; otherwise it is the
+    normal approximation with tie correction and continuity correction.
     """
     n, m = a.size, b.size
     pooled = np.concatenate([a, b])
     ranks, tie_counts = rankdata(pooled)
-    u_stat = ranks[:n].sum() - n * (n + 1) / 2.0
+    rank_sum = ranks[:n].sum()
+    u_stat = rank_sum - n * (n + 1) / 2.0
 
     has_ties = tie_counts.size < pooled.size
     if not has_ties and max(n, m) <= _MW_EXACT_LIMIT:
-        return TestResult(statistic=float(u_stat), p_value=_mann_whitney_exact_p(n, m, u_stat))
+        counts = _subset_sum_counts(tuple(range(1, n + m + 1)), n)
+        p = counts[int(rank_sum):].sum() / counts.sum()
+        return TestResult(statistic=float(u_stat), p_value=float(p))
 
     mean_u = n * m / 2.0
     tie_term = float(((tie_counts ** 3) - tie_counts).sum())

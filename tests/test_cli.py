@@ -293,6 +293,8 @@ class TestUsageErrors:
         (["frobnicate"], "command"), ([], "command"),
         (["aso-sim", "--frobnicate", "1"], "--frobnicate"),
         (["datastore", "from-csv", "in.csv"], "dest"),
+        (["aso-sim", "--seed", "-1"], "--seed"), (["conformal-eval", "--seed", "-1"], "--seed"),
+        (["dirichlet-check", "--seed", "-1"], "--seed"),
     ])
     def test_one_line_naming_the_option(self, argv, name, capsys):
         assert main(argv) == 2

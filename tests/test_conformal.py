@@ -126,6 +126,11 @@ class TestSplitQuantile:
         with pytest.raises(ValueError, match="empty"):
             split_quantile([], 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_scores(self, bad):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            split_quantile([bad, 0.1, 0.2], 0.3)
+
 
 class TestWeightedQuantile:
     def test_unit_weights_reduce_to_split(self):

@@ -223,6 +223,12 @@ class TestDiscrimination:
         (aupr, ([np.nan, 0.5, 0.2], [1, 0, 1]), "NaN"),
         (brier, ([1.5], [1]), "confidences must lie in"),
         (brier, ([0.5], [3]), "correctness flags must lie in"),
+        (coverage_report_arrays, ([1, 2], [1, 0], np.nan), "alpha"),
+        (coverage_report_arrays, ([1, 2], [5, -3], 0.1), "coverage flags"),
+        (coverage_report_arrays, ([1, -2], [1, 0], 0.1), "set sizes"),
+        (coverage_report_arrays, ([1, 2], [1, 0], 1.0), "alpha"),
+        (coverage_report_arrays, ([1, 2], [np.nan, 0], 0.1), "coverage flags"),
+        (coverage_report_arrays, ([np.nan, 2], [1, 0], 0.1), "set sizes"),
     ])
     def test_rejects_nan_inputs(self, metric, args, match):
         with pytest.raises(ValueError, match=match):

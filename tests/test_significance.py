@@ -13,8 +13,8 @@ from oracles import aso_grid_oracle
 from uqkit import significance
 from uqkit.conformal import temperature_search
 from uqkit.empirical import quantile_function
-from uqkit.significance import (_grid_runs, _mann_whitney_exact_p, _mann_whitney_null_counts,
-                                aso, bonferroni, classic_test, violation_ratio)
+from uqkit.significance import (_grid_runs, _subset_sum_counts, aso, bonferroni, classic_test,
+                                violation_ratio)
 
 # Bounded finite score samples of size 1..30 for the property tests.
 finite_samples = st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
@@ -348,6 +348,61 @@ def uncached_mann_whitney_counts(n, m):
     return f[n, m, :]
 
 
+def wave(n, freq, phase, shift=0.0, tied=False):
+    """n fixed scores sin(freq * i + phase) + shift; `tied` rounds them to thirds."""
+    values = [math.sin(freq * i + phase) + shift for i in range(n)]
+    return [round(3 * v) / 3 for v in values] if tied else values
+
+
+def rank_test_pin_cases():
+    """Fixed samples for each branch of both rank tests: exact, tied or zero, and normal."""
+    cases = {}
+    for n, shift in ((5, 0.4), (12, -0.2), (20, 0.3), (50, 0.1), (51, 0.1)):
+        cases[f"wilcoxon untied n={n}"] = ("wilcoxon", wave(n, 2.1, 0.3, shift), wave(n, 1.7, 0.5))
+    for n in (6, 13, 14, 60):
+        cases[f"wilcoxon tied n={n}"] = ("wilcoxon", wave(n, 2.1, 0.3, 0.2, True),
+                                         wave(n, 1.7, 0.5, 0.0, True))
+    for n in (2, 13, 14):
+        a, b = wave(n, 2.1, 0.3, 0.2), wave(n, 1.7, 0.5)
+        b[: max(1, n // 4)] = a[: max(1, n // 4)]
+        cases[f"wilcoxon zeros n={n}"] = ("wilcoxon", a, b)
+    for n, m in ((1, 12), (3, 3), (5, 5), (5, 10), (12, 12), (12, 7), (13, 5), (15, 13)):
+        cases[f"mann_whitney untied {n},{m}"] = ("mann_whitney", wave(n, 2.1, 0.3, 0.3),
+                                                 wave(m, 1.7, 0.5))
+    for n, m in ((5, 5), (9, 7), (20, 20)):
+        cases[f"mann_whitney tied {n},{m}"] = ("mann_whitney", wave(n, 2.1, 0.3, 0.2, True),
+                                               wave(m, 1.7, 0.5, 0.0, True))
+    return cases
+
+
+# float.hex of each case's p-value: a change to the rank tests' code must keep these bits.
+RANK_TEST_PINS = {
+    'wilcoxon untied n=5': '0x1.0000000000000p-5',
+    'wilcoxon untied n=12': '0x1.7b40000000000p-1',
+    'wilcoxon untied n=20': '0x1.d2e4000000000p-5',
+    'wilcoxon untied n=50': '0x1.1e42f60f512e0p-2',
+    'wilcoxon untied n=51': '0x1.365c9a45e0e6ep-2',
+    'wilcoxon tied n=6': '0x1.8000000000000p-2',
+    'wilcoxon tied n=13': '0x1.fc00000000000p-3',
+    'wilcoxon tied n=14': '0x1.2327d3ab9301ap-3',
+    'wilcoxon tied n=60': '0x1.a44a6d21c0752p-5',
+    'wilcoxon zeros n=2': '0x1.0000000000000p-1',
+    'wilcoxon zeros n=13': '0x1.6400000000000p-2',
+    'wilcoxon zeros n=14': '0x1.b1c33bae0b462p-3',
+    'mann_whitney untied 1,12': '0x1.3b13b13b13b14p-2',
+    'mann_whitney untied 3,3': '0x1.6666666666666p-2',
+    'mann_whitney untied 5,5': '0x1.aebaebaebaebbp-3',
+    'mann_whitney untied 5,10': '0x1.3d1f74e0082f1p-3',
+    'mann_whitney untied 12,12': '0x1.100baffde2ae4p-3',
+    'mann_whitney untied 12,7': '0x1.0baf7141947ecp-3',
+    'mann_whitney untied 13,5': '0x1.1bc3bd1a914f0p-2',
+    'mann_whitney untied 15,13': '0x1.555bcc0d7a4e8p-3',
+    'mann_whitney tied 5,5': '0x1.092ac3d9bfea5p-2',
+    'mann_whitney tied 9,7': '0x1.6af6918450256p-3',
+    'mann_whitney tied 20,20': '0x1.d0c9673e381c4p-4',
+}
+
+
 def wilcoxon_branch(n, tied_or_zero):
     """Which null distribution scipy.stats.wilcoxon's default method picks."""
     if not tied_or_zero and n <= 50:
@@ -361,13 +416,35 @@ class TestClassicTests:
         assert result.p_value == pytest.approx(1 / 20)
 
     def test_mann_whitney_cached_null_matches_uncached_recurrence(self):
+        # The exact null counts n-member rank sums W = U + n(n+1)/2 of the ranks 1..n+m.
         for n, m in itertools.product(range(1, 13), repeat=2):
             dist = uncached_mann_whitney_counts(n, m)
-            counts = _mann_whitney_null_counts(n, m)
-            assert np.array_equal(counts, dist) and not counts.flags.writeable
-            assert _mann_whitney_null_counts(n, m) is counts
+            ranks, offset = tuple(range(1, n + m + 1)), n * (n + 1) // 2
+            counts = _subset_sum_counts(ranks, n)
+            expected = np.zeros(sum(ranks) + 1, dtype=np.int64)
+            expected[offset:offset + n * m + 1] = dist
+            assert np.array_equal(counts, expected) and not counts.flags.writeable
+            assert _subset_sum_counts(ranks, n) is counts
             for u in range(n * m + 1):
-                assert _mann_whitney_exact_p(n, m, u) == float(dist[u:].sum() / dist.sum())
+                assert float(counts[offset + u:].sum() / counts.sum()) == \
+                    float(dist[u:].sum() / dist.sum())
+
+    @given(st.lists(st.integers(min_value=1, max_value=20), max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_subset_sum_counts_match_enumeration(self, values):
+        values = tuple(values)
+        total = np.zeros(sum(values) + 1, dtype=np.int64)
+        for size in range(len(values) + 1):
+            expected = np.zeros(sum(values) + 1, dtype=np.int64)
+            for subset in itertools.combinations(values, size):
+                expected[sum(subset)] += 1
+            assert np.array_equal(_subset_sum_counts(values, size), expected)
+            total += expected
+        assert np.array_equal(_subset_sum_counts(values), total)
+
+    def test_rank_test_p_values_are_pinned_to_the_bit(self):
+        for name, (kind, a, b) in rank_test_pin_cases().items():
+            assert classic_test(kind, a, b).p_value.hex() == RANK_TEST_PINS[name], name
 
     def test_mann_whitney_matches_enumeration_oracle(self):
         rng = np.random.default_rng(17)
