@@ -27,7 +27,7 @@ from .conformal import SCORE_RULES
 from .datastore import METRICS, Datastore
 from .dirichlet import DirichletParams
 from .error_sim import TEST_KINDS, DistSpec
-from .experiments import (CONFORMAL_METHODS, ConformalEvalConfig, aso_sim_csv,
+from .experiments import (ASO_SIM_SCHEMA, CONFORMAL_METHODS, ConformalEvalConfig,
                           run_aso_grid, run_conformal_eval, run_dirichlet_check)
 
 DATASTORE_CSV_SCHEMA = "uqkit.datastore.csv.v1"
@@ -103,6 +103,16 @@ def rbf_tau(text: str):
     return text if text in ("auto", "heuristic") else number(float, above=0.0)(text)
 
 
+def _tagged_csv(schema: str, header: list[str], rows) -> str:
+    """A `# schema=` line, then the header and the rows as CSV with LF line ends."""
+    buffer = io.StringIO()
+    buffer.write(f"# schema={schema}\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def _emit(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
@@ -159,7 +169,10 @@ def cmd_aso_sim(args) -> int:
         tests=args.test, dists=args.dist, sizes=args.n, thresholds=args.tau,
         trials=args.trials, seed=args.seed, alpha=args.alpha, num_bootstrap=args.bootstrap,
         resamples=args.resamples, dist_b=args.dist_b)
-    _emit(aso_sim_csv(records), args.out)
+    _emit(_tagged_csv(ASO_SIM_SCHEMA,
+                      ["test", "dist", "n", "threshold", "trials", "rate", "se", "seed"],
+                      ([r.test, r.dist, r.n, r.threshold, r.trials, f"{r.rate:.6f}",
+                        f"{r.se:.6f}", r.seed] for r in records)), args.out)
     if args.plot:
         _emit(_svg_line_chart(records, lambda r: (f"{r.test} tau={r.threshold:g}", r.n, r.rate),
                               "error rate vs sample size"), args.plot)
@@ -183,7 +196,8 @@ def cmd_conformal_eval(args) -> int:
 
 def cmd_dirichlet_check(args) -> int:
     if args.alpha is None and args.num_random < 1:
-        raise UsageError(f"argument --num-random: expected an integer >= 1, got {args.num_random}")
+        raise UsageError("argument --num-random: expected an integer >= 1, "
+                         f"got '{args.num_random}'")
     records = run_dirichlet_check(num_random=args.num_random, num_samples=args.samples,
                                   seed=args.seed, explicit_alpha=args.alpha)
     overall = max(record["max_abs_z"] for record in records)
@@ -216,13 +230,9 @@ def cmd_datastore(args) -> int:
                           "count": len(store), "version": 1}, sort_keys=True) + "\n",
               args.out)
         return 0
-    buffer = io.StringIO()
-    buffer.write(f"# schema={DATASTORE_CSV_SCHEMA}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["score"] + [f"latent{i}" for i in range(store.dim)])
-    for latent, score in zip(store.latents, store.scores):
-        writer.writerow([repr(float(score))] + [repr(float(x)) for x in latent])
-    _emit(buffer.getvalue(), args.out)
+    _emit(_tagged_csv(DATASTORE_CSV_SCHEMA, ["score"] + [f"latent{i}" for i in range(store.dim)],
+                      ([repr(float(score))] + [repr(float(x)) for x in latent]
+                       for latent, score in zip(store.latents, store.scores))), args.out)
     return 0
 
 
@@ -278,7 +288,7 @@ def build_parser() -> ArgumentParser:
     p = sub.add_parser("dirichlet-check", help="closed forms vs Monte Carlo oracles")
     p.add_argument("--alpha", default=None, type=concentrations,
                    help="explicit comma list of concentrations")
-    p.add_argument("--num-random", type=int, default=20, dest="num_random")
+    p.add_argument("--num-random", type=number(int), default=20, dest="num_random")
     p.add_argument("--samples", type=number(int, at_least=2), default=100000)
     p.add_argument("--seed", type=at_least_0, default=0)
     p.add_argument("--out", default=None)

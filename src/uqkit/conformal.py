@@ -297,16 +297,6 @@ class ThresholdSets:
         return self._label_scores <= q_hat
 
 
-def score_simple(probs, label: int) -> float:
-    """One minus the probability assigned to the label: one `ThresholdSets` row."""
-    return float(ThresholdSets(np.reshape(probs, (1, -1)), [label]).scores()[0])
-
-
-def score_adaptive(probs, label: int) -> float:
-    """Descending-sorted probability mass up to and including the label: one `AdaptiveSets` row."""
-    return float(AdaptiveSets(np.reshape(probs, (1, -1)), [label]).scores()[0])
-
-
 # Each kind's class scores the calibration steps and builds the test sets, so both
 # follow one rule.
 SCORE_RULES = {"adaptive": AdaptiveSets, "simple": ThresholdSets}

@@ -11,6 +11,11 @@ best-first (queries, k) arrays of keys, scores and record ids in one
 `Neighbors` result; `query` is its one-row case, and `query_ivf` runs the same
 routine to probe the centroids and to scan the probed lists.
 
+Every row enters through `add_batch`, whether it comes from arrays, a CSV or a
+UQDS file, and meets the check that `query_batch` and `query_ivf` run on their
+queries: a non-finite or beyond-float32 latent, or a non-finite score, raises
+ValueError.
+
 File format "UQDS" v1 (little-endian, bit-exact round trip):
     magic "UQDS" (4 bytes) | u32 version | u32 dim | u64 count |
     count * (dim * f32 latent, f64 score)
@@ -101,39 +106,33 @@ class Datastore:
     def scores(self) -> np.ndarray:
         return self._scores
 
-    def add(self, latent, score: float) -> None:
-        self.add_batch(np.reshape(latent, (1, -1)), score)
-
     def add_batch(self, latents, scores) -> None:
-        raw = np.asarray(latents, dtype=np.float64)
+        """Append (rows, dim) latents and their scores, every row checked before any is added."""
+        rows = self._check_rows(latents)
         sco = np.asarray(scores, dtype=np.float64).ravel()
-        if raw.ndim != 2 or raw.shape[1] != self.dim:
-            raise ValueError(f"latent dimension does not match store dimension {self.dim}")
-        if raw.shape[0] != sco.size:
+        if rows.shape[0] != sco.size:
             raise ValueError("latents and scores must have equal length")
-        if not np.all(np.abs(raw) <= _FLOAT32_MAX):  # before the cast, which would overflow
-            raise ValueError("latents must be finite")
         if not np.all(np.isfinite(sco)):
             raise ValueError("scores must be finite")
-        self._latents = np.vstack([self._latents, raw.astype(np.float32)])
+        self._latents = np.vstack([self._latents, rows])
         self._scores = np.concatenate([self._scores, sco])
         self._centroids = None  # any existing IVF index is stale
         self._lists = None
 
-    def _check_queries(self, latents) -> np.ndarray:
-        """The (queries, dim) float32 matrix of `latents`, or ValueError if any row is bad.
+    def _check_rows(self, latents) -> np.ndarray:
+        """The (rows, dim) float32 matrix of `latents`, or ValueError if any row is bad.
 
         Values beyond the float32 range are rejected with the non-finite ones,
         before the cast that would overflow them to infinity.
         """
         raw = np.asarray(latents, dtype=np.float64)
         if raw.ndim != 2:
-            raise ValueError("latents must be a (queries, dim) matrix")
+            raise ValueError("latents must be a (rows, dim) matrix")
         if raw.shape[1] != self.dim:
             raise ValueError(f"latent dimension {raw.shape[1]} does not match store "
                              f"dimension {self.dim}")
         if not np.all(np.abs(raw) <= _FLOAT32_MAX):  # written so that NaN fails it
-            raise ValueError("latent must be finite")
+            raise ValueError("latents must be finite")
         return np.ascontiguousarray(raw, dtype=np.float32)
 
     def _search(self, queries: np.ndarray, rows: np.ndarray, k: int,
@@ -192,7 +191,7 @@ class Datastore:
             raise ValueError("empty datastore")
         if k < 1:
             raise ValueError("k must be >= 1")
-        keys, ids = self._search(self._check_queries(latents), self._latents, k, metric)
+        keys, ids = self._search(self._check_rows(latents), self._latents, k, metric)
         return Neighbors(keys, self._scores[ids], ids)
 
     # -- persistence ---------------------------------------------------------
@@ -228,8 +227,7 @@ class Datastore:
                 f"truncated file: expected {expected} record bytes, found {len(body)}")
         store = cls(dim)
         records = np.frombuffer(body, dtype=store._record_dtype(), count=count)
-        store._latents = np.ascontiguousarray(records["latent"]).reshape(count, dim)
-        store._scores = records["score"].astype(np.float64)
+        store.add_batch(records["latent"], records["score"])
         return store
 
     # -- inverted-file index -------------------------------------------------
@@ -263,7 +261,7 @@ class Datastore:
             raise ValueError("k must be >= 1")
         if nprobe < 1:
             raise ValueError("nprobe must be >= 1")
-        query = self._check_queries(np.reshape(latent, (1, -1)))
+        query = self._check_rows(np.reshape(latent, (1, -1)))
         _, probe = self._search(query, self._centroids, nprobe, metric)
         candidate_ids = np.concatenate([self._lists[c] for c in probe[0]])
         keys, positions = self._search(query, self._latents[candidate_ids], k, metric)

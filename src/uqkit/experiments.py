@@ -11,9 +11,7 @@ their arrays.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import logging
 from dataclasses import dataclass
 
@@ -62,17 +60,6 @@ def run_aso_grid(tests: list[str], dists: list[DistSpec], sizes: list[int],
                for report in error_rates(specs, dist, dist_b, n, thresholds, trials, seed)]
     reports.sort(key=lambda r: (r.test, r.dist, r.n, r.threshold))
     return reports
-
-
-def aso_sim_csv(reports: list[ErrorRateReport]) -> str:
-    """`run_aso_grid` reports as the schema-tagged CSV, with rate and se at 6 decimals."""
-    buffer = io.StringIO()
-    buffer.write(f"# schema={ASO_SIM_SCHEMA}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["test", "dist", "n", "threshold", "trials", "rate", "se", "seed"])
-    writer.writerows([r.test, r.dist, r.n, r.threshold, r.trials, f"{r.rate:.6f}",
-                      f"{r.se:.6f}", r.seed] for r in reports)
-    return buffer.getvalue()
 
 
 # -- conformal coverage study -------------------------------------------------

@@ -12,6 +12,10 @@ two `lgam` values below df = 20 and of two Stirling series above. scipy computes
 that tail with Boost's incomplete beta, so no port is bit-identical; `t_sf` is
 within a relative 2e-13 of the exact value for df <= 5,000 (checked at 40
 digits). Importing this module costs nothing next to the 0.3 s of `scipy.special`.
+
+`ndtr` needs erf only on |x| < 1 and erfc only on x >= 1 (Cephes' erfc is
+1 - erf below 1), so `_erf` and `_erfc` keep just the branches it reaches: no
+sign handling, and no call from one to the other. It still returns scipy's bits.
 """
 
 from __future__ import annotations
@@ -103,29 +107,20 @@ def _p1evl(x: float, coef: tuple[float, ...]) -> float:
 
 
 def _erf(x: float) -> float:
-    if x < 0.0:
-        return -_erf(-x)
-    if x > 1.0:
-        return 1.0 - _erfc(x)
+    """erf on |x| <= 1; x T(x^2) / U(x^2) is odd to the bit, so no sign branch is needed."""
     z = x * x
     return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
 
 
-def _erfc(a: float) -> float:
-    x = -a if a < 0.0 else a
-    if x < 1.0:
-        return 1.0 - _erf(a)
-    z = -a * a
+def _erfc(x: float) -> float:
+    """erfc on x >= 1."""
+    z = -x * x
     if z < -_MAXLOG:
-        return 2.0 if a < 0.0 else 0.0
+        return 0.0
     z = math.exp(z)
     if x < 8.0:
-        y = z * _polevl(x, _ERFC_P) / _p1evl(x, _ERFC_Q)
-    else:
-        y = z * _polevl(x, _ERFC_R) / _p1evl(x, _ERFC_S)
-    if a < 0.0:
-        y = 2.0 - y
-    return y
+        return z * _polevl(x, _ERFC_P) / _p1evl(x, _ERFC_Q)
+    return z * _polevl(x, _ERFC_R) / _p1evl(x, _ERFC_S)
 
 
 def ndtr(x: float) -> float:
@@ -137,7 +132,7 @@ def ndtr(x: float) -> float:
     z = abs(x)
     if z < math.sqrt(0.5):
         return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
+    y = 0.5 * (1.0 - _erf(z) if z < 1.0 else _erfc(z))
     return 1.0 - y if x > 0.0 else y
 
 

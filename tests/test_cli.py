@@ -207,6 +207,22 @@ class TestDatastoreCli:
         assert result.returncode == 3
         assert "bad magic" in result.stderr
 
+    @pytest.mark.parametrize("field, value", [("latent", math.inf), ("latent", -math.inf),
+                                              ("latent", math.nan), ("score", math.nan),
+                                              ("score", math.inf)])
+    @pytest.mark.parametrize("action", ["info", "dump"])
+    def test_non_finite_uqds_record_is_one_data_error_line(self, tmp_path, capsys, action,
+                                                           field, value):
+        path, store = self.make_file(tmp_path, count=3, dim=2)
+        raw = path.read_bytes()
+        records = np.frombuffer(raw[20:], dtype=store._record_dtype()).copy()
+        records[field][1] = value
+        path.write_bytes(raw[:20] + records.tobytes())
+        assert main(["datastore", action, str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {field}s must be finite\n"
+
     @pytest.mark.parametrize("text", ["", "# schema=uqkit.datastore.csv.v1\n"])
     def test_from_csv_empty_exit_code(self, tmp_path, text):
         src = tmp_path / "empty.csv"
@@ -295,6 +311,12 @@ class TestUsageErrors:
         (["datastore", "from-csv", "in.csv"], "dest"),
         (["aso-sim", "--seed", "-1"], "--seed"), (["conformal-eval", "--seed", "-1"], "--seed"),
         (["dirichlet-check", "--seed", "-1"], "--seed"),
+        (["dirichlet-check", "--num-random", "abc"],
+         "--num-random: expected an integer, got 'abc'"),
+        (["dirichlet-check", "--num-random", "1.5"],
+         "--num-random: expected an integer, got '1.5'"),
+        (["dirichlet-check", "--num-random", "0"],
+         "--num-random: expected an integer >= 1, got '0'"),
     ])
     def test_one_line_naming_the_option(self, argv, name, capsys):
         assert main(argv) == 2

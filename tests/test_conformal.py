@@ -12,11 +12,11 @@ from oracles import (build_set_threshold_oracle, knn_set_oracle, label_score_ora
                      weighted_quantile_oracle)
 
 from uqkit import experiments, synthetic
-from uqkit.conformal import (FULL_SET, AdaptiveSets, KnnQuantiles, ThresholdSets,
+from uqkit.conformal import (FULL_SET, SCORE_RULES, AdaptiveSets, KnnQuantiles, ThresholdSets,
                              WeightedCalibration, as_prob_matrix, as_prob_vector,
                              build_set_adaptive, conformal_generate_step, is_full_set,
-                             rbf_weights, score_adaptive, score_simple, split_quantile,
-                             temperature_search, weighted_quantile)
+                             rbf_weights, split_quantile, temperature_search,
+                             weighted_quantile)
 from uqkit.datastore import Datastore, Neighbors
 from uqkit.experiments import (ConformalEvalConfig, evaluate_conformal, resolve_tau,
                                run_conformal_condition, run_conformal_eval, synthetic_source)
@@ -50,36 +50,34 @@ prob_vectors = st.integers(min_value=2, max_value=30).flatmap(
 
 class TestScores:
     def test_simple_values(self):
-        assert score_simple([0.0, 1.0], 1) == 0.0
-        assert score_simple([0.25, 0.25, 0.25, 0.25], 2) == 0.75
-        assert score_simple([0.6, 0.3, 0.1], 1) == pytest.approx(0.7)
+        assert ThresholdSets([[0.0, 1.0]], [1]).scores()[0] == 0.0
+        assert ThresholdSets([[0.25, 0.25, 0.25, 0.25]], [2]).scores()[0] == 0.75
+        assert ThresholdSets([[0.6, 0.3, 0.1]], [1]).scores()[0] == pytest.approx(0.7)
 
     def test_simple_label_out_of_range(self):
         for label in (2, -1):
-            for score in (score_simple, score_adaptive):
-                with pytest.raises(ValueError, match="label out of range"):
-                    score([0.5, 0.5], label)
             for sets in (ThresholdSets, AdaptiveSets):
+                with pytest.raises(ValueError, match="label out of range"):
+                    sets([[0.5, 0.5]], [label])
                 with pytest.raises(ValueError, match="label out of range"):
                     sets([[0.5, 0.5], [0.5, 0.5]], [0, label])
 
     def test_adaptive_values(self):
-        assert score_adaptive([0.5, 0.3, 0.2], 0) == pytest.approx(0.5)
-        assert score_adaptive([0.5, 0.3, 0.2], 1) == pytest.approx(0.8)
-        assert score_adaptive([0.2] * 5, 4) == pytest.approx(1.0)
+        assert AdaptiveSets([[0.5, 0.3, 0.2]], [0]).scores()[0] == pytest.approx(0.5)
+        assert AdaptiveSets([[0.5, 0.3, 0.2]], [1]).scores()[0] == pytest.approx(0.8)
+        assert AdaptiveSets([[0.2] * 5], [4]).scores()[0] == pytest.approx(1.0)
 
     def test_adaptive_tie_break_by_class_id(self):
         # equal masses: earlier class id sorts first
-        assert score_adaptive([0.25, 0.25, 0.25, 0.25], 0) == pytest.approx(0.25)
-        assert score_adaptive([0.25, 0.25, 0.25, 0.25], 3) == pytest.approx(1.0)
+        assert AdaptiveSets([[0.25] * 4], [0]).scores()[0] == pytest.approx(0.25)
+        assert AdaptiveSets([[0.25] * 4], [3]).scores()[0] == pytest.approx(1.0)
 
     def test_rejects_bad_prob_vectors(self):
-        for score in (score_simple, score_adaptive):
-            with pytest.raises(ValueError, match="sum to 1"):
-                score([0.5, 0.6], 0)
-            with pytest.raises(ValueError, match="two classes"):
-                score([1.0], 0)
         for sets in (ThresholdSets, AdaptiveSets):
+            with pytest.raises(ValueError, match="sum to 1"):
+                sets([[0.5, 0.6]], [0])
+            with pytest.raises(ValueError, match="two classes"):
+                sets([[1.0]], [0])
             with pytest.raises(ValueError, match="sum to 1"):
                 sets([[0.5, 0.5], [0.5, 0.6]], [0, 0])
             with pytest.raises(ValueError, match="two classes"):
@@ -291,7 +289,7 @@ class TestPredictionSets:
     @settings(max_examples=100)
     def test_label_inclusion_consistency(self, p, data):
         label = data.draw(st.integers(min_value=0, max_value=len(p) - 1))
-        score = score_adaptive(p, label)
+        score = float(AdaptiveSets([p], [label]).scores()[0])
         assert label in build_set_adaptive(p, score)
 
     @given(prob_vectors)
@@ -351,11 +349,11 @@ class TestBatchedScores:
                                              st.sampled_from(edge_ranks)),
                                    min_size=steps, max_size=steps))
         labels = order[np.arange(steps), ranks]
-        for kind, sets, one_row in (("adaptive", AdaptiveSets, score_adaptive),
-                                    ("simple", ThresholdSets, score_simple)):
+        for kind, sets in SCORE_RULES.items():
             expected = [label_score_oracle(kind, p, y).hex() for p, y in zip(probs, labels)]
             assert [float(s).hex() for s in sets(probs, labels).scores()] == expected
-            assert [one_row(p, y).hex() for p, y in zip(probs, labels)] == expected
+            assert [float(sets([p], [y]).scores()[0]).hex()
+                    for p, y in zip(probs, labels)] == expected
 
 
 class TestBatchedKernel:
@@ -688,7 +686,8 @@ class TestConformalEvalDriver:
         [record] = evaluate_conformal(cfg, cal, views, ["split"], ["l2"], [0.0], "auto", seed)
 
         def scores(chain):
-            return np.array([score_simple(p, gold) for p, gold in zip(chain.probs, chain.golds)])
+            return np.array([label_score_oracle("simple", p, gold)
+                             for p, gold in zip(chain.probs, chain.golds)])
 
         q_hat = split_quantile(scores(cal), cfg.alpha)
         assert record["coverage"] == round(float(np.mean(scores(views[0.0]) <= q_hat)), 6)
@@ -816,3 +815,24 @@ class TestTemperatureSearch:
         with pytest.raises(ValueError):
             temperature_search(lambda t: 0.9, 0.1, tau_min=0.0, tau_max=1.0, steps=0,
                                rng=derive_rng(0))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: as_prob_matrix([0.5, 0.5]), "one probability vector per row"),
+    (lambda: WeightedCalibration([0.1, math.nan], [1.0, 1.0]), "scores must be finite"),
+    (lambda: WeightedCalibration([0.1, 0.2], [1.0, math.inf]), "weights must be finite"),
+    (lambda: split_quantile([0.1, 0.2], 0.0), r"alpha must lie in \(0, 1\)"),
+    (lambda: split_quantile([0.1, 0.2], 1.5), r"alpha must lie in \(0, 1\)"),
+    (lambda: weighted_quantile(WeightedCalibration([0.1], [1.0]), 0.0),
+     r"alpha must lie in \(0, 1\)"),
+    (lambda: weighted_quantile(WeightedCalibration([0.1], [1.0]), 1.5),
+     r"alpha must lie in \(0, 1\)"),
+    (lambda: rbf_weights([0.1, 0.2], 1.0, metric="foo"), "unknown metric: 'foo'"),
+    (lambda: KnnQuantiles(Neighbors(np.zeros((1, 2)), np.array([[0.1, math.nan]]),
+                                    np.zeros((1, 2), dtype=int)), 0.1), "scores must be finite"),
+], ids=["as_prob_matrix_1d", "calibration_scores", "calibration_weights", "split_alpha_0",
+        "split_alpha_1.5", "weighted_alpha_0", "weighted_alpha_1.5", "rbf_metric",
+        "knn_neighbor_scores"])
+def test_rejects_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -40,7 +40,7 @@ class TestAddQuery:
     def test_roundtrip_single_record(self):
         store = Datastore(4)
         vec = np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32)
-        store.add(vec, 0.5)
+        store.add_batch([vec], [0.5])
         assert len(store) == 1
         result = store.query(vec, 1)
         assert result.keys[0] == 0.0
@@ -50,13 +50,13 @@ class TestAddQuery:
         store = Datastore(3)
         rng = np.random.default_rng(0)
         for i in range(20):
-            store.add(rng.normal(size=3), float(i % 2))
+            store.add_batch([rng.normal(size=3)], [float(i % 2)])
         assert len(store) == 20
 
     def test_dimension_mismatch(self):
         store = Datastore(3)
         with pytest.raises(ValueError, match="dimension"):
-            store.add(np.zeros(4), 0.1)
+            store.add_batch([np.zeros(4)], [0.1])
 
     def test_empty_store_query(self):
         store = Datastore(3)
@@ -65,21 +65,21 @@ class TestAddQuery:
 
     def test_cosine_orthogonal(self):
         store = Datastore(2)
-        store.add([1.0, 0.0], 0.1)
+        store.add_batch([[1.0, 0.0]], [0.1])
         result = store.query([0.0, 1.0], 1, metric="cos")
         assert result.keys[0] == pytest.approx(0.0)
 
     def test_score_must_be_finite(self):
         store = Datastore(2)
         with pytest.raises(ValueError):
-            store.add([0.0, 0.0], float("nan"))
+            store.add_batch([[0.0, 0.0]], [float("nan")])
 
     # 1e39 is finite at float64 but beyond float32: rejected before a cast that would warn
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 1e39])
     def test_latent_must_be_finite(self, bad):
         store = Datastore(2)
         with pytest.raises(ValueError, match="finite"):
-            store.add([bad, 1.0], 0.1)
+            store.add_batch([[bad, 1.0]], [0.1])
         with pytest.raises(ValueError, match="finite"):
             store.add_batch([[0.0, 0.0], [bad, 1.0]], [0.1, 0.2])
         assert len(store) == 0
@@ -207,10 +207,10 @@ class TestQueryBatch:
 
     @pytest.mark.parametrize("queries, match", [
         (np.zeros((3, 4)), "latent dimension 4 does not match store dimension 3"),
-        (np.zeros(3), r"\(queries, dim\) matrix"),
-        ([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]], "latent must be finite"),
-        ([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]], "latent must be finite"),
-        ([[0.0, 0.0, 0.0], [1e39, 0.0, 0.0]], "latent must be finite"),  # inf at f32, no warning
+        (np.zeros(3), r"\(rows, dim\) matrix"),
+        ([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]], "latents must be finite"),
+        ([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]], "latents must be finite"),
+        ([[0.0, 0.0, 0.0], [1e39, 0.0, 0.0]], "latents must be finite"),  # inf at f32, no warning
     ])
     def test_rejects_bad_rows_before_any_work(self, monkeypatch, queries, match):
         store = make_store(np.random.default_rng(12), 10, 3)
@@ -322,7 +322,7 @@ class TestPersistence:
 
     def test_little_endian_layout(self, tmp_path):
         store = Datastore(2)
-        store.add(np.array([1.0, 2.0], dtype=np.float32), 0.25)
+        store.add_batch([np.array([1.0, 2.0], dtype=np.float32)], [0.25])
         path = tmp_path / "layout.uqds"
         store.save(path)
         raw = path.read_bytes()
@@ -332,6 +332,40 @@ class TestPersistence:
         assert int.from_bytes(raw[12:20], "little") == 1
         assert np.frombuffer(raw[20:28], dtype="<f4").tolist() == [1.0, 2.0]
         assert np.frombuffer(raw[28:36], dtype="<f8")[0] == 0.25
+
+
+class TestLoadChecksRows:
+    """`load` adds its records through `add_batch`, so a file's rows meet the same check."""
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("latent", np.inf, "latents must be finite"), ("latent", -np.inf, "latents must be finite"),
+        ("latent", np.nan, "latents must be finite"), ("score", np.nan, "scores must be finite"),
+        ("score", -np.inf, "scores must be finite"),
+    ])
+    def test_non_finite_record_raises(self, tmp_path, field, value, match):
+        store = make_store(np.random.default_rng(15), 4, 3)
+        records = np.empty(len(store), dtype=store._record_dtype())
+        records["latent"], records["score"] = store.latents, store.scores
+        records[field][2] = value
+        path = tmp_path / "bad.uqds"
+        path.write_bytes(struct.pack("<4sIIQ", b"UQDS", 1, 3, 4) + records.tobytes())
+        with pytest.raises(ValueError, match=match):
+            Datastore.load(path)
+
+    def test_loaded_rows_are_the_saved_rows(self, tmp_path, monkeypatch):
+        store = make_store(np.random.default_rng(16), 6, 2)
+        path = tmp_path / "s.uqds"
+        store.save(path)
+        added = []
+        add_batch = Datastore.add_batch
+        monkeypatch.setattr(Datastore, "add_batch",
+                            lambda self, *args: added.append(args) or add_batch(self, *args))
+        loaded = Datastore.load(path)
+        [(latents, scores)] = added
+        assert np.array_equal(latents, store.latents) and np.array_equal(scores, store.scores)
+        assert loaded.latents.dtype == np.float32 and loaded.latents.flags.c_contiguous
+        assert loaded.latents.tobytes() == store.latents.tobytes()
+        assert loaded.scores.tobytes() == store.scores.tobytes()
 
 
 class TestIvf:
@@ -385,3 +419,16 @@ class TestIvf:
         store = make_store(rng, 10, 3)
         with pytest.raises(ValueError, match="no IVF index"):
             store.query_ivf(np.zeros(3), 3)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda store: Datastore(0), "dim must be >= 1"),
+    (lambda store: store.add_batch(np.zeros((2, 3)), [0.1]), "equal length"),
+    (lambda store: store.query_batch(np.zeros((1, 3)), 1, metric="foo"), "unknown metric"),
+    (lambda store: store.build_ivf(0, np.random.default_rng(0)), "num_clusters must be >= 1"),
+], ids=["dim_0", "unequal_lengths", "metric", "no_clusters"])
+def test_rejects_bad_arguments(call, match):
+    store = make_store(np.random.default_rng(17), 4, 3)
+    with pytest.raises(ValueError, match=match):
+        call(store)
+    assert len(store) == 4

@@ -130,3 +130,14 @@ class TestMonteCarloOracles:
         assert np.array_equal(a, b)
         assert np.allclose(a.sum(axis=1), 1.0)
         assert np.all(a >= 0.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda d: dr.log_expectation(d, 3), "index out of range"),
+    (lambda d: dr.log_expectation(d, -1), "index out of range"),
+    (lambda d: dr.kl(d, dr.DirichletParams([1.0, 2.0])), "dimension mismatch"),
+    (lambda d: dr.sample(d, 0, np.random.default_rng(0)), "n must be >= 1"),
+], ids=["index_3", "index_-1", "kl_dimensions", "no_draws"])
+def test_rejects_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(dr.DirichletParams([0.5, 1.0, 3.0]))

@@ -165,3 +165,14 @@ class TestGridMatchesPerThresholdRates:
                      seed=2, num_bootstrap=50, resamples=50)
         groups = trials * len(sizes) * len(dists)
         assert calls == {"derive_rng": groups, "sample_dist": 2 * groups}
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: DistSpec("mixture", (0.0, 1.0, 1.5, 1.0, 1.0, -0.5)), "non-negative"),
+    (lambda: DistSpec("mixture", (0.0, 1.0, 0.5, 1.0, 1.0, 0.25)), "sum to 1"),
+    (lambda: NormalMixture(components=((0.0, 1.0), (1.0, 1.0)), weights=(1.0,)),
+     "non-empty and equal-length"),
+], ids=["negative_weight", "weights_sum", "mixture_lengths"])
+def test_rejects_bad_specs(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

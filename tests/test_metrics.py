@@ -114,6 +114,11 @@ class TestCoverageReport:
         with pytest.raises(ValueError, match="equal-length"):
             coverage_report_arrays(sizes, covered, alpha=0.1)
 
+    @pytest.mark.parametrize("inside, labels", [([], []), ([True, False], [0])])
+    def test_set_wrapper_rejects_empty_or_unequal(self, inside, labels):
+        with pytest.raises(ValueError, match="equal-length"):
+            coverage_report(make_sets([2] * len(inside), inside, vocab=5), labels, alpha=0.1)
+
     def test_vocab_too_small(self):
         sets = make_sets([5], [True], vocab=10)
         with pytest.raises(ValueError, match="vocab"):

@@ -472,6 +472,25 @@ class TestClassicTests:
         with pytest.raises(ValueError, match="degenerate variance"):
             classic_test("student_t", [2.0, 2.0, 2.0], [2.0, 2.0, 2.0])
 
+    @pytest.mark.parametrize("kind, a, b, kwargs, match", [
+        ("student_t", [1.0], [1.0, 2.0], {}, "two observations"),
+        ("student_t", [1.0, 2.0], [3.0], {}, "two observations"),
+        ("bootstrap", [1.0, 2.0], [0.0, 1.0], {"resamples": 0}, "resamples must be >= 1"),
+        ("permutation", [1.0, 2.0], [0.0, 1.0], {"resamples": 0}, "resamples must be >= 1"),
+    ], ids=["t_one_in_a", "t_one_in_b", "bootstrap_resamples", "permutation_resamples"])
+    def test_rejects_bad_arguments(self, kind, a, b, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            classic_test(kind, a, b, rng=np.random.default_rng(0), **kwargs)
+
+    @pytest.mark.parametrize("n, m", [(3, 3), (14, 14), (5, 20), (40, 7)])
+    def test_mann_whitney_all_tied_matches_scipy_stats(self, n, m):
+        """Every observation tied: the tie-corrected variance is 0, and the p-value is 1."""
+        a, b = np.full(n, 2.5), np.full(m, 2.5)
+        for x, y in ((a, b), (b, a)):
+            reference = stats.mannwhitneyu(x, y, alternative="greater", method="asymptotic",
+                                           use_continuity=True)
+            assert classic_test("mann_whitney", x, y).p_value == reference.pvalue == 1.0
+
     def test_student_t_direction(self):
         rng = np.random.default_rng(1)
         b = rng.normal(0.0, 1.0, 30)

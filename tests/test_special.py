@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special, stats
 
+import uqkit.special
 from uqkit.special import lgam, ndtr, ndtri, psi, t_sf
 
 T_GRID = [0.0, 1e-8, 0.5, 2.0, 2.0000001, 10.0, 1e3, 1e8]
@@ -90,3 +91,28 @@ def test_t_sf_center_and_symmetry():
 def test_t_sf_rejects_df_below_one():
     with pytest.raises(ValueError, match="df"):
         t_sf(1.0, 0)
+
+
+def test_ndtr_equals_scipy_at_the_edges_and_the_erf_erfc_seam():
+    """The edges, and the inputs around x = sqrt(2), where ndtr leaves 1 - erf for erfc."""
+    root2 = np.sqrt(2.0)
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.0, -1.0, 8 * root2]
+    seam = [root2 * (1.0 + e) for e in (-1e-12, 0.0, 1e-12)]
+    xs = np.array(edges + seam + [-x for x in seam])
+    xs = np.concatenate([xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf)])
+    assert np.array_equal(bits([ndtr(x) for x in xs]), bits(special.ndtr(xs)))
+
+
+def test_erf_and_erfc_do_not_call_each_other():
+    assert "_erfc" not in uqkit.special._erf.__code__.co_names
+    assert "_erf" not in uqkit.special._erfc.__code__.co_names
+
+
+@pytest.mark.parametrize("ours, theirs", [
+    (lambda: ndtr(np.nan), lambda: special.ndtr(np.nan)),
+    (lambda: ndtri(1.5), lambda: special.ndtri(1.5)),
+    (lambda: ndtri(-0.1), lambda: special.ndtri(-0.1)),
+    (lambda: t_sf(np.nan, 3), lambda: stats.t.sf(np.nan, 3)),
+], ids=["ndtr_nan", "ndtri_1.5", "ndtri_-0.1", "t_sf_nan"])
+def test_nan_in_or_out_of_domain_returns_nan_as_scipy(ours, theirs):
+    assert np.isnan(ours()) and np.isnan(theirs())

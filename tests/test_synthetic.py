@@ -196,3 +196,13 @@ class TestExchangeabilityByConstruction:
         rate = np.mean(covered)
         se = np.sqrt(alpha * (1 - alpha) / len(test))
         assert rate >= 1 - alpha - 3 * se
+
+
+@pytest.mark.parametrize("emission, mixing, match", [
+    (np.zeros(3), np.zeros((2, 2)), "must be matrices"),
+    (np.full((3, 2), np.nan), np.zeros((2, 2)), "must be finite"),
+    (np.zeros((3, 2)), np.array([[0.0, np.inf], [0.0, 0.0]]), "must be finite"),
+], ids=["vector_emission", "nan_emission", "inf_mixing"])
+def test_model_rejects_bad_matrices(emission, mixing, match):
+    with pytest.raises(ValueError, match=match):
+        SynthModel(emission=emission, mixing=mixing, noise_std=0.1, temperature=1.0)
