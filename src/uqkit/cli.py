@@ -7,6 +7,11 @@ deterministic given --seed and its configuration; outputs embed a schema tag.
 
 Exit codes: 0 ok, 2 usage error, 3 data error. `aso-sim` runs its trials
 serially, and every test reads one draw per (dist, n, trial).
+
+Unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set, the
+CLI runs BLAS on one thread, because at the default sizes its gemvs run no
+faster on two while the idle worker spins; of the sizes measured, only a store
+of 100,000 rows ran sooner on two threads (see the README).
 """
 
 from __future__ import annotations
@@ -17,11 +22,23 @@ import io
 import json
 import math
 import operator
+import os
 import sys
 from argparse import ArgumentTypeError
 from pathlib import Path
 
+# One BLAS thread (see the module docstring). OpenBLAS reads the count once, when
+# numpy loads, so the variable is set just for the first import that loads numpy
+# and taken out again, and no process this one starts inherits it.
+_ONE_BLAS_THREAD = not ({"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+                        & os.environ.keys())
+if _ONE_BLAS_THREAD:
+    os.environ["OMP_NUM_THREADS"] = "1"
+
 import numpy as np
+
+if _ONE_BLAS_THREAD:
+    del os.environ["OMP_NUM_THREADS"]
 
 from .conformal import SCORE_RULES
 from .datastore import METRICS, Datastore

@@ -33,7 +33,6 @@ _MAGIC = b"UQDS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 _KMEANS_ITERS = 25
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 # Float32 values of key scratch per block of queries (1 MB): the l2 difference
 # block is (queries, rows, dim). One unbounded block was no faster and raised
 # peak RSS by ~17 MB.
@@ -122,18 +121,19 @@ class Datastore:
     def _check_rows(self, latents) -> np.ndarray:
         """The (rows, dim) float32 matrix of `latents`, or ValueError if any row is bad.
 
-        Values beyond the float32 range are rejected with the non-finite ones,
-        before the cast that would overflow them to infinity.
+        A value beyond the float32 range becomes infinite in the cast, and is
+        rejected with the non-finite ones; the cast does not warn about it.
         """
-        raw = np.asarray(latents, dtype=np.float64)
-        if raw.ndim != 2:
+        with np.errstate(over="ignore"):
+            rows = np.asarray(latents, dtype=np.float32)
+        if rows.ndim != 2:
             raise ValueError("latents must be a (rows, dim) matrix")
-        if raw.shape[1] != self.dim:
-            raise ValueError(f"latent dimension {raw.shape[1]} does not match store "
+        if rows.shape[1] != self.dim:
+            raise ValueError(f"latent dimension {rows.shape[1]} does not match store "
                              f"dimension {self.dim}")
-        if not np.all(np.abs(raw) <= _FLOAT32_MAX):  # written so that NaN fails it
+        if not np.all(np.isfinite(rows)):
             raise ValueError("latents must be finite")
-        return np.ascontiguousarray(raw, dtype=np.float32)
+        return np.ascontiguousarray(rows)
 
     def _search(self, queries: np.ndarray, rows: np.ndarray, k: int,
                 metric: str) -> tuple[np.ndarray, np.ndarray]:

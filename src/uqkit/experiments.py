@@ -20,13 +20,13 @@ import numpy as np
 from . import dirichlet as dr
 from .conformal import (FULL_SET, KnnQuantiles, WeightedCalibration, score_rule,
                         split_quantile, temperature_search, weighted_quantile)
-from .datastore import _FLOAT32_MAX
 from .error_sim import DistSpec, ErrorRateReport, TestSpec, error_rates
 from .metrics import coverage_report_arrays, predictive_entropy
 from .seeds import derive_rng
 from .synthetic import Chain, calibration_store, generate, new_model, step_probs
 
 logger = logging.getLogger(__name__)
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 ASO_SIM_SCHEMA = "uqkit.aso-sim.csv.v1"
 CONFORMAL_EVAL_SCHEMA = "uqkit.conformal-eval.json.v1"

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cli_env
 from uqkit.cli import build_parser, main, parse_dist
 from uqkit.datastore import Datastore
 from uqkit.error_sim import Laplace, Normal, NormalMixture, Rayleigh
@@ -17,9 +19,9 @@ from uqkit.error_sim import Laplace, Normal, NormalMixture, Rayleigh
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_cli(args, cwd=None):
+def run_cli(args, cwd=None, env=None):
     return subprocess.run([sys.executable, "-m", "uqkit.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 class TestAsoSim:
@@ -36,7 +38,8 @@ class TestAsoSim:
                 "--trials", "20", "--seed", "11"]
         first = run_cli(args + ["--out", str(tmp_path / "a.csv")])
         second = run_cli(args + ["--out", str(tmp_path / "b.csv")])
-        third = run_cli(args + ["--out", str(tmp_path / "c.csv")])
+        third = run_cli(args + ["--out", str(tmp_path / "c.csv")],
+                        env=cli_env(OPENBLAS_NUM_THREADS="2"))
         assert first.returncode == second.returncode == third.returncode == 0
         a = (tmp_path / "a.csv").read_bytes()
         assert a == (tmp_path / "b.csv").read_bytes()
@@ -468,9 +471,6 @@ class TestAsoSimDirichletValidation:
 
 def test_cli_runs_without_scipy_stats(tmp_path):
     """The CLI's import and its common subcommands never load scipy.stats."""
-    import os
-    from pathlib import Path
-
     store = Datastore(3)
     store.add_batch(np.arange(12, dtype=np.float32).reshape(4, 3), np.linspace(0, 1, 4))
     store.save(tmp_path / "s.uqds")
@@ -504,8 +504,6 @@ def scipy_modules_after(calls, tmp_path, then=""):
     Each call is (argv, expected exit code) and runs through `uqkit.cli.main`;
     the Python code `then` runs after the calls.
     """
-    import os
-
     script = f"""
 import json, sys
 import uqkit.cli
@@ -574,8 +572,6 @@ def test_no_subcommand_and_no_script_loads_scipy(tmp_path):
 @pytest.mark.parametrize("tau", ["auto", "heuristic"])
 def test_conformal_eval_tau_search_does_not_load_numpy_ma(tau, tmp_path):
     """np.median would import numpy.ma (~15 ms) on its first call."""
-    import os
-
     script = f"""
 import sys
 import uqkit.cli
@@ -591,14 +587,48 @@ print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma
     assert result.stdout == "[]\n"
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="counts the process's threads in /proc/self/task")
+@pytest.mark.parametrize("chosen", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_import_cli_runs_blas_on_one_thread_by_default(chosen):
+    """Fresh interpreter: after `import uqkit.cli` and a gemv, the process runs one thread
+    unless the caller chose a BLAS thread count, and its environment is unchanged either way,
+    so a process it starts inherits no thread count from it."""
+    script = """
+import json, os
+before = dict(os.environ)
+import uqkit.cli
+import numpy as np
+np.ones((4096, 16), dtype=np.float32) @ np.ones(16, dtype=np.float32)
+print(json.dumps([dict(os.environ) == before, len(os.listdir("/proc/self/task"))]))
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=cli_env(**chosen))
+    assert result.returncode == 0, result.stderr
+    # OpenBLAS caps a chosen count at the usable cores
+    threads = min(int(chosen.get("OPENBLAS_NUM_THREADS", 1)), len(os.sched_getaffinity(0)))
+    assert json.loads(result.stdout) == [True, threads]
+
+
+def test_knn_output_same_at_one_and_two_blas_threads():
+    """Fresh CLIs at the default of one BLAS thread and under OPENBLAS_NUM_THREADS=2 print
+    the same bytes, at a store of 2,000 x 16 whose ip/cos gemvs OpenBLAS splits across
+    threads (the goldens' stores are below its threading cutoff)."""
+    args = ["conformal-eval", "--dim", "16", "--cal-steps", "2000", "--test-steps", "50",
+            "--method", "knn", "--metric", "ip,cos"]
+    one, two = (subprocess.run([sys.executable, "-m", "uqkit.cli", *args], capture_output=True,
+                               env=cli_env(**chosen))
+                for chosen in ({}, {"OPENBLAS_NUM_THREADS": "2"}))
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    assert one.stdout == two.stdout
+
+
 def test_import_cli_loads_every_module_the_tracer_patches():
     """perfbench/tracing.py patches the uqkit modules loaded by `import uqkit.cli`.
 
     A module left to a later lazy import would be reported missing by every
     `perfbench/run.py --trace 1` run.
     """
-    import os
-
     script = f"""
 import json, sys
 import uqkit.cli

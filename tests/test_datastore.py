@@ -90,6 +90,30 @@ class TestAddQuery:
         with pytest.raises(ValueError, match="finite"):
             store.query_ivf([1.0, bad], 1)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_latent_array_must_be_finite(self, dtype):
+        store = Datastore(2)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                store.add_batch(np.array([[0.0, 0.0], [bad, 1.0]], dtype=dtype), [0.1, 0.2])
+        assert len(store) == 0
+        rows = np.array([[0.5, 1.0], [-2.0, 3.0]], dtype=dtype)
+        store.add_batch(rows, [0.1, 0.2])
+        rows[0, 0] = 9.0  # the store keeps its own copy
+        assert store.latents.dtype == np.float32
+        assert store.latents.tolist() == [[0.5, 1.0], [-2.0, 3.0]]
+
+    def test_latent_range_is_that_of_the_float32_cast(self):
+        """A float64 latent within half an ulp above the float32 maximum rounds to it and is
+        kept; one that rounds to infinity is rejected."""
+        top = float(np.finfo(np.float32).max)
+        half_ulp = (top - float(np.nextafter(np.float32(top), np.float32(0)))) / 2
+        store = Datastore(1)
+        store.add_batch([[np.nextafter(top + half_ulp, 0.0)]], [0.1])
+        assert store.latents.tolist() == [[top]]
+        with pytest.raises(ValueError, match="finite"):
+            store.add_batch([[top + half_ulp]], [0.1])
+
     @pytest.mark.parametrize("metric", ["l2", "ip", "cos"])
     def test_matches_linear_scan_oracle(self, metric):
         rng = np.random.default_rng(1)

@@ -5,6 +5,7 @@ Regenerate (only in a change that says why in CHANGES.md; see golden/README.md):
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import cli_env
 from uqkit.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -74,6 +76,17 @@ def run_case(argv) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_golden(name):
     assert run_case(CASES[name]).encode("utf-8") == golden_path(name).read_bytes()
+
+
+@pytest.mark.parametrize("chosen", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_golden_through_fresh_cli(chosen):
+    """A `python -m uqkit.cli` process prints the golden bytes at the CLI's default of one
+    BLAS thread and at a thread count the caller chose."""
+    name = "conformal_eval_search_prefix"
+    result = subprocess.run([sys.executable, "-m", "uqkit.cli", *CASES[name]],
+                            capture_output=True, env=cli_env(**chosen))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == golden_path(name).read_bytes()
 
 
 if __name__ == "__main__":

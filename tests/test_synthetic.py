@@ -78,23 +78,34 @@ class TestGenerate:
     @pytest.mark.parametrize("seed", [5, 19])
     @pytest.mark.parametrize("with_init", [False, True])
     def test_columns_equal_per_step_loop(self, seed, with_init):
-        model = new_model(12, 5, seed=seed)
-        init = derive_rng(seed, 3).normal(size=5) if with_init else None
-        init_before = None if init is None else init.copy()
-        rng, oracle_rng = derive_rng(seed), derive_rng(seed)
-        chain = generate(model, 200, rng, init_latent=init)
-        steps = generate_oracle(model, 200, oracle_rng, init_latent=init_before)
-        latents, probs, golds = (np.array(column) for column in zip(*steps))
-        assert chain.latents.dtype == np.float64 and chain.probs.dtype == np.float64
-        assert chain.golds.dtype == np.int64
-        assert chain.latents.tobytes() == latents.tobytes()
-        assert chain.probs.tobytes() == probs.tobytes()
-        assert chain.golds.tobytes() == golds.astype(np.int64).tobytes()
-        # the stream ends where the loop's does, final recurrence draw included
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
-        if with_init:
-            assert np.array_equal(init, init_before)
-            assert not np.shares_memory(chain.latents, init)
+        # (vocab, dim, steps); the second is the conformal-knn benchmark's chain, and
+        # the third's gold pass takes three blocks of steps, the last one short
+        for vocab, dim, steps in ((12, 5, 200), (100, 16, 1250), (2000, 4, 150)):
+            model = new_model(vocab, dim, seed=seed)
+            init = derive_rng(seed, 3).normal(size=dim) if with_init else None
+            init_before = None if init is None else init.copy()
+            rng, oracle_rng = derive_rng(seed), derive_rng(seed)
+            chain = generate(model, steps, rng, init_latent=init)
+            oracle = generate_oracle(model, steps, oracle_rng, init_latent=init_before)
+            latents, probs, golds = (np.array(column) for column in zip(*oracle))
+            assert chain.latents.dtype == np.float64 and chain.probs.dtype == np.float64
+            assert chain.golds.dtype == np.int64
+            assert chain.latents.tobytes() == latents.tobytes()
+            assert chain.probs.tobytes() == probs.tobytes()
+            assert chain.golds.tobytes() == golds.astype(np.int64).tobytes()
+            # the stream ends where the loop's does, final recurrence draw included
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            if with_init:
+                assert np.array_equal(init, init_before)
+                assert not np.shares_memory(chain.latents, init)
+
+    def test_nan_latent_fails_the_probability_check(self):
+        init = np.array([0.5, np.nan, 0.1])
+        model = new_model(8, 3, seed=2)
+        with pytest.raises(ValueError, match="(?i)probabilities"):
+            generate_oracle(model, 5, derive_rng(1), init_latent=init)
+        with pytest.raises(ValueError, match="(?i)probabilities"):
+            generate(model, 5, derive_rng(1), init_latent=init)
 
     def test_slice_keeps_columns_aligned(self):
         chain = generate(new_model(8, 3, seed=20), 30, derive_rng(21))
