@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,12 +57,14 @@ def as_prob_vector(probs) -> np.ndarray:
     return as_prob_matrix(np.reshape(np.asarray(probs, dtype=float), (1, -1)))[0]
 
 
-@dataclass(frozen=True)
 class PredictionSet:
     """Retained class ids in descending-probability order plus the quantile used."""
 
-    indices: tuple[int, ...]
-    q_hat: float  # in [0, 1], or FULL_SET (+inf)
+    __slots__ = ("indices", "q_hat")
+
+    def __init__(self, indices: tuple[int, ...], q_hat: float):
+        self.indices = indices
+        self.q_hat = q_hat  # in [0, 1], or FULL_SET (+inf)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -72,24 +73,21 @@ class PredictionSet:
         return label in self.indices
 
 
-@dataclass(frozen=True)
 class WeightedCalibration:
     """Non-conformity scores with per-point relevance weights."""
 
-    scores: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("scores", "weights")
 
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=float).ravel()
-        weights = np.asarray(self.weights, dtype=float).ravel()
+    def __init__(self, scores, weights):
+        scores = np.asarray(scores, dtype=float).ravel()
+        weights = np.asarray(weights, dtype=float).ravel()
         if scores.size != weights.size:
             raise ValueError("scores and weights must have equal length")
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
             raise ValueError("weights must be finite and non-negative")
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "weights", weights)
+        self.scores, self.weights = scores, weights
 
 
 def _descending_order(p: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ File format "UQDS" v1 (little-endian, bit-exact round trip):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -67,16 +66,16 @@ class DatastoreFormatError(ValueError):
     """Raised when a UQDS file is malformed (bad magic, version, or truncation)."""
 
 
-@dataclass(frozen=True)
 class Neighbors:
     """Retrieved records as aligned best-first arrays of keys, scores and record ids.
 
     The arrays are 1-D for one query and (queries, k) for `Datastore.query_batch`.
     """
 
-    keys: np.ndarray
-    scores: np.ndarray
-    ids: np.ndarray
+    __slots__ = ("keys", "scores", "ids")
+
+    def __init__(self, keys: np.ndarray, scores: np.ndarray, ids: np.ndarray):
+        self.keys, self.scores, self.ids = keys, scores, ids
 
     def __len__(self) -> int:
         return self.ids.size

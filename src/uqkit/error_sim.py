@@ -12,7 +12,7 @@ threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,28 +30,27 @@ def _param(x: float) -> str:
     return short if float(short) == x else repr(x)
 
 
-@dataclass(frozen=True)
 class DistSpec:
     """A score distribution `kind:p1:p2...`: `normal:MEAN:STD`, `laplace:LOC:SCALE`,
     `rayleigh:SCALE` or `mixture:M1:S1:W1:M2:S2:W2[...]` (two or more normal components).
 
     Every parameter must be finite with magnitude <= 1e100, so that the sums
     and squares of the draws, and hence every test's means and variances, stay
-    finite at any sample size.
+    finite at any sample size. Specs with equal kind and parameters are equal
+    and hash alike.
     """
 
-    kind: str
-    params: tuple[float, ...]
+    __slots__ = ("kind", "params")
 
-    def __post_init__(self):
-        params = tuple(float(x) for x in self.params)
-        object.__setattr__(self, "params", params)
+    def __init__(self, kind: str, params: tuple[float, ...]):
+        params = tuple(float(x) for x in params)
+        self.kind, self.params = kind, params
         if not all(abs(x) <= _MAX_PARAM for x in params):  # written so that NaN fails it
             raise ValueError(f"parameters must be finite with magnitude <= {_MAX_PARAM:g}")
-        mixture, count = self.kind == "mixture", len(params)
-        if not (count == _ARITY.get(self.kind) or mixture and count >= 6 and count % 3 == 0):
+        mixture, count = kind == "mixture", len(params)
+        if not (count == _ARITY.get(kind) or mixture and count >= 6 and count % 3 == 0):
             raise ValueError("unknown kind or wrong number of parameters")
-        scale = "std" if self.kind in ("normal", "mixture") else "scale"
+        scale = "std" if kind in ("normal", "mixture") else "scale"
         if not all(s > 0 for s in (params[1::3] if mixture else params[-1:])):
             raise ValueError(f"{scale} must be positive")
         weights = params[2::3] if mixture else (1.0,)  # one component has weight 1
@@ -59,6 +58,17 @@ class DistSpec:
             raise ValueError("weights must be non-negative")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
+
+    def __eq__(self, other):
+        if not isinstance(other, DistSpec):
+            return NotImplemented
+        return (self.kind, self.params) == (other.kind, other.params)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.params))
+
+    def __repr__(self) -> str:
+        return f"DistSpec({self.kind!r}, {self.params!r})"
 
     @classmethod
     def parse(cls, text: str) -> DistSpec:
@@ -107,25 +117,24 @@ def sample_dist(spec: DistSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(means[choice], stds[choice])
 
 
-@dataclass(frozen=True)
 class TestSpec:
     """A test plus its decision threshold.
 
     For kind "aso" the threshold is the eps_min cutoff tau; for the classical
-    tests it is the p-value cutoff.
+    tests it is the p-value cutoff. `alpha` is the ASO confidence level,
+    `num_bootstrap` the ASO bootstrap iterations, and `resamples` the
+    bootstrap/permutation test resamples.
     """
 
     __test__ = False  # not a pytest class despite the name
+    __slots__ = ("kind", "threshold", "alpha", "num_bootstrap", "resamples")
 
-    kind: str
-    threshold: float
-    alpha: float = 0.05          # ASO confidence level
-    num_bootstrap: int = 1000    # ASO bootstrap iterations
-    resamples: int = 1000        # bootstrap/permutation test resamples
-
-    def __post_init__(self):
-        if self.kind not in TEST_KINDS:
-            raise ValueError(f"unknown test kind: {self.kind!r}")
+    def __init__(self, kind: str, threshold: float, alpha: float = 0.05,
+                 num_bootstrap: int = 1000, resamples: int = 1000):
+        if kind not in TEST_KINDS:
+            raise ValueError(f"unknown test kind: {kind!r}")
+        self.kind, self.threshold, self.alpha = kind, threshold, alpha
+        self.num_bootstrap, self.resamples = num_bootstrap, resamples
 
     def statistic(self, a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> float:
         """eps_min for ASO, the one-sided p-value otherwise; small values reject."""
@@ -138,8 +147,7 @@ class TestSpec:
         return self.statistic(a, b, rng) < self.threshold
 
 
-@dataclass(frozen=True)
-class ErrorRateReport:
+class ErrorRateReport(NamedTuple):
     """Aggregated rejection (Type I) or non-rejection (Type II) rate."""
 
     test: str
@@ -151,7 +159,7 @@ class ErrorRateReport:
     se: float
     seed: int
     error_kind: str = "type1"
-    dist_b: str = field(default="")
+    dist_b: str = ""
 
 
 def error_rates(tests: list[TestSpec], dist_a: DistSpec, dist_b: DistSpec | None, n: int,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +65,7 @@ def run_aso_grid(tests: list[str], dists: list[DistSpec], sizes: list[int],
 # -- conformal coverage study -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConformalEvalConfig:
+class ConformalEvalConfig(NamedTuple):
     """Synthetic-model coverage study configuration."""
 
     vocab_size: int = 100

@@ -9,7 +9,7 @@ logarithm with 0*log(0) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ def _check_unit_interval(conf: np.ndarray, hits: np.ndarray) -> None:
         raise ValueError("correctness flags must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class BinReport:
+class BinReport(NamedTuple):
     """Per-bin counts and means behind a scalar calibration/coverage metric."""
 
     value: float
@@ -62,8 +61,7 @@ def ece(confidences, correct, num_bins: int = 10) -> BinReport:
     return BinReport(value=value, counts=counts, confidence=mean_conf, accuracy=mean_acc)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """Marginal coverage plus size-stratified diagnostics of prediction sets."""
 
     coverage: float

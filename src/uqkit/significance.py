@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ _WILCOXON_EXACT_LIMIT = 50
 _WILCOXON_EXACT_LIMIT_TIED = 13
 
 
-@dataclass(frozen=True)
-class AsoResult:
+class AsoResult(NamedTuple):
     """Outcome of the ASO comparison of two score samples."""
 
     eps_min: float
@@ -44,8 +43,7 @@ class AsoResult:
     sigma_hat: float
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     """Statistic and one-sided p-value of a classical significance test."""
 
     statistic: float

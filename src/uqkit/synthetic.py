@@ -12,8 +12,6 @@ of its score kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .conformal import score_rule
@@ -27,25 +25,24 @@ _P_ATOL = np.sqrt(np.finfo(np.float64).eps)
 _GOLD_BLOCK_ELEMENTS = 1 << 17
 
 
-@dataclass(frozen=True)
 class SynthModel:
-    """Emission matrix, latent mixing matrix, and generation hyperparameters."""
+    """Emission matrix (V x d), latent mixing matrix (d x d), and generation hyperparameters."""
 
-    emission: np.ndarray   # V x d
-    mixing: np.ndarray     # d x d
-    noise_std: float
-    temperature: float
+    __slots__ = ("emission", "mixing", "noise_std", "temperature")
 
-    def __post_init__(self):
-        if self.emission.ndim != 2 or self.mixing.ndim != 2:
+    def __init__(self, emission: np.ndarray, mixing: np.ndarray, noise_std: float,
+                 temperature: float):
+        if emission.ndim != 2 or mixing.ndim != 2:
             raise ValueError("emission and mixing must be matrices")
-        v, d = self.emission.shape
-        if v < 2 or d < 2 or self.mixing.shape != (d, d):
+        v, d = emission.shape
+        if v < 2 or d < 2 or mixing.shape != (d, d):
             raise ValueError("need V >= 2, d >= 2, and a d x d mixing matrix")
-        if not (np.all(np.isfinite(self.emission)) and np.all(np.isfinite(self.mixing))):
+        if not (np.all(np.isfinite(emission)) and np.all(np.isfinite(mixing))):
             raise ValueError("model matrices must be finite")
-        if self.temperature <= 0:
+        if temperature <= 0:
             raise ValueError("temperature must be positive")
+        self.emission, self.mixing = emission, mixing
+        self.noise_std, self.temperature = noise_std, temperature
 
     @property
     def vocab_size(self) -> int:
@@ -56,13 +53,13 @@ class SynthModel:
         return self.emission.shape[1]
 
 
-@dataclass(frozen=True)
 class Chain:
     """Generated steps as aligned columns: latents (T, d), distributions (T, V), golds (T,)."""
 
-    latents: np.ndarray
-    probs: np.ndarray
-    golds: np.ndarray
+    __slots__ = ("latents", "probs", "golds")
+
+    def __init__(self, latents: np.ndarray, probs: np.ndarray, golds: np.ndarray):
+        self.latents, self.probs, self.golds = latents, probs, golds
 
     def __len__(self) -> int:
         return self.golds.size

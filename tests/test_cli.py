@@ -650,6 +650,58 @@ print(json.dumps([sorted(listed), sorted(listed - loaded), tracer.missing]))
     assert missing == [], f"perfbench/tracing.py lists names uqkit does not have: {missing}"
 
 
+def test_no_uqkit_class_is_a_dataclass():
+    """A dataclass compiles its generated methods at every import of its module."""
+    import dataclasses
+    import importlib
+    import pkgutil
+
+    import uqkit
+
+    found = []
+    for info in pkgutil.iter_modules(uqkit.__path__, "uqkit."):
+        module = importlib.import_module(info.name)
+        found += [f"{info.name}.{name}" for name, value in vars(module).items()
+                  if isinstance(value, type) and dataclasses.is_dataclass(value)]
+    assert found == []
+
+
+def test_main_leaves_the_gc_unfrozen(tmp_path):
+    """Only the process entry `run` freezes the heap: an in-process `main` leaves it as it was."""
+    import gc
+
+    records = str(ROOT / "tests" / "golden" / "datastore_records.csv")
+    before = gc.get_freeze_count()
+    assert main(["datastore", "from-csv", records, str(tmp_path / "s.uqds")]) == 0
+    assert main(["datastore", "info", str(tmp_path / "s.uqds")]) == 0
+    assert main(["aso-sim", "--dist", "normal:0:x"]) == 2
+    assert gc.get_freeze_count() == before
+
+
+def test_entry_freezes_the_heap_and_teardown_still_runs(tmp_path):
+    """`run` freezes the import-time heap, then exits through `sys.exit`: atexit handlers
+    and a profiler wrapping the module still run at teardown, which `os._exit` would skip."""
+    records = str(ROOT / "tests" / "golden" / "datastore_records.csv")
+    assert main(["datastore", "from-csv", records, str(tmp_path / "s.uqds")]) == 0
+    script = """
+import atexit, gc, sys
+import uqkit.cli
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+sys.argv = ["uqkit", "datastore", "info", "s.uqds"]
+uqkit.cli.run()
+"""
+    entry = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env=cli_env(), cwd=tmp_path)
+    assert entry.returncode == 0, entry.stderr
+    assert entry.stdout.splitlines()[1:] == ["frozen at exit: True"]
+    profiled = subprocess.run([sys.executable, "-m", "cProfile", "-m", "uqkit.cli",
+                               "datastore", "info", "s.uqds"], capture_output=True, text=True,
+                              env=cli_env(), cwd=tmp_path)
+    assert profiled.returncode == 0, profiled.stderr
+    assert profiled.stdout.splitlines()[0] == entry.stdout.splitlines()[0]
+    assert "function calls" in profiled.stdout and "ncalls" in profiled.stdout
+
+
 TABLE_COMMANDS = [
     "uqkit aso-sim --test aso,student_t,bootstrap,permutation,wilcoxon,mann_whitney"
     " --dist normal:0:1.5,mixture:0:1.5:0.75:-0.5:0.25:0.25,laplace:0:1.5,rayleigh:1"

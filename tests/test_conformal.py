@@ -1,7 +1,6 @@
 import json
 import math
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -568,7 +567,7 @@ class TestConformalEvalDriver:
 
     @pytest.mark.parametrize("search_steps", [1, 6])
     def test_auto_tau_queries_each_latent_once(self, monkeypatch, search_steps):
-        cfg = replace(self.CFG, search_steps=search_steps)
+        cfg = self.CFG._replace(search_steps=search_steps)
         cal, store = calibration_store(cfg, seed=3)
         queried = []  # the float32 bytes of every latent queried, one or many per call
         query, query_batch = Datastore.query, Datastore.query_batch
@@ -593,7 +592,7 @@ class TestConformalEvalDriver:
     @pytest.mark.parametrize("metric", ["l2", "ip", "cos"])
     def test_search_coverage_matches_per_step_loop(self, monkeypatch, metric):
         # The search batch (40) is a strict prefix of the 60-record store.
-        cfg = replace(self.CFG, cal_steps=60, search_batch=40)
+        cfg = self.CFG._replace(cal_steps=60, search_batch=40)
         cal, store = calibration_store(cfg, seed=5)
         searched = {}
 
@@ -622,7 +621,7 @@ class TestConformalEvalDriver:
 
         for name in calls:
             monkeypatch.setattr(experiments, name, counting(name))
-        cfg = replace(self.CFG, search_steps=2)
+        cfg = self.CFG._replace(search_steps=2)
         records = run_conformal_eval(cfg, ["knn", "split"], ["l2", "cos"], [0.0, 0.1],
                                      "auto", seed=3)
         assert len(records) == 6
@@ -670,7 +669,7 @@ class TestConformalEvalDriver:
             ("split", "-", 0.0), ("split", "-", 0.0), ("split", "-", 0.1)]),
     ], ids=["distinct", "repeated"])
     def test_shared_pass_matches_one_condition_calls(self, metrics, noises, expected):
-        cfg = replace(self.CFG, search_steps=2)
+        cfg = self.CFG._replace(search_steps=2)
         records = run_conformal_eval(cfg, ["split", "knn", "knn_unit"], metrics, noises, "auto",
                                      seed=4)
         assert [(r["method"], r["metric"], r["noise"]) for r in records] == expected
@@ -694,7 +693,7 @@ class TestConformalEvalDriver:
 
     def test_evaluation_reads_only_the_source_arrays(self, monkeypatch, tmp_path):
         """Chains rebuilt from saved arrays, with no model to call, give the same records."""
-        cfg = replace(self.CFG, search_steps=2)
+        cfg = self.CFG._replace(search_steps=2)
         methods, metrics, noises = ["split", "knn", "knn_unit"], ["l2", "ip", "cos"], [0.0, 0.1]
         expected = run_conformal_eval(cfg, methods, metrics, noises, "auto", seed=3)
         cal, views = synthetic_source(cfg, noises, seed=3)
@@ -718,7 +717,7 @@ class TestConformalEvalDriver:
             run_conformal_eval(self.CFG, ["split", "foo"], ["l2"], [0.0], "auto", seed=0)
 
     def test_k_exceeding_store_warns_once_per_condition(self, caplog):
-        cfg = replace(self.CFG, k=50, search_steps=3)
+        cfg = self.CFG._replace(k=50, search_steps=3)
         with caplog.at_level("WARNING"):
             run_conformal_condition(cfg, "knn", "l2", 0.0, "auto", seed=2)
         warnings = [r for r in caplog.records if "exceeds datastore size" in r.getMessage()]
@@ -726,7 +725,7 @@ class TestConformalEvalDriver:
 
     @pytest.mark.parametrize("methods, expected", [(["knn", "split"], 1), (["split"], 0)])
     def test_k_exceeding_store_warns_once_per_call_with_knn(self, caplog, methods, expected):
-        cfg = replace(self.CFG, k=50, search_steps=2)
+        cfg = self.CFG._replace(k=50, search_steps=2)
         with caplog.at_level("WARNING"):
             run_conformal_eval(cfg, methods, ["l2", "cos"], [0.0, 0.1], "auto", seed=2)
         warnings = [r for r in caplog.records if "exceeds datastore size" in r.getMessage()]
@@ -821,6 +820,9 @@ class TestTemperatureSearch:
     (lambda: as_prob_matrix([0.5, 0.5]), "one probability vector per row"),
     (lambda: WeightedCalibration([0.1, math.nan], [1.0, 1.0]), "scores must be finite"),
     (lambda: WeightedCalibration([0.1, 0.2], [1.0, math.inf]), "weights must be finite"),
+    (lambda: WeightedCalibration([0.1, 0.2], [1.0, -1.0]),
+     "weights must be finite and non-negative"),
+    (lambda: WeightedCalibration([0.1, 0.2], [1.0]), "scores and weights must have equal length"),
     (lambda: split_quantile([0.1, 0.2], 0.0), r"alpha must lie in \(0, 1\)"),
     (lambda: split_quantile([0.1, 0.2], 1.5), r"alpha must lie in \(0, 1\)"),
     (lambda: weighted_quantile(WeightedCalibration([0.1], [1.0]), 0.0),
@@ -830,7 +832,8 @@ class TestTemperatureSearch:
     (lambda: rbf_weights([0.1, 0.2], 1.0, metric="foo"), "unknown metric: 'foo'"),
     (lambda: KnnQuantiles(Neighbors(np.zeros((1, 2)), np.array([[0.1, math.nan]]),
                                     np.zeros((1, 2), dtype=int)), 0.1), "scores must be finite"),
-], ids=["as_prob_matrix_1d", "calibration_scores", "calibration_weights", "split_alpha_0",
+], ids=["as_prob_matrix_1d", "calibration_scores", "calibration_weights",
+        "calibration_negative_weight", "calibration_lengths", "split_alpha_0",
         "split_alpha_1.5", "weighted_alpha_0", "weighted_alpha_1.5", "rbf_metric",
         "knn_neighbor_scores"])
 def test_rejects_bad_arguments(call, match):

@@ -49,7 +49,12 @@ class TestSamplers:
             NormalMixture(components=((0.0, 1.0),), weights=(1.0,))
 
     def test_constructors_and_parse_make_one_spec_type(self):
-        assert Normal(0, 1.5) == DistSpec("normal", (0.0, 1.5)) == DistSpec.parse("normal:0:1.5")
+        specs = [Normal(0, 1.5), DistSpec("normal", (0, 1.5)), DistSpec.parse("normal:0:1.5")]
+        assert specs[0] == specs[1] == specs[2]
+        assert len({hash(spec) for spec in specs}) == 1 and len(set(specs)) == 1
+        for other in (Normal(0, 1.25), Laplace(0, 1.5), DistSpec.parse("normal:0.5:1.5")):
+            assert other != specs[0]
+        assert specs[0] != ("normal", (0.0, 1.5))
         mixture = NormalMixture(components=((0.0, 1.5), (-0.5, 0.25)), weights=(0.75, 0.25))
         assert mixture == DistSpec.parse("mixture:0:1.5:0.75:-0.5:0.25:0.25")
         assert mixture.label() == "mixture:0:1.5:0.75:-0.5:0.25:0.25"
@@ -113,7 +118,7 @@ class TestRates:
         spec = TestSpec(kind="student_t", threshold=0.05)
         with pytest.raises(ValueError):
             type1_rate(spec, Normal(0.0, 1.5), 10, 0, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown test kind: 'anova'"):
             TestSpec(kind="anova", threshold=0.05)
 
 
@@ -172,7 +177,11 @@ class TestGridMatchesPerThresholdRates:
     (lambda: DistSpec("mixture", (0.0, 1.0, 0.5, 1.0, 1.0, 0.25)), "sum to 1"),
     (lambda: NormalMixture(components=((0.0, 1.0), (1.0, 1.0)), weights=(1.0,)),
      "non-empty and equal-length"),
-], ids=["negative_weight", "weights_sum", "mixture_lengths"])
+    (lambda: DistSpec("gamma", (1.0, 2.0)), "unknown kind or wrong number of parameters"),
+    (lambda: Normal(0.0, 0.0), "std must be positive"),
+    (lambda: Rayleigh(-1.0), "scale must be positive"),
+], ids=["negative_weight", "weights_sum", "mixture_lengths", "unknown_kind", "zero_std",
+        "negative_scale"])
 def test_rejects_bad_specs(call, match):
     with pytest.raises(ValueError, match=match):
         call()

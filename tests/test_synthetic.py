@@ -23,10 +23,10 @@ class TestModelConstruction:
     def test_validation(self):
         with pytest.raises(ValueError):
             new_model(1, 4, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="d x d mixing matrix"):
             SynthModel(emission=np.zeros((3, 3)), mixing=np.zeros((2, 2)),
                        noise_std=0.1, temperature=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="temperature must be positive"):
             SynthModel(emission=np.zeros((3, 2)), mixing=np.zeros((2, 2)),
                        noise_std=0.1, temperature=0.0)
 
@@ -213,7 +213,8 @@ class TestExchangeabilityByConstruction:
     (np.zeros(3), np.zeros((2, 2)), "must be matrices"),
     (np.full((3, 2), np.nan), np.zeros((2, 2)), "must be finite"),
     (np.zeros((3, 2)), np.array([[0.0, np.inf], [0.0, 0.0]]), "must be finite"),
-], ids=["vector_emission", "nan_emission", "inf_mixing"])
+    (np.zeros((1, 2)), np.zeros((2, 2)), "need V >= 2, d >= 2, and a d x d mixing matrix"),
+], ids=["vector_emission", "nan_emission", "inf_mixing", "one_class"])
 def test_model_rejects_bad_matrices(emission, mixing, match):
     with pytest.raises(ValueError, match=match):
         SynthModel(emission=emission, mixing=mixing, noise_std=0.1, temperature=1.0)
