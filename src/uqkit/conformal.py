@@ -148,23 +148,15 @@ def weighted_quantile(cal: WeightedCalibration, alpha: float):
     return float(_first_reaching(cal.scores[order], order, cal.weights[None], level)[0])
 
 
-def rbf_weights(dists, tau: float, metric: str = "l2") -> np.ndarray:
-    """RBF relevance weights from neighbor distances or similarities.
+def rbf_weights(keys, tau: float) -> np.ndarray:
+    """RBF relevance weights exp(-key / tau) of neighbor keys.
 
-    Squared-l2 distances map to exp(-d / tau); inner-product and cosine
-    similarities map to exp(+sim / tau). Exponents are clamped to +-700 to
-    keep exp() finite.
+    Keys are distances: smaller is nearer (the datastore's ip and cos keys are
+    negated similarities). Exponents are clamped to +-700 to keep exp() finite.
     """
     if not tau > 0:  # written so that NaN fails it
         raise ValueError("tau must be positive")
-    d = np.asarray(dists, dtype=float)
-    if metric == "l2":
-        exponent = -d / tau
-    elif metric in ("ip", "cos"):
-        exponent = d / tau
-    else:
-        raise ValueError(f"unknown metric: {metric!r}")
-    return np.exp(np.clip(exponent, -700.0, 700.0))
+    return np.exp(np.clip(np.asarray(keys, dtype=float) / -tau, -700.0, 700.0))
 
 
 def build_set_adaptive(probs, q_hat) -> PredictionSet:
@@ -181,25 +173,24 @@ def build_set_adaptive(probs, q_hat) -> PredictionSet:
 class KnnQuantiles:
     """The weighted q_hat of every row of a (steps, k) `Neighbors` block, at any tau.
 
-    Row i at temperature tau is `weighted_quantile` of the RBF-weighted
-    neighbor scores of row i: both run `_first_reaching`. The stable score
-    order does not depend on tau, so it is computed once here and reused by
-    every call.
+    The neighbor keys are distances, smaller is nearer, so row i at temperature
+    tau is `weighted_quantile` of row i's scores under `rbf_weights` of its
+    keys: both run `_first_reaching`. The stable score order does not depend on
+    tau, so it is computed once here and reused by every call.
     """
 
-    def __init__(self, neighbors, alpha: float, metric: str = "l2"):
+    def __init__(self, neighbors, alpha: float):
         self._level = _quantile_level(alpha)
         scores = np.asarray(neighbors.scores, dtype=float)
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
         self._keys = np.asarray(neighbors.keys, dtype=float)
-        self._metric = metric
         self._order = np.argsort(scores, axis=1, kind="stable")
         self._sorted = np.take_along_axis(scores, self._order, axis=1)
 
     def __call__(self, tau: float) -> np.ndarray:
         """The per-row quantile, FULL_SET where the row's mass falls short."""
-        weights = rbf_weights(self._keys, tau, metric=self._metric)
+        weights = rbf_weights(self._keys, tau)
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite and non-negative")
         return _first_reaching(self._sorted, self._order, weights, self._level)
@@ -314,7 +305,7 @@ def conformal_generate_step(store, latent, probs, alpha: float, k: int, tau: flo
     neighbors = store.query_batch(np.reshape(latent, (1, -1)), k, metric=metric)
     if k > len(store):
         logger.warning("k=%d exceeds datastore size %d; using the entire store", k, len(store))
-    q_hat = KnnQuantiles(neighbors, alpha, metric)(tau)
+    q_hat = KnnQuantiles(neighbors, alpha)(tau)
     return build_set_adaptive(probs, float(q_hat[0]))
 
 

@@ -1,12 +1,14 @@
 """Persistent (latent vector, non-conformity score) store with k-NN search.
 
 Latents are held at 32-bit precision, scores at 64-bit. Exact search supports
-squared l2 distance (ascending), inner product normalized by sqrt(dim)
-(descending), and cosine similarity (descending); an optional inverted-file
-index accelerates large stores at a measurable recall cost. Every search runs
-one routine, `Datastore._search`: for each bounded block of queries, the
-metric's keys against every candidate row, then a partition that keeps each
-query's best k in the order of a stable sort. `query_batch` returns aligned
+squared l2 distance, inner product normalized by sqrt(dim), and cosine
+similarity; an optional inverted-file index accelerates large stores at a
+measurable recall cost. Keys are distances under every metric: smaller is
+nearer. The l2 key is the squared distance, and the ip and cos keys are the
+negated normalized inner product and the negated cosine similarity. Every
+search runs one routine, `Datastore._search`: for each bounded block of
+queries, the metric's keys against every candidate row, then a partition that
+keeps each query's k smallest keys in the order of a stable sort. `query_batch` returns aligned
 best-first (queries, k) arrays of keys, scores and record ids in one
 `Neighbors` result; `query` is its one-row case, and `query_ivf` runs the same
 routine to probe the centroids and to scan the probed lists.
@@ -40,7 +42,7 @@ _BLOCK_ELEMENTS = 1 << 18
 METRICS = ("l2", "ip", "cos")
 
 
-def _best_first(signed: np.ndarray, k: int) -> np.ndarray:
+def _best_first(keys: np.ndarray, k: int) -> np.ndarray:
     """Columns of each row's k smallest keys, equal to `argsort(kind="stable")[:, :k]`.
 
     A partition finds each row's k-th smallest key. Where exactly k keys are at
@@ -48,17 +50,17 @@ def _best_first(signed: np.ndarray, k: int) -> np.ndarray:
     sort's first k. Rows with ties at the k-th key, or a NaN there (NaN sorts
     last), take the full stable sort.
     """
-    rows, columns = signed.shape
+    rows, columns = keys.shape
     if k >= columns:
-        return np.argsort(signed, axis=1, kind="stable")[:, :k]
-    kth = np.partition(signed, k - 1, axis=1)[:, k - 1:k]
-    below = signed <= kth
+        return np.argsort(keys, axis=1, kind="stable")[:, :k]
+    kth = np.partition(keys, k - 1, axis=1)[:, k - 1:k]
+    below = keys <= kth
     rest = np.count_nonzero(below, axis=1) != k
     below[rest] = np.arange(columns) < k  # placeholders, so every row has k candidates
     candidates = np.flatnonzero(below).reshape(rows, k) % columns
-    order = np.argsort(np.take_along_axis(signed, candidates, axis=1), axis=1, kind="stable")
+    order = np.argsort(np.take_along_axis(keys, candidates, axis=1), axis=1, kind="stable")
     best = np.take_along_axis(candidates, order, axis=1)
-    best[rest] = np.argsort(signed[rest], axis=1, kind="stable")[:, :k]
+    best[rest] = np.argsort(keys[rest], axis=1, kind="stable")[:, :k]
     return best
 
 
@@ -69,7 +71,9 @@ class DatastoreFormatError(ValueError):
 class Neighbors:
     """Retrieved records as aligned best-first arrays of keys, scores and record ids.
 
-    The arrays are 1-D for one query and (queries, k) for `Datastore.query_batch`.
+    Keys are distances: smaller is nearer, so every row's keys ascend. The ip
+    and cos keys are negated similarities. The arrays are 1-D for one query and
+    (queries, k) for `Datastore.query_batch`.
     """
 
     __slots__ = ("keys", "scores", "ids")
@@ -136,13 +140,14 @@ class Datastore:
 
     def _search(self, queries: np.ndarray, rows: np.ndarray, k: int,
                 metric: str) -> tuple[np.ndarray, np.ndarray]:
-        """Keys and positions in `rows` of each query's best min(k, len(rows)) rows.
+        """Keys and positions in `rows` of each query's nearest min(k, len(rows)) rows.
 
         Queries go in blocks whose scratch stays near `_BLOCK_ELEMENTS` float32
         values. A block computes its (queries, rows) keys with the per-query
         arithmetic (an einsum of differences for l2, one gemv per query for ip
-        and cos), then `_best_first` keeps each query's best k in the order of
-        a stable sort, so equal keys keep row order.
+        and cos, whose similarities are negated into distances), then
+        `_best_first` keeps each query's k smallest keys in the order of a
+        stable sort, so equal keys keep row order.
         """
         if metric not in METRICS:
             raise ValueError(f"unknown metric: {metric!r}")
@@ -165,19 +170,19 @@ class Datastore:
                 # qb @ rows.T would be a gemm, whose sums differ in the last bits
                 dots = np.matmul(rows[None], qb[:, :, None])[:, :, 0]
                 if metric == "ip":
-                    block_keys = dots.astype(np.float64) / np.sqrt(self.dim)
+                    block_keys = np.negative(dots, dtype=np.float64) / np.sqrt(self.dim)
                 else:
                     norms = row_norms[None, :] * query_norms[block, None]
                     with np.errstate(invalid="ignore", divide="ignore"):
                         sims = np.where(norms > 0.0, dots / norms, 0.0)
-                    block_keys = sims.astype(np.float64)
-            best = _best_first(block_keys if metric == "l2" else -block_keys, k)
+                    block_keys = np.negative(sims, dtype=np.float64)
+            best = _best_first(block_keys, k)
             positions[block] = best
             keys[block] = np.take_along_axis(block_keys, best, axis=1)
         return keys, positions
 
     def query(self, latent, k: int, metric: str = "l2") -> Neighbors:
-        """Exact top-min(k, count) records, best-first under the metric: row 0 of `query_batch`."""
+        """Exact nearest min(k, count) records, smallest key first: row 0 of `query_batch`."""
         batch = self.query_batch(np.reshape(latent, (1, -1)), k, metric)
         return Neighbors(batch.keys[0], batch.scores[0], batch.ids[0])
 

@@ -11,7 +11,6 @@ their arrays.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from typing import NamedTuple
 
@@ -81,11 +80,14 @@ class ConformalEvalConfig(NamedTuple):
 
 
 def _q_digest(q_hat: np.ndarray) -> str:
-    """Stable digest of a q-hat stream in step order; FULL_SET steps hash as the tag "FULL"."""
-    h = hashlib.sha256()
-    for q in q_hat:
-        h.update(b"FULL" if q == FULL_SET else q.tobytes())
-    return h.hexdigest()[:16]
+    """Stable digest of a q-hat stream in step order; FULL_SET steps hash as the tag "FULL".
+
+    `hashlib` loads OpenSSL (~2 ms), so only the calls that digest import it.
+    """
+    import hashlib
+
+    return hashlib.sha256(b"".join(b"FULL" if q == FULL_SET else q.tobytes()
+                                   for q in q_hat)).hexdigest()[:16]
 
 
 def _median_neighbor_distance(store, metric: str, k: int, seed: int) -> float:
@@ -127,7 +129,7 @@ def resolve_tau(store, cal: Chain, cfg: ConformalEvalConfig, metric: str,
     scale = _median_neighbor_distance(store, metric, cfg.k, seed)
     batch = cal[: cfg.search_batch]
     neighbors = store.query_batch(batch.latents, cfg.k, metric=metric)
-    quantiles = KnnQuantiles(neighbors, cfg.alpha, metric)
+    quantiles = KnnQuantiles(neighbors, cfg.alpha)
     sets = score_rule(cfg.score_kind)(batch.probs, batch.golds)
 
     def coverage_eval(tau: float) -> float:
@@ -246,7 +248,7 @@ def evaluate_conformal(cfg: ConformalEvalConfig, cal: Chain, views: dict[float, 
             for method, metric in [c[:2] for c in blocks if c[2] == noise]:
                 if method == "knn":
                     neighbors = store.query_batch(block.latents, cfg.k, metric=metric)
-                    q_hat = KnnQuantiles(neighbors, cfg.alpha, metric)(taus[metric])
+                    q_hat = KnnQuantiles(neighbors, cfg.alpha)(taus[metric])
                 else:
                     q_hat = np.full(len(block), fixed_q[method])
                 blocks[method, metric, noise].append((q_hat, sets.sizes(q_hat),

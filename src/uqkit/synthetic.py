@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conformal import score_rule
+from .conformal import as_prob_matrix, score_rule
 from .datastore import Datastore
 
-# rng.choice's tolerance on sum(p) - 1 for float64 p
-_P_ATOL = np.sqrt(np.finfo(np.float64).eps)
 # Float64 values per block of the gold-token pass (1 MB): its temporaries are
 # (steps, V) arrays, and one block of all steps held about three of them beside
 # the probs, which at V 1,000 and 5,000 steps raised generate's peak RSS by 76 MB.
@@ -109,7 +107,9 @@ def generate(model: SynthModel, num_steps: int, rng: np.random.Generator,
     the recurrence noise, in that order on `rng`. The gold draw is
     `rng.choice(V, p=probs)`'s: one uniform u per step, taken in the loop, and
     the count of entries <= u in the normalized cumsum of the step's probs,
-    taken after it for bounded blocks of steps at once.
+    taken after it for bounded blocks of steps at once. Each block of
+    distributions meets `as_prob_matrix`, the check the set classes run on the
+    same rows.
     """
     if num_steps < 1:
         raise ValueError("num_steps must be >= 1")
@@ -126,11 +126,7 @@ def generate(model: SynthModel, num_steps: int, rng: np.random.Generator,
     step = max(1, _GOLD_BLOCK_ELEMENTS // v)
     for start in range(0, num_steps, step):
         block = slice(start, start + step)
-        probs[block] = step_probs(model, latents[block])
-        # rng.choice's check on p, every row at once; written so that NaN fails it
-        if not (np.all(probs[block] >= 0)
-                and np.all(np.abs(probs[block].sum(axis=1) - 1.0) <= _P_ATOL)):
-            raise ValueError("probabilities must be non-negative and sum to 1")
+        probs[block] = as_prob_matrix(step_probs(model, latents[block]))
         cdf = probs[block].cumsum(axis=1)
         cdf /= cdf[:, -1:]
         golds[block] = np.count_nonzero(cdf <= uniforms[block, None], axis=1)

@@ -116,32 +116,35 @@ def mi_oracle(matrix):
 
 
 def linear_scan_oracle(latents, query, k, metric):
-    """Best-first indices by exhaustive python-loop search."""
-    dim = len(query)
+    """(keys, ids) of the k nearest rows by exhaustive python-loop search in float64.
+
+    Keys are distances, smaller is nearer: squared l2, or the negated normalized
+    inner product or cosine similarity. Equal keys keep row order.
+    """
+    q = np.asarray(query, dtype=np.float64)
     keyed = []
     for i, vec in enumerate(latents):
         vec = np.asarray(vec, dtype=np.float64)
-        q = np.asarray(query, dtype=np.float64)
         if metric == "l2":
             key = float(((vec - q) ** 2).sum())
         elif metric == "ip":
-            key = float(vec @ q) / math.sqrt(dim)
+            key = -float(vec @ q) / math.sqrt(len(q))
         else:
             denom = float(np.linalg.norm(vec) * np.linalg.norm(q))
-            key = float(vec @ q / denom) if denom > 0 else 0.0
+            key = -float(vec @ q / denom) if denom > 0 else 0.0
         keyed.append((key, i))
-    reverse = metric != "l2"
-    keyed.sort(key=lambda item: (-item[0] if reverse else item[0], item[1]))
-    return [i for _, i in keyed[:k]]
+    keyed.sort()
+    return [key for key, _ in keyed[:k]], [i for _, i in keyed[:k]]
 
 
 def exact_query_oracle(latents, query, k, metric):
-    """(keys, ids) of one query's best k rows: float32 keys against every row, one
+    """(keys, ids) of one query's nearest k rows: float32 keys against every row, one
     query at a time, then a stable argsort, so equal keys keep row order.
 
     The arithmetic `Datastore` ran per query before it searched blocks of
     queries with a partial sort; `Datastore.query`, `query_batch` and the scan
-    of `query_ivf` must equal it bit for bit.
+    of `query_ivf` must equal it bit for bit. The ip and cos keys are negated
+    similarities, so every metric's keys are distances.
     """
     rows = np.asarray(latents, dtype=np.float32)
     q = np.asarray(query, dtype=np.float32).ravel()
@@ -149,12 +152,12 @@ def exact_query_oracle(latents, query, k, metric):
         diff = rows - q[None, :]
         keys = np.einsum("ij,ij->i", diff, diff).astype(np.float64)
     elif metric == "ip":
-        keys = (rows @ q).astype(np.float64) / np.sqrt(rows.shape[1])
+        keys = -(rows @ q).astype(np.float64) / np.sqrt(rows.shape[1])
     else:
         norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(q)
         with np.errstate(invalid="ignore", divide="ignore"):
-            keys = np.where(norms > 0.0, (rows @ q) / norms, 0.0).astype(np.float64)
-    ids = np.argsort(keys if metric == "l2" else -keys, kind="stable")[:k]
+            keys = -np.where(norms > 0.0, (rows @ q) / norms, 0.0).astype(np.float64)
+    ids = np.argsort(keys, kind="stable")[:k]
     return keys[ids], ids
 
 
@@ -238,12 +241,12 @@ def weighted_quantile_oracle(cal, alpha):
     return float(sorted_scores[last_of_run[reached[0]]])
 
 
-def knn_set_oracle(neighbors, probs, alpha, tau, metric="l2"):
+def knn_set_oracle(neighbors, probs, alpha, tau):
     """One k-NN step's set: RBF-weight the retrieved neighbors, find q_hat by
     `weighted_quantile_oracle`, and build the adaptive set."""
     from uqkit.conformal import WeightedCalibration, build_set_adaptive, rbf_weights
 
-    weights = rbf_weights(neighbors.keys, tau, metric=metric)
+    weights = rbf_weights(neighbors.keys, tau)
     q_hat = weighted_quantile_oracle(WeightedCalibration(scores=neighbors.scores,
                                                          weights=weights), alpha)
     return build_set_adaptive(probs, q_hat)

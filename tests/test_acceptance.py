@@ -203,7 +203,7 @@ def test_criterion_09_datastore_correctness(tmp_path):
         for _ in range(10):
             query = rng.random(8).astype(np.float32)
             got = store.query(query, 10, metric=metric).ids.tolist()
-            expected = linear_scan_oracle(store.latents, query, 10, metric)
+            _, expected = linear_scan_oracle(store.latents, query, 10, metric)
             scan_ok &= got == expected
 
     path = tmp_path / "acc.uqds"

@@ -469,122 +469,109 @@ class TestAsoSimDirichletValidation:
         assert result.stdout == ""
 
 
-def test_cli_runs_without_scipy_stats(tmp_path):
-    """The CLI's import and its common subcommands never load scipy.stats."""
-    store = Datastore(3)
-    store.add_batch(np.arange(12, dtype=np.float32).reshape(4, 3), np.linspace(0, 1, 4))
-    store.save(tmp_path / "s.uqds")
-    script = f"""
-import sys
-import uqkit.cli
-calls = [
-    ["datastore", "info", {str(tmp_path / "s.uqds")!r}],
-    ["dirichlet-check", "--num-random", "2", "--samples", "2000"],
-    ["aso-sim", "--test", "aso,student_t", "--trials", "2"],
-    ["aso-sim", "--test", "wilcoxon,mann_whitney", "--n", "5,20", "--trials", "2"],
-    ["conformal-eval", "--vocab", "10", "--dim", "3", "--cal-steps", "30",
-     "--test-steps", "10", "--k", "5", "--method", "split,knn"],
-]
-for argv in calls:
-    assert uqkit.cli.main(argv + ["--out", {str(tmp_path / "out")!r}]) == 0, argv
-loaded = sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats."))
-print(loaded)
-"""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=env)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
-
-
-def scipy_modules_after(calls, tmp_path, then=""):
-    """Fresh interpreter: the scipy modules loaded by `import uqkit.cli`, then after `calls`.
-
-    Each call is (argv, expected exit code) and runs through `uqkit.cli.main`;
-    the Python code `then` runs after the calls.
-    """
-    script = f"""
-import json, sys
-import uqkit.cli
-scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-after_import = scipy_modules()
-for argv, code in {calls!r}:
-    assert uqkit.cli.main(argv) == code, argv
-{then}
-print(json.dumps([after_import, scipy_modules()]))
-"""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src")
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=env, cwd=tmp_path)
-    assert result.returncode == 0, result.stderr
-    return json.loads(result.stdout.splitlines()[-1])
-
-
-def test_import_datastore_and_conformal_eval_load_no_scipy(tmp_path):
-    records = str(ROOT / "tests" / "golden" / "datastore_records.csv")
-    after_import, after_calls = scipy_modules_after([
-        (["datastore", "from-csv", records, "s.uqds"], 0),
+CONFORMAL = ["conformal-eval", "--vocab", "10", "--dim", "3", "--cal-steps", "30",
+             "--test-steps", "10", "--k", "5"]
+FRESH_STEPS = {
+    "datastore": [
+        (["datastore", "from-csv", str(ROOT / "tests" / "golden" / "datastore_records.csv"),
+          "s.uqds"], 0),
         (["datastore", "info", "s.uqds"], 0),
         (["datastore", "dump", "s.uqds"], 0),
-        (["conformal-eval", "--vocab", "10", "--dim", "3", "--cal-steps", "30",
-          "--test-steps", "10", "--k", "5", "--method", "split,knn"], 0),
-        (["aso-sim", "--dist", "normal:0:x"], 2),
-    ], tmp_path)
-    assert after_import == [] and after_calls == []
+    ],
+    "dirichlet": [
+        (["dirichlet-check", "--num-random", "2", "--samples", "2000"], 0),
+        (["dirichlet-check", "--alpha", "0.5,2,7.5", "--samples", "200"], 0),
+    ],
+    "aso_sim": [
+        (["aso-sim", "--test", "aso,student_t,bootstrap,permutation,wilcoxon,mann_whitney",
+          "--n", "5,20", "--trials", "2"], 0),
+    ],
+    "usage_error": [(["aso-sim", "--dist", "normal:0:x"], 2)],
+    "tau_auto": [
+        (CONFORMAL + ["--method", "split,knn,knn_unit", "--metric", "l2,ip,cos",
+                      "--noise", "0,0.1", "--tau", "auto"], 0),
+    ],
+    "tau_heuristic": [(CONFORMAL + ["--method", "knn", "--tau", "heuristic"], 0)],
+}
 
 
-def test_aso_sim_loads_no_scipy(tmp_path):
-    """All six tests, and the normal-tail branches of the rank tests on tied data."""
-    tied = """
+@pytest.fixture(scope="module")
+def fresh_cli_loads(tmp_path_factory):
+    """One fresh interpreter runs `import uqkit.cli`, then each step of FRESH_STEPS through
+    `uqkit.cli.main`, then the rank tests on tied data (their normal-tail branches).
+    Returns, per step ("import", ..., "tied_rank_tests"), the scipy, numpy.ma and hashlib
+    modules that step loaded first."""
+    script = f"""
+import json, sys
+def loaded():
+    return {{m for m in sys.modules
+            if m.split(".")[0] in ("scipy", "hashlib", "_hashlib") or m.startswith("numpy.ma")}}
+seen, steps = loaded(), {{}}
+def record(step):
+    global seen
+    now = loaded()
+    steps[step] = sorted(now - seen)
+    seen = now
+import uqkit.cli
+record("import")
+for step, calls in {FRESH_STEPS!r}.items():
+    for argv, code in calls:
+        assert uqkit.cli.main(argv) == code, argv
+    record(step)
 from uqkit.significance import classic_test
 a = [float(v % 4) for v in range(20)]
 b = [float(v % 3) for v in range(20)]
 for kind in ("wilcoxon", "mann_whitney"):
     assert 0.0 < classic_test(kind, a, b).p_value < 1.0
+record("tied_rank_tests")
+print(json.dumps(steps))
 """
-    after_import, after_calls = scipy_modules_after([
-        (["aso-sim", "--test", "aso,student_t,bootstrap,permutation,wilcoxon,mann_whitney",
-          "--n", "5,20", "--trials", "2"], 0),
-    ], tmp_path, then=tied)
-    assert after_import == [] and after_calls == []
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=cli_env(), cwd=tmp_path_factory.mktemp("fresh_cli"))
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
 
 
-def test_no_subcommand_and_no_script_loads_scipy(tmp_path):
+def loaded_in(loads, steps, *prefixes):
+    """The modules under any of `prefixes` that any of `steps` loaded."""
+    return [m for step in steps for m in loads[step]
+            if any(m == p or m.startswith(p + ".") for p in prefixes)]
+
+
+def test_fresh_cli_loads_no_scipy_numpy_ma_or_early_hashlib(fresh_cli_loads):
+    """scipy is a test-only oracle and `np.median` would import numpy.ma (~15 ms), so
+    neither loads at `import uqkit.cli` nor in any step. `hashlib` (OpenSSL, ~2 ms) is not
+    loaded by the import either: only a conformal-eval digest needs it."""
+    assert loaded_in(fresh_cli_loads, ["import"], "hashlib", "_hashlib") == []
+    assert loaded_in(fresh_cli_loads, fresh_cli_loads, "scipy", "numpy.ma") == []
+
+
+def test_cli_runs_without_scipy_stats(fresh_cli_loads):
+    """The CLI's import and its common subcommands never load scipy.stats."""
+    steps = ["import", "datastore", "dirichlet", "aso_sim", "tau_auto"]
+    assert loaded_in(fresh_cli_loads, steps, "scipy.stats") == []
+
+
+def test_import_datastore_and_conformal_eval_load_no_scipy(fresh_cli_loads):
+    steps = ["import", "datastore", "tau_auto", "usage_error"]
+    assert loaded_in(fresh_cli_loads, steps, "scipy") == []
+
+
+def test_aso_sim_loads_no_scipy(fresh_cli_loads):
+    """All six tests, and the normal-tail branches of the rank tests on tied data."""
+    steps = ["import", "aso_sim", "tied_rank_tests"]
+    assert loaded_in(fresh_cli_loads, steps, "scipy") == []
+
+
+def test_no_subcommand_and_no_script_loads_scipy(fresh_cli_loads):
     """scipy is a test-only oracle: every subcommand runs without it."""
-    records = str(ROOT / "tests" / "golden" / "datastore_records.csv")
-    after_import, after_calls = scipy_modules_after([
-        (["datastore", "from-csv", records, "s.uqds"], 0),
-        (["datastore", "info", "s.uqds"], 0),
-        (["datastore", "dump", "s.uqds"], 0),
-        (["dirichlet-check", "--num-random", "2", "--samples", "200"], 0),
-        (["dirichlet-check", "--alpha", "0.5,2,7.5", "--samples", "200"], 0),
-        (["aso-sim", "--test", "aso,student_t,bootstrap,permutation,wilcoxon,mann_whitney",
-          "--n", "5,20", "--trials", "2"], 0),
-        (["conformal-eval", "--vocab", "10", "--dim", "3", "--cal-steps", "30",
-          "--test-steps", "10", "--k", "5", "--method", "split,knn,knn_unit",
-          "--metric", "l2,ip,cos", "--noise", "0,0.1"], 0),
-    ], tmp_path)
-    assert after_import == [] and after_calls == []
+    assert loaded_in(fresh_cli_loads, fresh_cli_loads, "scipy") == []
 
 
 @pytest.mark.parametrize("tau", ["auto", "heuristic"])
-def test_conformal_eval_tau_search_does_not_load_numpy_ma(tau, tmp_path):
+def test_conformal_eval_tau_search_does_not_load_numpy_ma(tau, fresh_cli_loads):
     """np.median would import numpy.ma (~15 ms) on its first call."""
-    script = f"""
-import sys
-import uqkit.cli
-assert uqkit.cli.main(["conformal-eval", "--vocab", "10", "--dim", "3", "--cal-steps", "30",
-                       "--test-steps", "10", "--k", "5", "--method", "knn", "--tau", {tau!r},
-                       "--out", "out.json"]) == 0
-print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
-"""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                            env=env, cwd=tmp_path)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert loaded_in(fresh_cli_loads, ["import", f"tau_{tau}"], "numpy.ma") == []
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),

@@ -212,16 +212,18 @@ class TestWeightedQuantile:
 
 class TestRbfWeights:
     def test_l2_zero_distance(self):
-        assert rbf_weights([0.0], tau=2.0, metric="l2")[0] == 1.0
+        assert rbf_weights([0.0], tau=2.0)[0] == 1.0
 
     def test_l2_at_tau(self):
-        assert rbf_weights([2.0], tau=2.0, metric="l2")[0] == pytest.approx(math.exp(-1))
+        assert rbf_weights([2.0], tau=2.0)[0] == pytest.approx(math.exp(-1))
 
     def test_cosine_zero_similarity(self):
-        assert rbf_weights([0.0], tau=1.0, metric="cos")[0] == 1.0
+        # ip and cos keys are negated similarities: similarity 1 weighs exp(+1 / tau)
+        assert rbf_weights([-0.0, 0.0], tau=1.0).tolist() == [1.0, 1.0]
+        assert rbf_weights([-1.0], tau=0.5)[0] == pytest.approx(math.exp(2))
 
     def test_clamps_exponent(self):
-        assert np.isfinite(rbf_weights([1e9], tau=1.0, metric="ip")[0])
+        assert rbf_weights([1e9, -1e9], tau=1.0).tolist() == np.exp([-700.0, 700.0]).tolist()
 
     def test_tau_validation(self):
         with pytest.raises(ValueError):
@@ -316,15 +318,16 @@ class TestFullSet:
         assert build_set_adaptive(p, FULL_SET).indices == (0, 1, 2)
 
 
-def random_block(data, metric):
-    """(neighbors, probs, gold) of a random block of k-NN steps with forced score ties."""
+def random_block(data):
+    """(neighbors, probs, gold) of a random block of k-NN steps with forced score ties.
+
+    The ascending keys lie in [-1, 4): l2 distances and negated ip or cos similarities.
+    """
     steps = data.draw(st.integers(1, 12))
     k = data.draw(st.integers(1, 15))
     vocab = data.draw(st.integers(2, 12))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    keys = rng.random((steps, k)) * (4.0 if metric == "l2" else 2.0)
-    if metric != "l2":
-        keys -= 1.0
+    keys = rng.random((steps, k)) * 5.0 - 1.0
     # Scores on a coarse grid tie often; the grid spans [-0.5, 1.5] so the [0, 1] clamp acts.
     scores = rng.integers(-2, 7, size=(steps, k)) / 4
     probs = rng.dirichlet(np.full(vocab, 0.7), size=steps)
@@ -356,20 +359,20 @@ class TestBatchedScores:
 
 
 class TestBatchedKernel:
-    @given(st.data(), st.sampled_from(["l2", "ip", "cos"]),
+    @given(st.data(),
            # 1e-4 pushes |key| / tau past the +-700 exponent clamp
            st.sampled_from([1e-4, 1e-3, 0.05, 0.5, 2.0, 50.0]),
            st.sampled_from([0.05, 0.1, 0.3, 0.6]))
     @settings(max_examples=200, deadline=None)
-    def test_matches_per_row_knn_set(self, data, metric, tau, alpha):
-        neighbors, probs, gold = random_block(data, metric)
-        q_hat = KnnQuantiles(neighbors, alpha, metric)(tau)
+    def test_matches_per_row_knn_set(self, data, tau, alpha):
+        neighbors, probs, gold = random_block(data)
+        q_hat = KnnQuantiles(neighbors, alpha)(tau)
         full = q_hat == FULL_SET
         sets = AdaptiveSets(probs, gold)
         sizes, covers = sets.sizes(q_hat), sets.covers(q_hat)
         for i in range(len(gold)):
             row = Neighbors(neighbors.keys[i], neighbors.scores[i], neighbors.ids[i])
-            pset = knn_set_oracle(row, probs[i], alpha, tau, metric=metric)
+            pset = knn_set_oracle(row, probs[i], alpha, tau)
             assert full[i] == is_full_set(pset.q_hat)
             if not full[i]:
                 assert np.clip(q_hat[i], 0.0, 1.0) == pset.q_hat  # bit-exact
@@ -377,16 +380,16 @@ class TestBatchedKernel:
             assert covers[i] == (gold[i] in pset)
 
     def test_full_set_rows_and_exponent_clamp(self):
-        # Similarity 1 at tau 1e-3 is clamped to exp(700), not exp(1000) = inf, so two
-        # such neighbors carry half the mass each; the tied scores of row 1 form one run.
-        keys = np.array([[1.0, 1.0, 0.5], [1.0, 0.0, 0.0]])
+        # Key -1 (cos similarity 1) at tau 1e-3 is clamped to exp(700), not exp(1000) = inf,
+        # so two such neighbors carry half the mass each; the tied scores of row 1 form one run.
+        keys = np.array([[-1.0, -1.0, -0.5], [-1.0, 0.0, 0.0]])
         scores = np.array([[0.25, 0.75, 0.5], [0.5, 0.5, 0.5]])
-        q_hat = KnnQuantiles(Neighbors(keys, scores, np.zeros((2, 3), int)), 0.1, "cos")(1e-3)
+        q_hat = KnnQuantiles(Neighbors(keys, scores, np.zeros((2, 3), int)), 0.1)(1e-3)
         assert (q_hat == FULL_SET).tolist() == [False, False]
         assert q_hat.tolist() == [0.75, 0.5]
         # A lone neighbor of weight exp(0) = 1 carries half the mass: FULL_SET at alpha 0.1.
         q_hat = KnnQuantiles(Neighbors(keys[:, 1:2], scores[:, 1:2],
-                                       np.zeros((2, 1), int)), 0.1, "cos")(1e-3)
+                                       np.zeros((2, 1), int)), 0.1)(1e-3)
         assert (q_hat == FULL_SET).tolist() == [False, True]
         assert q_hat[0] == 0.75
         sets = AdaptiveSets([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]], [2, 2])
@@ -398,7 +401,7 @@ class TestBatchedKernel:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_threshold_sets_match_per_row_sets(self, data):
-        _, probs, gold = random_block(data, "l2")
+        _, probs, gold = random_block(data)
         # q_hat at 0, at 1, at the gold's or another label's exact score, or anywhere in [0, 1].
         q_hat = np.array([data.draw(st.one_of(
             st.sampled_from([0.0, 1.0, 1.0 - p[g], 1.0 - p[data.draw(st.integers(0, p.size - 1))]]),
@@ -416,7 +419,7 @@ class TestBatchedKernel:
         neighbors = Neighbors(np.array([[0.5, np.nan]]), np.array([[0.1, 0.2]]),
                               np.zeros((1, 2), int))
         with pytest.raises(ValueError, match="finite"):
-            KnnQuantiles(neighbors, 0.1, "ip")(1.0)
+            KnnQuantiles(neighbors, 0.1)(1.0)
 
 
 class TestConformalGenerateStep:
@@ -475,8 +478,7 @@ class TestConformalGenerateStep:
         k = int(rng.integers(1, n + 3))
         probs = rng.dirichlet(np.full(int(rng.integers(2, 7)), 0.5))
         pset = conformal_generate_step(store, latent, probs, alpha, k, tau, metric=metric)
-        expected = knn_set_oracle(store.query(latent, k, metric=metric), probs, alpha, tau,
-                                  metric=metric)
+        expected = knn_set_oracle(store.query(latent, k, metric=metric), probs, alpha, tau)
         assert pset.indices == expected.indices
         assert is_full_set(pset.q_hat) == is_full_set(expected.q_hat)
         if not is_full_set(pset.q_hat):
@@ -552,7 +554,7 @@ def per_step_coverage(store, cal, cfg, tau, metric):
     hits = 0
     for latent, probs, gold in zip(batch.latents, batch.probs, batch.golds):
         neighbors = store.query(latent, cfg.k, metric=metric)
-        hits += gold in knn_set_oracle(neighbors, probs, cfg.alpha, tau, metric=metric)
+        hits += gold in knn_set_oracle(neighbors, probs, cfg.alpha, tau)
     return hits / len(batch)
 
 
@@ -829,13 +831,11 @@ class TestTemperatureSearch:
      r"alpha must lie in \(0, 1\)"),
     (lambda: weighted_quantile(WeightedCalibration([0.1], [1.0]), 1.5),
      r"alpha must lie in \(0, 1\)"),
-    (lambda: rbf_weights([0.1, 0.2], 1.0, metric="foo"), "unknown metric: 'foo'"),
     (lambda: KnnQuantiles(Neighbors(np.zeros((1, 2)), np.array([[0.1, math.nan]]),
                                     np.zeros((1, 2), dtype=int)), 0.1), "scores must be finite"),
 ], ids=["as_prob_matrix_1d", "calibration_scores", "calibration_weights",
         "calibration_negative_weight", "calibration_lengths", "split_alpha_0",
-        "split_alpha_1.5", "weighted_alpha_0", "weighted_alpha_1.5", "rbf_metric",
-        "knn_neighbor_scores"])
+        "split_alpha_1.5", "weighted_alpha_0", "weighted_alpha_1.5", "knn_neighbor_scores"])
 def test_rejects_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()

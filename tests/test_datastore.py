@@ -6,28 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import exact_query_oracle
+from oracles import exact_query_oracle, linear_scan_oracle
 from uqkit import datastore
 from uqkit.datastore import Datastore, DatastoreFormatError, Neighbors
-
-
-def linear_scan(latents, scores, query, k, metric, dim):
-    """Oracle: python-loop exhaustive search."""
-    keyed = []
-    for i, (vec, score) in enumerate(zip(latents, scores)):
-        vec = np.asarray(vec, dtype=np.float64)
-        q = np.asarray(query, dtype=np.float64)
-        if metric == "l2":
-            key = float(((vec - q) ** 2).sum())
-        elif metric == "ip":
-            key = float(vec @ q) / np.sqrt(dim)
-        else:
-            denom = np.linalg.norm(vec) * np.linalg.norm(q)
-            key = float(vec @ q / denom) if denom > 0 else 0.0
-        keyed.append((key, i, score))
-    reverse = metric != "l2"
-    keyed.sort(key=lambda item: (-item[0] if reverse else item[0], item[1]))
-    return keyed[:k]
 
 
 def make_store(rng, count, dim):
@@ -68,6 +49,16 @@ class TestAddQuery:
         store.add_batch([[1.0, 0.0]], [0.1])
         result = store.query([0.0, 1.0], 1, metric="cos")
         assert result.keys[0] == pytest.approx(0.0)
+
+    def test_similarity_keys_are_negated(self):
+        """Keys are distances under every metric: the ip and cos keys of the nearest row are
+        its negated similarities, and an orthogonal row's key of 0 comes after them."""
+        store = Datastore(2)
+        store.add_batch([[0.0, 2.0], [3.0, 0.0]], [0.1, 0.2])
+        for metric, nearest in [("l2", 4.0), ("ip", -3.0 / np.sqrt(2)), ("cos", -1.0)]:
+            result = store.query([1.0, 0.0], 2, metric=metric)
+            assert result.ids.tolist() == [1, 0]
+            assert result.keys.tolist() == [nearest, 5.0 if metric == "l2" else 0.0]
 
     def test_score_must_be_finite(self):
         store = Datastore(2)
@@ -121,12 +112,11 @@ class TestAddQuery:
         for _ in range(20):
             query = rng.normal(size=8).astype(np.float32)
             got = store.query(query, 10, metric=metric)
-            expected = linear_scan(store.latents, store.scores, query, 10, metric, 8)
-            assert got.ids.tolist() == [i for _, i, _ in expected]
+            keys, ids = linear_scan_oracle(store.latents, query, 10, metric)
+            assert got.ids.tolist() == ids
             # float32 arithmetic in the store, float64 in the oracle
-            np.testing.assert_allclose(got.keys, [key for key, _, _ in expected],
-                                       rtol=1e-5, atol=1e-6)
-            assert got.scores.tolist() == [score for _, _, score in expected]
+            np.testing.assert_allclose(got.keys, keys, rtol=1e-5, atol=1e-6)
+            assert got.scores.tolist() == store.scores[ids].tolist()
 
     @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=10),
            st.integers(min_value=0, max_value=2**31), st.sampled_from(["l2", "ip", "cos"]))
@@ -137,10 +127,7 @@ class TestAddQuery:
         result = store.query(rng.normal(size=5), k, metric=metric)
         assert len(result) == min(k, count)
         keys = result.keys.tolist()
-        if metric == "l2":
-            assert keys == sorted(keys)
-        else:
-            assert keys == sorted(keys, reverse=True)
+        assert keys == sorted(keys)  # keys are distances under every metric
 
 
 # Few distinct small-integer coordinates force key ties and zero-norm rows.
