@@ -7,19 +7,6 @@ deterministic given --seed and its configuration; outputs embed a schema tag.
 
 Exit codes: 0 ok, 2 usage error, 3 data error. `aso-sim` runs its trials
 serially, and every test reads one draw per (dist, n, trial).
-
-Unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set, the
-CLI runs BLAS on one thread, because at the default sizes its gemvs run no
-faster on two while the idle worker spins; of the sizes measured, only a store
-of 100,000 rows ran sooner on two threads (see the README).
-
-A short call is mostly process start. A `datastore info` call on a 5-row
-store took ~110 ms on 2 cores: ~32 ms for the interpreter and site, ~53 ms to
-import numpy, ~13 ms to import uqkit (from cached bytecode), ~3 ms to run and
-~5 ms of teardown. The process entry `run` (the `uqkit` script and
-`python -m uqkit.cli`) freezes the import-time heap before `main`, so the
-collections at exit skip it; teardown took ~19 ms without. `main` itself
-never freezes.
 """
 
 from __future__ import annotations
@@ -36,9 +23,11 @@ import sys
 from argparse import ArgumentTypeError
 from pathlib import Path
 
-# One BLAS thread (see the module docstring). OpenBLAS reads the count once, when
-# numpy loads, so the variable is set just for the first import that loads numpy
-# and taken out again, and no process this one starts inherits it.
+# One BLAS thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is
+# set: at the default sizes the gemvs run no faster on two, while the idle worker spins
+# (see the README). OpenBLAS reads the count once, when numpy loads, so the variable is
+# set just for the first import that loads numpy and taken out again, and no process
+# this one starts inherits it.
 _ONE_BLAS_THREAD = not ({"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
                         & os.environ.keys())
 if _ONE_BLAS_THREAD:

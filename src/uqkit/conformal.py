@@ -20,12 +20,9 @@ of any calibration set this package targets.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 _LEVEL_SLACK = 1e-9
 _SEARCH_ETA = 0.1  # the temperature search's step size, eta
@@ -152,11 +149,14 @@ def rbf_weights(keys, tau: float) -> np.ndarray:
     """RBF relevance weights exp(-key / tau) of neighbor keys.
 
     Keys are distances: smaller is nearer (the datastore's ip and cos keys are
-    negated similarities). Exponents are clamped to +-700 to keep exp() finite.
+    negated similarities). Exponents are clamped to +-700 to keep exp() finite; one
+    that overflows to +-inf (a tiny tau) is clamped too.
     """
     if not tau > 0:  # written so that NaN fails it
         raise ValueError("tau must be positive")
-    return np.exp(np.clip(np.asarray(keys, dtype=float) / -tau, -700.0, 700.0))
+    with np.errstate(over="ignore"):
+        exponents = np.asarray(keys, dtype=float) / -tau
+    return np.exp(np.clip(exponents, -700.0, 700.0))
 
 
 def build_set_adaptive(probs, q_hat) -> PredictionSet:
@@ -301,10 +301,9 @@ def score_rule(kind: str) -> type:
 
 def conformal_generate_step(store, latent, probs, alpha: float, k: int, tau: float,
                             metric: str = "l2") -> PredictionSet:
-    """One generation step's adaptive set: the one-row case of `query_batch` + `KnnQuantiles`."""
+    """One generation step's adaptive set: the one-row case of `query_batch` + `KnnQuantiles`.
+    A k beyond the store's size uses the whole store."""
     neighbors = store.query_batch(np.reshape(latent, (1, -1)), k, metric=metric)
-    if k > len(store):
-        logger.warning("k=%d exceeds datastore size %d; using the entire store", k, len(store))
     q_hat = KnnQuantiles(neighbors, alpha)(tau)
     return build_set_adaptive(probs, float(q_hat[0]))
 

@@ -105,17 +105,13 @@ def mutual_information(d: DirichletParams) -> float:
     return float(-(ratio * (np.log(ratio) - digamma(a + 1.0) + digamma(a0 + 1.0))).sum())
 
 
-def log_pdf(d: DirichletParams, points: np.ndarray) -> np.ndarray:
-    """Log density at simplex points (rows); supports the Monte Carlo oracles."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    return _log_pdf_of_logs(d, np.log(pts))
-
-
-def _log_pdf_of_logs(d: DirichletParams, log_points: np.ndarray) -> np.ndarray:
-    """`log_pdf` from the logs of the points, so that callers holding them log once."""
-    return -log_beta(d.alpha) + ((d.alpha - 1.0) * log_points).sum(axis=1)
+def log_pdf(d: DirichletParams, log_points: np.ndarray) -> np.ndarray:
+    """Log density at simplex points, given their logs (rows), so that callers holding
+    the logs take them once. A positive entry is a point, not its log: ValueError."""
+    log_points = np.asarray(log_points, dtype=float)
+    if not np.all(log_points <= 0.0):  # written so that NaN fails it
+        raise ValueError("log_points must be the logs of simplex points, all <= 0")
+    return -log_beta(d.alpha) + ((d.alpha - 1.0) * log_points).sum(axis=-1)
 
 
 def sample(d: DirichletParams, n: int, rng: np.random.Generator) -> np.ndarray:

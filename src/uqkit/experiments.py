@@ -22,7 +22,7 @@ from .conformal import (FULL_SET, KnnQuantiles, WeightedCalibration, score_rule,
 from .error_sim import DistSpec, ErrorRateReport, TestSpec, error_rates
 from .metrics import coverage_report_arrays, predictive_entropy
 from .seeds import derive_rng
-from .synthetic import Chain, calibration_store, generate, new_model, step_probs
+from .synthetic import Chain, calibration_store, generate, inject_noise, new_model, step_probs
 
 logger = logging.getLogger(__name__)
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -184,10 +184,11 @@ def synthetic_source(cfg: ConformalEvalConfig, noises: list[float],
     After `cfg.burn_in` steps come the calibration and then the test steps of one
     generated chain. A view holds the test latents plus noise, their distributions
     and the clean gold tokens: a shifted-representation deployment. `noise` is a
-    fraction of the calibration latents' standard deviation; one unit-normal draw
-    from `derive_rng(seed, 2)`, made only when some level is non-zero, serves every
-    level. Noise 0 is the generated test slice itself. ValueError names a negative
-    or NaN level, or one whose noisy latents or distributions are not finite.
+    fraction of the calibration latents' standard deviation: each distinct non-zero
+    level is `inject_noise` of the test latents with a fresh `derive_rng(seed, 2)`,
+    so every level scales the same unit-normal draw. Noise 0 is the generated test
+    slice itself and draws nothing. ValueError names a negative or NaN level, or one
+    whose noisy latents or distributions are not finite.
     """
     if not all(noise >= 0 for noise in noises):  # written so that NaN fails it
         raise ValueError(f"noise levels must be non-negative, got {noises!r}")
@@ -197,12 +198,11 @@ def synthetic_source(cfg: ConformalEvalConfig, noises: list[float],
     test = chain[cfg.burn_in + cfg.cal_steps:]
 
     latent_std = float(cal.latents.std())
-    unit = derive_rng(seed, 2).normal(0.0, 1.0, size=test.latents.shape) if any(noises) else None
     views = {noise: test for noise in noises if noise == 0}
     for noise in sorted(set(noises) - {0.0}):
         probs = np.empty_like(test.probs)
         with np.errstate(over="ignore", invalid="ignore"):
-            latents = test.latents + unit * (noise * latent_std)
+            latents = inject_noise(test.latents, noise * latent_std, derive_rng(seed, 2))
             for start in range(0, len(test), _CHUNK_STEPS):  # a (T, V) call peaks higher
                 probs[start: start + _CHUNK_STEPS] = step_probs(
                     model, latents[start: start + _CHUNK_STEPS])
@@ -288,7 +288,7 @@ def dirichlet_mc_checks(alpha_vec, num_samples: int, rng: np.random.Generator) -
         return abs(closed - float(values.mean())) / max(se, 1e-300)
 
     log_draws = np.log(draws)
-    log_density = dr._log_pdf_of_logs(d, log_draws)
+    log_density = dr.log_pdf(d, log_draws)
     checks = {}
     checks["mean"] = max(z_score(m_k, draws[:, k]) for k, m_k in enumerate(dr.mean(d)))
     checks["log_expectation"] = max(
@@ -300,7 +300,7 @@ def dirichlet_mc_checks(alpha_vec, num_samples: int, rng: np.random.Generator) -
     # A shifted reference that differs from d; an entry near the cap steps down, not up.
     rolled = np.roll(d.alpha, 1)
     ref = dr.DirichletParams(rolled + np.where(rolled + 0.5 > dr._MAX_ALPHA, -0.5, 0.5))
-    checks["kl"] = z_score(dr.kl(d, ref), log_density - dr._log_pdf_of_logs(ref, log_draws))
+    checks["kl"] = z_score(dr.kl(d, ref), log_density - dr.log_pdf(ref, log_draws))
 
     # Delta-method linearization of H[mean pi] so the MI estimate has a usable SE.
     mean_draws = draws.mean(axis=0)

@@ -90,7 +90,7 @@ def coverage_report(sets: list[PredictionSet], labels, alpha: float,
 
 def coverage_report_arrays(sizes, covered, alpha: float, num_size_bins: int = 75,
                            vocab_size: int | None = None) -> CoverageReport:
-    """`coverage_report` from set sizes and coverage flags; vocab_size >= max(1, largest set)."""
+    """`coverage_report` from set sizes and coverage flags; finite vocab_size >= max(1, largest set)."""
     sizes = np.asarray(sizes, dtype=float).ravel()
     covered = np.asarray(covered, dtype=float).ravel()
     if sizes.size != covered.size or not sizes.size:
@@ -104,8 +104,8 @@ def coverage_report_arrays(sizes, covered, alpha: float, num_size_bins: int = 75
         raise ValueError("set sizes must be >= 0")
     if vocab_size is None:
         vocab_size = int(sizes.max())
-    if not vocab_size >= max(1.0, sizes.max()):  # NaN fails too
-        raise ValueError("vocab_size must be >= 1 and >= the largest prediction set")
+    if not math.inf > vocab_size >= max(1.0, sizes.max()):  # NaN fails too
+        raise ValueError("vocab_size must be finite, >= 1 and >= the largest prediction set")
 
     counts, bin_cov = _bin_means(sizes, float(vocab_size), num_size_bins, covered)
     nonempty = counts > 0

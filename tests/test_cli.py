@@ -399,6 +399,18 @@ class TestConformalEvalValidation:
         assert result.stderr == ""
         assert json.loads(result.stdout)[0]["noise"] == 1e200
 
+    def test_tiny_tau_clamps_the_weights_without_a_warning(self, tmp_path):
+        """1e-320 parses as a finite tau > 0; every key / -tau overflows and is clamped."""
+        result = run_cli(["conformal-eval", "--vocab", "10", "--dim", "3", "--cal-steps", "30",
+                          "--test-steps", "10", "--k", "5", "--method", "knn",
+                          "--metric", "l2,ip,cos", "--tau", "1e-320",
+                          "--out", str(tmp_path / "tiny_tau.json")],
+                         env=cli_env(PYTHONWARNINGS="error::RuntimeWarning"))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert [r["metric"] for r in json.loads((tmp_path / "tiny_tau.json").read_text())] == [
+            "cos", "ip", "l2"]
+
     def test_split_only_nan_noise_is_usage_error(self):
         result = run_cli(["conformal-eval", "--vocab", "10", "--dim", "3", "--method", "split",
                           "--noise", "nan"])

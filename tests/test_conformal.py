@@ -223,7 +223,11 @@ class TestRbfWeights:
         assert rbf_weights([-1.0], tau=0.5)[0] == pytest.approx(math.exp(2))
 
     def test_clamps_exponent(self):
-        assert rbf_weights([1e9, -1e9], tau=1.0).tolist() == np.exp([-700.0, 700.0]).tolist()
+        # key / -tau overflows to -+inf at the last two: clamped as well, without a warning
+        for keys, tau in [([1e9, -1e9], 1.0), ([1.0, -1.0], 1e-320), ([1e308, -1e308], 1e-3)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert rbf_weights(keys, tau).tolist() == np.exp([-700.0, 700.0]).tolist()
 
     def test_tau_validation(self):
         with pytest.raises(ValueError):
@@ -448,11 +452,12 @@ class TestConformalGenerateStep:
         rng = np.random.default_rng(4)
         latents = rng.normal(size=(5, 3))
         store = self.make_store(latents, rng.random(5))
-        with caplog.at_level("WARNING", logger="uqkit.conformal"):
+        with caplog.at_level("DEBUG"):
             pset = conformal_generate_step(store, np.zeros(3), [0.6, 0.4], alpha=0.3,
                                            k=50, tau=1.0)
-        assert "entire store" in caplog.text
-        assert len(pset) >= 1
+        whole = conformal_generate_step(store, np.zeros(3), [0.6, 0.4], alpha=0.3, k=5, tau=1.0)
+        assert (pset.indices, pset.q_hat) == (whole.indices, whole.q_hat)
+        assert caplog.records == []  # evaluate_conformal warns once per call; a step never logs
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(5)
@@ -634,7 +639,8 @@ class TestConformalEvalDriver:
     def test_noise_zero_reads_the_generated_rows(self, monkeypatch):
         """At noise 0 the recomputation, step_probs of inject_noise(latents, 0), gives the
         generated rows to the bit; the noise-0 records equal the golden ones without it,
-        and a call at noise 0 alone draws nothing from the noise stream (seed, 2)."""
+        and a call at noise 0 alone draws nothing from the noise stream (seed, 2). Each
+        distinct non-zero level is one inject_noise call on a fresh copy of that stream."""
         cfg = ConformalEvalConfig(vocab_size=20, latent_dim=4, cal_steps=120, test_steps=60,
                                   k=10)  # the conformal_eval_tau_auto golden, seed 3
         model = new_model(cfg.vocab_size, cfg.latent_dim, seed=3)
@@ -645,18 +651,30 @@ class TestConformalEvalDriver:
         assert np.array_equal([step_probs(model, z) for z in recomputed], test.probs)
 
         golden = json.loads((GOLDEN_DIR / "conformal_eval_tau_auto.json").read_text())
-        streams = []
+        streams, sigmas = [], []
 
         def recording_derive_rng(*key):
             streams.append(key)
             return derive_rng(*key)
 
-        monkeypatch.setattr(experiments, "step_probs", None)  # any call would raise TypeError
+        def recording_inject_noise(latent, sigma, rng):
+            sigmas.append(sigma)
+            return inject_noise(latent, sigma, rng)
+
         monkeypatch.setattr(experiments, "derive_rng", recording_derive_rng)
+        monkeypatch.setattr(experiments, "inject_noise", recording_inject_noise)
+        cal, _ = synthetic_source(cfg, [0.5, 0.0, 0.1, 0.5], seed=3)
+        latent_std = float(cal.latents.std())
+        assert sigmas == [0.1 * latent_std, 0.5 * latent_std]
+        assert streams.count((3, 2)) == 2
+        streams.clear()
+        sigmas.clear()
+
+        monkeypatch.setattr(experiments, "step_probs", None)  # any call would raise TypeError
         records = run_conformal_eval(cfg, ["split", "knn", "knn_unit"], ["l2", "ip", "cos"],
                                      [0.0], "auto", seed=3)
         assert records == [r for r in golden if r["noise"] == 0.0]
-        assert (3, 1) in streams and (3, 2) not in streams
+        assert (3, 1) in streams and (3, 2) not in streams and sigmas == []
 
     @pytest.mark.parametrize("metrics, noises, expected", [
         (["ip", "l2"], [0.1, 0.0], [

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from uqkit import dirichlet as dr
 from uqkit.experiments import dirichlet_mc_checks
@@ -112,6 +113,38 @@ class TestClosedForms:
             lhs = predictive_entropy(dr.mean(d))
             rhs = dr.expected_entropy(d) + dr.mutual_information(d)
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+class TestLogPdf:
+    def test_matches_scipy_at_log_points(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            d = random_params(rng)
+            points = dr.sample(d, 50, rng)
+            expected = stats.dirichlet.logpdf(points.T, d.alpha)
+            assert np.allclose(dr.log_pdf(d, np.log(points)), expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan], ids=["point_not_log", "nan"])
+    def test_rejects_an_entry_that_is_not_a_log_point(self, bad):
+        d = dr.DirichletParams([0.5, 1.0, 3.0])
+        with pytest.raises(ValueError, match="logs of simplex points"):
+            dr.log_pdf(d, np.log([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]]) + [[0, 0, 0], [0, 0, bad]])
+
+    def test_mc_checks_read_it_twice_per_vector(self, monkeypatch):
+        """Once for the vector's draws, once for its shifted reference."""
+        log_pdf, densities = dr.log_pdf, []
+
+        def recording_log_pdf(d, log_points):
+            densities.append(d.alpha.tolist())
+            return log_pdf(d, log_points)
+
+        monkeypatch.setattr(dr, "log_pdf", recording_log_pdf)
+        vectors = [[0.5, 1.0, 3.0], [2.0, 2.0], [4.0, 0.3, 7.0, 1.5]]
+        for vec in vectors:
+            dirichlet_mc_checks(vec, 200, np.random.default_rng(0))
+        assert len(densities) == 2 * len(vectors)
+        assert densities[::2] == vectors
+        assert all(ref != vec for ref, vec in zip(densities[1::2], vectors))
 
 
 class TestMonteCarloOracles:

@@ -234,6 +234,7 @@ class TestDiscrimination:
         (coverage_report_arrays, ([1, 2], [1, 0], 1.0), "alpha"),
         (coverage_report_arrays, ([1, 2], [np.nan, 0], 0.1), "coverage flags"),
         (coverage_report_arrays, ([np.nan, 2], [1, 0], 0.1), "set sizes"),
+        (coverage_report_arrays, ([1, 2], [1, 0], 0.1, 75, np.inf), "vocab_size must be finite"),
     ])
     def test_rejects_nan_inputs(self, metric, args, match):
         with pytest.raises(ValueError, match=match):
