@@ -138,10 +138,10 @@ def _emit(payload: str, out: str | None) -> None:
 # -- tiny self-contained SVG emitter ------------------------------------------
 
 
-def _svg_line_chart(records: list, point, title: str, width: int = 640,
-                    height: int = 400) -> str:
-    """Minimal chart of one line per name, from `point(record) -> (name, x, y)`;
+def _svg_line_chart(records: list, point, title: str) -> str:
+    """Minimal 640 x 400 chart of one line per name, from `point(record) -> (name, x, y)`;
     enough to eyeball curves."""
+    width, height = 640, 400
     series = {}
     for record in records:
         name, x, y = point(record)

@@ -4,18 +4,21 @@ Non-conformity scores, calibration quantiles (exchangeable and weighted),
 prediction sets, RBF relevance weights and the stochastic temperature search.
 Each score kind is one class (`SCORE_RULES`) that computes both the calibration
 scores and the test sets of a (steps, classes) matrix. One weighted-quantile
-core serves `KnnQuantiles` and `weighted_quantile`; `conformal_generate_step`
-is one `KnnQuantiles` row.
+core, `_first_reaching`, computes every q_hat: `split_quantile` is
+`weighted_quantile` at unit weights, `weighted_quantile` is one `KnnQuantiles`
+row, and `conformal_generate_step` is one `KnnQuantiles` row too.
 
 FULL_SET, "keep every class", is the quantile q_hat = +inf: the weighted
 quantile puts the leftover mass 1 / (1 + sum(w)) at +inf, so when the
 calibration mass never reaches 1 - alpha the quantile is that point mass at
 infinity. Every quantile, scalar or per row, is one float.
 
-Quantile levels are compared with a 1e-9 slack so that mathematically exact
-boundaries such as (N+1)*(1-alpha) landing on an integer are not perturbed by
-float representation error; the slack is far below the 1/(N+1) mass resolution
-of any calibration set this package targets.
+The core compares cumulative mass with the level 1 - alpha less a 1e-9 slack,
+so that mathematically exact boundaries such as (N+1)*(1-alpha) landing on an
+integer are not perturbed by float representation error. The slack is on the
+mass level, not the rank: at unit weights the j-th smallest of N scores is
+returned once j/(N+1) >= 1 - alpha - 1e-9. It is far below the 1/(N+1) mass
+resolution of any calibration set this package targets.
 """
 
 from __future__ import annotations
@@ -92,21 +95,6 @@ def _descending_order(p: np.ndarray) -> np.ndarray:
     return np.argsort(-p, axis=-1, kind="stable")
 
 
-def split_quantile(scores, alpha: float):
-    """The ceil((N+1)(1-alpha))-th smallest score, or FULL_SET when that index exceeds N."""
-    s = np.asarray(scores, dtype=float).ravel()
-    if s.size == 0:
-        raise ValueError("empty scores")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    rank = math.ceil((s.size + 1) * (1.0 - alpha) - _LEVEL_SLACK)
-    if rank > s.size:
-        return FULL_SET
-    return float(np.sort(s, kind="stable")[rank - 1])
-
-
 def _quantile_level(alpha: float) -> float:
     """The cumulative-mass level 1 - alpha, less the slack; ValueError unless 0 < alpha < 1."""
     if not 0.0 < alpha < 1.0:
@@ -118,12 +106,17 @@ def _first_reaching(sorted_scores: np.ndarray, order: np.ndarray, weights: np.nd
                     level: float) -> np.ndarray:
     """q_hat per row: the smallest score whose cumulative weight w_i / (1 + sum(w)),
     summed in the stable score `order`, reaches `level`; FULL_SET where none does.
+    ValueError where a row's weight sum is NaN or overflows float64.
 
     Tied scores need no run ends: the cumulative mass never decreases and a
     run shares one score, so the first position that reaches the level names
     the same score as the end of its run.
     """
-    normalized = weights / (1.0 + weights.sum(axis=1, keepdims=True))
+    with np.errstate(over="ignore"):
+        totals = weights.sum(axis=1, keepdims=True)
+    if not np.all(np.isfinite(totals)):
+        raise ValueError("weights must be finite and their sum must not overflow float64")
+    normalized = weights / (1.0 + totals)
     cumulative = np.cumsum(np.take_along_axis(normalized, order, axis=1), axis=1)
     reached = cumulative >= level
     first = reached.argmax(axis=1)
@@ -135,14 +128,23 @@ def weighted_quantile(cal: WeightedCalibration, alpha: float):
     """Smallest score whose normalized cumulative weight reaches 1 - alpha.
 
     Weights are normalized as w_i / (1 + sum(w)); when even the total
-    normalized mass stays below 1 - alpha the quantile is FULL_SET. With unit
-    weights this reduces exactly to split_quantile. One `KnnQuantiles` row.
+    normalized mass stays below 1 - alpha the quantile is FULL_SET. One
+    `KnnQuantiles` row; ValueError if the weights' sum overflows.
     """
     level = _quantile_level(alpha)
     if cal.scores.size == 0:  # no calibration mass at all
         return FULL_SET
     order = np.argsort(cal.scores, kind="stable")[None]
     return float(_first_reaching(cal.scores[order], order, cal.weights[None], level)[0])
+
+
+def split_quantile(scores, alpha: float):
+    """`weighted_quantile` at unit weights: the ceil((N+1)(1-alpha))-th smallest score,
+    up to the level slack, or FULL_SET when that index exceeds N."""
+    s = np.asarray(scores, dtype=float).ravel()
+    if s.size == 0:
+        raise ValueError("empty scores")
+    return weighted_quantile(WeightedCalibration(s, np.ones(s.size)), alpha)
 
 
 def rbf_weights(keys, tau: float) -> np.ndarray:
@@ -190,10 +192,8 @@ class KnnQuantiles:
 
     def __call__(self, tau: float) -> np.ndarray:
         """The per-row quantile, FULL_SET where the row's mass falls short."""
-        weights = rbf_weights(self._keys, tau)
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite and non-negative")
-        return _first_reaching(self._sorted, self._order, weights, self._level)
+        return _first_reaching(self._sorted, self._order, rbf_weights(self._keys, tau),
+                               self._level)
 
 
 def _as_labels(labels, p: np.ndarray) -> np.ndarray:

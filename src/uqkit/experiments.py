@@ -17,8 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dirichlet as dr
-from .conformal import (FULL_SET, KnnQuantiles, WeightedCalibration, score_rule,
-                        split_quantile, temperature_search, weighted_quantile)
+from .conformal import FULL_SET, KnnQuantiles, score_rule, split_quantile, temperature_search
 from .error_sim import DistSpec, ErrorRateReport, TestSpec, error_rates
 from .metrics import coverage_report_arrays, predictive_entropy
 from .seeds import derive_rng
@@ -94,7 +93,8 @@ def _median_neighbor_distance(store, metric: str, k: int, seed: int) -> float:
     """Median best-first neighbor key magnitude over a probe subset of the store."""
     rng = derive_rng(seed, 901)
     probe = rng.choice(len(store), size=min(200, len(store)), replace=False)
-    # [:, 1:] skips each probe's self match
+    # [:, 1:] drops each probe's best-first neighbor: its own row under l2 and cos, but
+    # under ip usually a row of larger norm, so there it drops the nearest other row.
     keys = store.query_batch(store.latents[probe], k + 1, metric=metric).keys[:, 1:]
     if keys.size == 0:
         logger.warning("store has %d record(s), so no neighbor keys to take the median of; "
@@ -219,18 +219,16 @@ def evaluate_conformal(cfg: ConformalEvalConfig, cal: Chain, views: dict[float, 
     """All requested conditions in canonical order, one record each, calibrated on
     `cal` and tested on `views[noise]`, reading only their arrays.
 
-    The store and quantiles are built once per call, tau once per knn metric and
-    each test block's sets once per noise level. Before any tau search or query, a
-    latent that a knn condition would query with a squared norm beyond the float32
-    range raises ValueError.
+    The store and the one fixed q_hat of split and knn_unit (unit weights) are built
+    once per call, tau once per knn metric and each test block's sets once per noise
+    level. Before any tau search or query, a latent that a knn condition would query
+    with a squared norm beyond the float32 range raises ValueError.
     """
     conditions = [(method, metric, noise) for method in sorted(methods) for noise in sorted(noises)
                   for metric in (sorted(metrics) if method == "knn" else ["-"])]
     store = calibration_store(cal, cfg.score_kind)
     score_sets = score_rule(cfg.score_kind)
-    fixed_q = {"split": split_quantile(store.scores, cfg.alpha),
-               "knn_unit": weighted_quantile(
-                   WeightedCalibration(store.scores, np.ones(len(store))), cfg.alpha)}
+    fixed_q = split_quantile(store.scores, cfg.alpha)  # knn_unit's unit weights give it too
 
     knn_metrics = sorted({metric for method, metric, _ in conditions if method == "knn"})
     for noise in sorted({noise for method, _, noise in conditions if method == "knn"}):
@@ -250,7 +248,7 @@ def evaluate_conformal(cfg: ConformalEvalConfig, cal: Chain, views: dict[float, 
                     neighbors = store.query_batch(block.latents, cfg.k, metric=metric)
                     q_hat = KnnQuantiles(neighbors, cfg.alpha)(taus[metric])
                 else:
-                    q_hat = np.full(len(block), fixed_q[method])
+                    q_hat = np.full(len(block), fixed_q)
                 blocks[method, metric, noise].append((q_hat, sets.sizes(q_hat),
                                                       sets.covers(q_hat)))
 

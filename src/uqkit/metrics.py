@@ -103,7 +103,7 @@ def coverage_report_arrays(sizes, covered, alpha: float, num_size_bins: int = 75
     if not sizes.min() >= 0.0:
         raise ValueError("set sizes must be >= 0")
     if vocab_size is None:
-        vocab_size = int(sizes.max())
+        vocab_size = max(1.0, float(sizes.max()))
     if not math.inf > vocab_size >= max(1.0, sizes.max()):  # NaN fails too
         raise ValueError("vocab_size must be finite, >= 1 and >= the largest prediction set")
 

@@ -133,6 +133,15 @@ class TestConformalEval:
         digests = {r["method"]: r["q_digest"] for r in records}
         assert digests["split"] == digests["knn_unit"]
 
+    def test_split_and_knn_unit_agree_at_a_rank_boundary(self, capsys):
+        """(N+1)(1-alpha) = 5.000000002 at N 9: both methods take the 5th score."""
+        assert main(["conformal-eval", "--vocab", "10", "--dim", "3", "--cal-steps", "9",
+                     "--test-steps", "200", "--alpha", "0.4999999998",
+                     "--method", "split,knn_unit", "--tau", "1", "--seed", "1"]) == 0
+        records = {r["method"]: r for r in json.loads(capsys.readouterr().out)}
+        for field in ("q_digest", "coverage", "mean_set_size"):
+            assert records["split"][field] == records["knn_unit"][field]
+
     def test_looser_alpha_coverage(self, tmp_path):
         out = tmp_path / "r.json"
         result = run_cli(["conformal-eval", "--vocab", "30", "--dim", "6", "--cal-steps",

@@ -128,21 +128,29 @@ class TestSplitQuantile:
         with pytest.raises(ValueError, match="scores must be finite"):
             split_quantile([bad, 0.1, 0.2], 0.3)
 
+    @pytest.mark.parametrize("n, alpha, rank", [(9, 0.4999999998, 5), (1999, 0.09999999995, 1800)])
+    def test_level_slack_within_a_rank_of_an_integer(self, n, alpha, rank):
+        """(N+1)(1-alpha) lies 2e-9 and 1e-7 above the integer `rank`: the slack is on the
+        mass level, so rank/(N+1) >= 1 - alpha - 1e-9 and the rank-th score is q_hat."""
+        scores = np.random.default_rng(n).random(n)
+        assert split_quantile(scores, alpha) == np.sort(scores)[rank - 1]
+
 
 class TestWeightedQuantile:
     def test_unit_weights_reduce_to_split(self):
+        """split_quantile equals the run-end oracle at unit weights, to the bit, at uniform
+        alphas and at alphas within 1e-7 / (N+1) of a rank boundary (N+1)(1-alpha) = j."""
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            n = int(rng.integers(1, 60))
-            scores = rng.random(n)
-            alpha = float(rng.uniform(0.02, 0.5))
-            cal = WeightedCalibration(scores=scores, weights=np.ones(n))
-            split = split_quantile(scores, alpha)
-            weighted = weighted_quantile(cal, alpha)
-            if is_full_set(split):
-                assert is_full_set(weighted)
+        for _ in range(600):
+            n = int(rng.integers(1, 301))
+            scores = rng.integers(0, 6, size=n) / 5 if rng.random() < 0.3 else rng.random(n)
+            if rng.random() < 0.5:
+                alpha = float(rng.uniform(0.01, 0.99))
             else:
-                assert weighted == split  # bit-exact
+                j = int(rng.integers(1, n + 1))
+                alpha = 1.0 - (j + float(rng.choice([-1e-7, -1e-10, 0.0, 1e-10, 1e-7]))) / (n + 1)
+            expected = weighted_quantile_oracle(WeightedCalibration(scores, np.ones(n)), alpha)
+            assert split_quantile(scores, alpha).hex() == expected.hex()
 
     def test_zero_weights_full_set(self):
         cal = WeightedCalibration(scores=np.array([0.2, 0.4]), weights=np.zeros(2))
@@ -168,6 +176,14 @@ class TestWeightedQuantile:
             value = math.inf if is_full_set(q) else q
             assert value <= previous + 1e-12
             previous = value
+
+    def test_weight_sum_overflow_is_a_value_error(self):
+        """Three weights of 1e308 sum past float64; 1e300 each do not."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert weighted_quantile(WeightedCalibration([0.1, 0.2, 0.3], [1e300] * 3), 0.5) == 0.2
+            with pytest.raises(ValueError, match="overflow"):
+                weighted_quantile(WeightedCalibration([0.1, 0.2, 0.3], [1e308] * 3), 0.5)
 
     def test_empty_calibration_is_full_set(self):
         cal = WeightedCalibration(scores=np.array([]), weights=np.array([]))
@@ -401,6 +417,21 @@ class TestBatchedKernel:
         assert sets.covers(q_hat).tolist() == [False, True]
         # The top class is in every set, even at q_hat = 0.
         assert sets.covers(np.zeros(2)).tolist() == [False, True]
+
+    def test_weight_sum_overflow_is_a_value_error(self):
+        """Key -1e9 at tau 1 clamps every weight to exp(700) ~ 1.0e304: 200 neighbors sum to
+        ~2e306 and each carries mass ~1/200, while 20,000 sum past float64."""
+        def quantiles(scores):
+            k = scores.shape[1]
+            return KnnQuantiles(Neighbors(np.full((1, k), -1e9), scores, np.zeros((1, k), int)),
+                                0.1)
+
+        scores = np.random.default_rng(0).random((1, 20_000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert quantiles(scores[:, :200])(1.0).tolist() == [np.sort(scores[0, :200])[179]]
+            with pytest.raises(ValueError, match="overflow"):
+                quantiles(scores)(1.0)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -851,9 +882,13 @@ class TestTemperatureSearch:
      r"alpha must lie in \(0, 1\)"),
     (lambda: KnnQuantiles(Neighbors(np.zeros((1, 2)), np.array([[0.1, math.nan]]),
                                     np.zeros((1, 2), dtype=int)), 0.1), "scores must be finite"),
+    (lambda: KnnQuantiles(Neighbors(np.array([[0.1, math.nan]]), np.zeros((1, 2)),
+                                    np.zeros((1, 2), dtype=int)), 0.1)(1.0),
+     "weights must be finite"),
 ], ids=["as_prob_matrix_1d", "calibration_scores", "calibration_weights",
         "calibration_negative_weight", "calibration_lengths", "split_alpha_0",
-        "split_alpha_1.5", "weighted_alpha_0", "weighted_alpha_1.5", "knn_neighbor_scores"])
+        "split_alpha_1.5", "weighted_alpha_0", "weighted_alpha_1.5", "knn_neighbor_scores",
+        "knn_neighbor_keys"])
 def test_rejects_bad_arguments(call, match):
     with pytest.raises(ValueError, match=match):
         call()

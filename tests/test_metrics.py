@@ -123,10 +123,19 @@ class TestCoverageReport:
         sets = make_sets([5], [True], vocab=10)
         with pytest.raises(ValueError, match="vocab"):
             coverage_report(sets, [0], alpha=0.1, num_size_bins=5, vocab_size=3)
-        # Every set empty: no vocab_size, or a NaN one, used to give a NaN width fraction.
-        for vocab_size in (None, float("nan")):
-            with pytest.raises(ValueError, match="vocab"):
-                coverage_report_arrays([0, 0], [False, False], 0.1, vocab_size=vocab_size)
+        # Every set empty: a NaN vocab_size used to give a NaN width fraction.
+        with pytest.raises(ValueError, match="vocab"):
+            coverage_report_arrays([0, 0], [False, False], 0.1, vocab_size=float("nan"))
+
+    @pytest.mark.parametrize("sizes, vocab", [([0, 0, 0], 1), ([3, 5, 2], 5), ([1], 1)])
+    def test_default_vocab_is_the_largest_set_or_one(self, sizes, vocab):
+        """With no vocab_size the vocabulary is max(1, largest set): three empty sets,
+        as `ThresholdSets` can give, read width 0 rather than raising."""
+        covered = [False] * len(sizes)
+        default = coverage_report_arrays(sizes, covered, 0.1, num_size_bins=5)
+        chosen = coverage_report_arrays(sizes, covered, 0.1, num_size_bins=5, vocab_size=vocab)
+        assert default.mean_width_fraction == chosen.mean_width_fraction
+        assert np.array_equal(default.bin_counts, chosen.bin_counts)
 
     @pytest.mark.parametrize("metric, args", [
         (ece, ([0.5], [1], 0)),
