@@ -29,11 +29,14 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 ASO_SIM_SCHEMA = "uqkit.aso-sim.csv.v1"
 CONFORMAL_EVAL_SCHEMA = "uqkit.conformal-eval.json.v1"
 DIRICHLET_CHECK_SCHEMA = "uqkit.dirichlet-check.json.v1"
-CONFORMAL_METHODS = ("split", "knn", "knn_unit")
+CONFORMAL_METHODS = ("split", "knn")
 # Test steps per block of the batched test loop: large enough to amortize the
 # per-call overhead, small enough that a block's arrays stay small. One block per
 # noise level raised the conformal-knn benchmark's peak RSS from 40.6 to 45.3 MB.
 _CHUNK_STEPS = 128
+_BURN_IN = 50  # chain steps generated before the calibration steps
+_SEARCH_STEPS = 20  # steps of the tau search
+_SEARCH_BATCH = 400  # length of the calibration prefix that the tau search reads
 
 
 # -- error-rate grids ---------------------------------------------------------
@@ -73,9 +76,6 @@ class ConformalEvalConfig(NamedTuple):
     alpha: float = 0.1
     k: int = 50
     score_kind: str = "adaptive"
-    burn_in: int = 50
-    search_steps: int = 20
-    search_batch: int = 400
 
 
 def _q_digest(q_hat: np.ndarray) -> str:
@@ -90,12 +90,11 @@ def _q_digest(q_hat: np.ndarray) -> str:
 
 
 def _median_neighbor_distance(store, metric: str, k: int, seed: int) -> float:
-    """Median best-first neighbor key magnitude over a probe subset of the store."""
+    """Median |key| over <= 200 probe rows' k + 1 nearest rows, each probe's own row left out."""
     rng = derive_rng(seed, 901)
     probe = rng.choice(len(store), size=min(200, len(store)), replace=False)
-    # [:, 1:] drops each probe's best-first neighbor: its own row under l2 and cos, but
-    # under ip usually a row of larger norm, so there it drops the nearest other row.
-    keys = store.query_batch(store.latents[probe], k + 1, metric=metric).keys[:, 1:]
+    found = store.query_batch(store.latents[probe], k + 1, metric=metric)
+    keys = found.keys[found.ids != probe[:, None]]
     if keys.size == 0:
         logger.warning("store has %d record(s), so no neighbor keys to take the median of; "
                        "using tau = 1.0", len(store))
@@ -127,7 +126,7 @@ def resolve_tau(store, cal: Chain, cfg: ConformalEvalConfig, metric: str,
     if tau_request != "auto":
         return float(tau_request)
     scale = _median_neighbor_distance(store, metric, cfg.k, seed)
-    batch = cal[: cfg.search_batch]
+    batch = cal[:_SEARCH_BATCH]
     neighbors = store.query_batch(batch.latents, cfg.k, metric=metric)
     quantiles = KnnQuantiles(neighbors, cfg.alpha)
     sets = score_rule(cfg.score_kind)(batch.probs, batch.golds)
@@ -136,7 +135,7 @@ def resolve_tau(store, cal: Chain, cfg: ConformalEvalConfig, metric: str,
         return int(np.count_nonzero(sets.covers(quantiles(tau)))) / len(batch)
 
     tau = temperature_search(coverage_eval, cfg.alpha, tau_min=0.1 * scale,
-                             tau_max=4.0 * scale, steps=cfg.search_steps,
+                             tau_max=4.0 * scale, steps=_SEARCH_STEPS,
                              rng=derive_rng(seed, 902))
     full_share = float((quantiles(tau) == FULL_SET).mean())
     if full_share >= 0.5:
@@ -181,7 +180,7 @@ def synthetic_source(cfg: ConformalEvalConfig, noises: list[float],
                      seed: int) -> tuple[Chain, dict[float, Chain]]:
     """The synthetic model's calibration chain and one test view per distinct noise level.
 
-    After `cfg.burn_in` steps come the calibration and then the test steps of one
+    After `_BURN_IN` steps come the calibration and then the test steps of one
     generated chain. A view holds the test latents plus noise, their distributions
     and the clean gold tokens: a shifted-representation deployment. `noise` is a
     fraction of the calibration latents' standard deviation: each distinct non-zero
@@ -193,9 +192,9 @@ def synthetic_source(cfg: ConformalEvalConfig, noises: list[float],
     if not all(noise >= 0 for noise in noises):  # written so that NaN fails it
         raise ValueError(f"noise levels must be non-negative, got {noises!r}")
     model = new_model(cfg.vocab_size, cfg.latent_dim, seed=seed)
-    chain = generate(model, cfg.burn_in + cfg.cal_steps + cfg.test_steps, derive_rng(seed, 1))
-    cal = chain[cfg.burn_in: cfg.burn_in + cfg.cal_steps]
-    test = chain[cfg.burn_in + cfg.cal_steps:]
+    chain = generate(model, _BURN_IN + cfg.cal_steps + cfg.test_steps, derive_rng(seed, 1))
+    cal = chain[_BURN_IN: _BURN_IN + cfg.cal_steps]
+    test = chain[_BURN_IN + cfg.cal_steps:]
 
     latent_std = float(cal.latents.std())
     views = {noise: test for noise in noises if noise == 0}
@@ -219,16 +218,16 @@ def evaluate_conformal(cfg: ConformalEvalConfig, cal: Chain, views: dict[float, 
     """All requested conditions in canonical order, one record each, calibrated on
     `cal` and tested on `views[noise]`, reading only their arrays.
 
-    The store and the one fixed q_hat of split and knn_unit (unit weights) are built
-    once per call, tau once per knn metric and each test block's sets once per noise
-    level. Before any tau search or query, a latent that a knn condition would query
-    with a squared norm beyond the float32 range raises ValueError.
+    The store and the one fixed q_hat of split are built once per call, tau once per
+    knn metric and each test block's sets once per noise level. Before any tau search
+    or query, a latent that a knn condition would query with a squared norm beyond the
+    float32 range raises ValueError.
     """
     conditions = [(method, metric, noise) for method in sorted(methods) for noise in sorted(noises)
                   for metric in (sorted(metrics) if method == "knn" else ["-"])]
     store = calibration_store(cal, cfg.score_kind)
     score_sets = score_rule(cfg.score_kind)
-    fixed_q = split_quantile(store.scores, cfg.alpha)  # knn_unit's unit weights give it too
+    fixed_q = split_quantile(store.scores, cfg.alpha)
 
     knn_metrics = sorted({metric for method, metric, _ in conditions if method == "knn"})
     for noise in sorted({noise for method, _, noise in conditions if method == "knn"}):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cli_env
+from uqkit import cli
 from uqkit.cli import build_parser, main, parse_dist
 from uqkit.datastore import Datastore
 from uqkit.error_sim import Laplace, Normal, NormalMixture, Rayleigh
@@ -124,23 +125,33 @@ class TestConformalEval:
     def small_args(self):
         return list(SMALL_EVAL_ARGS)
 
-    def test_split_reduction_same_q_stream(self, small_args, tmp_path):
-        out = tmp_path / "r.json"
-        result = run_cli(small_args + ["--method", "split,knn_unit", "--noise", "0",
-                                       "--out", str(out)])
-        assert result.returncode == 0
-        records = json.loads(out.read_text())
-        digests = {r["method"]: r["q_digest"] for r in records}
-        assert digests["split"] == digests["knn_unit"]
+    def test_knn_unit_is_a_usage_error(self, small_args, capsys):
+        """Split is the unit-weight quantile, so no second method name computes it."""
+        assert main(small_args + ["--method", "split,knn_unit"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "usage error: argument --method: unknown name 'knn_unit'; "
+                                  "expected one of split,knn\n")
 
-    def test_split_and_knn_unit_agree_at_a_rank_boundary(self, capsys):
-        """(N+1)(1-alpha) = 5.000000002 at N 9: both methods take the 5th score."""
+    def test_config_fields_are_the_options_the_command_passes(self, monkeypatch, capsys):
+        """No field of ConformalEvalConfig keeps its default: each one comes from an option."""
+        configs = []
+        monkeypatch.setattr(cli, "run_conformal_eval", lambda cfg, **_: configs.append(cfg) or [])
+        assert main(["conformal-eval", "--vocab", "7", "--dim", "5", "--cal-steps", "11",
+                     "--test-steps", "13", "--alpha", "0.3", "--k", "4", "--score", "simple"]) == 0
+        [cfg] = configs
+        assert cfg._fields == ("vocab_size", "latent_dim", "cal_steps", "test_steps", "alpha",
+                               "k", "score_kind")
+        assert cfg == (7, 5, 11, 13, 0.3, 4, "simple")
+
+    def test_split_at_a_rank_boundary_takes_the_level_slack(self, capsys):
+        """(N+1)(1-alpha) = 5.000000002 at N 9: split takes the 5th score, as the
+        unit-weight quantile's 1e-9 level slack allows."""
         assert main(["conformal-eval", "--vocab", "10", "--dim", "3", "--cal-steps", "9",
                      "--test-steps", "200", "--alpha", "0.4999999998",
-                     "--method", "split,knn_unit", "--tau", "1", "--seed", "1"]) == 0
-        records = {r["method"]: r for r in json.loads(capsys.readouterr().out)}
-        for field in ("q_digest", "coverage", "mean_set_size"):
-            assert records["split"][field] == records["knn_unit"][field]
+                     "--method", "split", "--tau", "1", "--seed", "1"]) == 0
+        [record] = json.loads(capsys.readouterr().out)
+        assert (record["q_digest"], record["coverage"], record["mean_set_size"]) == \
+            ("dd4fb13e10724a30", 0.705, 2.41)
 
     def test_looser_alpha_coverage(self, tmp_path):
         out = tmp_path / "r.json"
@@ -352,6 +363,7 @@ class TestConformalEvalValidation:
     @pytest.mark.parametrize("option, value", [
         ("--cal-steps", "0"), ("--test-steps", "0"), ("--k", "0"), ("--tau", "nan"),
         ("--tau", "-1"), ("--alpha", "0"), ("--alpha", "1.5"), ("--method", "foo"),
+        ("--method", "knn_unit"),
         ("--metric", "foo"), ("--noise", "nan"), ("--noise", "0,-0.1"), ("--noise", "inf"),
         ("--vocab", "1"), ("--dim", "1"),
     ])
@@ -509,7 +521,7 @@ FRESH_STEPS = {
     ],
     "usage_error": [(["aso-sim", "--dist", "normal:0:x"], 2)],
     "tau_auto": [
-        (CONFORMAL + ["--method", "split,knn,knn_unit", "--metric", "l2,ip,cos",
+        (CONFORMAL + ["--method", "split,knn", "--metric", "l2,ip,cos",
                       "--noise", "0,0.1", "--tau", "auto"], 0),
     ],
     "tau_heuristic": [(CONFORMAL + ["--method", "knn", "--tau", "heuristic"], 0)],

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (build_set_threshold_oracle, knn_set_oracle, label_score_oracle,
-                     weighted_quantile_oracle)
+from oracles import (build_set_threshold_oracle, exact_query_oracle, knn_set_oracle,
+                     label_score_oracle, weighted_quantile_oracle)
 
 from uqkit import experiments, synthetic
 from uqkit.conformal import (FULL_SET, SCORE_RULES, AdaptiveSets, KnnQuantiles, ThresholdSets,
@@ -584,9 +584,17 @@ def calibration_store(cfg, seed):
     return cal, synthetic.calibration_store(cal, cfg.score_kind)
 
 
+def small_study(monkeypatch, search_steps=20, search_batch=12, burn_in=10):
+    """Patch the study's fixed settings for one test. The defaults keep the search batch
+    a strict prefix of `TestConformalEvalDriver.CFG`'s 30 calibration steps."""
+    monkeypatch.setattr(experiments, "_SEARCH_STEPS", search_steps)
+    monkeypatch.setattr(experiments, "_SEARCH_BATCH", search_batch)
+    monkeypatch.setattr(experiments, "_BURN_IN", burn_in)
+
+
 def per_step_coverage(store, cal, cfg, tau, metric):
     """Reference: the search batch's coverage at tau, one query and one k-NN set per step."""
-    batch = cal[: cfg.search_batch]
+    batch = cal[: experiments._SEARCH_BATCH]
     hits = 0
     for latent, probs, gold in zip(batch.latents, batch.probs, batch.golds):
         neighbors = store.query(latent, cfg.k, metric=metric)
@@ -595,8 +603,7 @@ def per_step_coverage(store, cal, cfg, tau, metric):
 
 
 class TestConformalEvalDriver:
-    CFG = ConformalEvalConfig(vocab_size=20, latent_dim=4, cal_steps=30, test_steps=40,
-                              k=10, burn_in=10, search_batch=12)
+    CFG = ConformalEvalConfig(vocab_size=20, latent_dim=4, cal_steps=30, test_steps=40, k=10)
 
     @pytest.mark.parametrize("noises", [[0.0, -0.1], [float("nan")]])
     def test_negative_or_nan_noise_is_rejected(self, noises):
@@ -605,7 +612,8 @@ class TestConformalEvalDriver:
 
     @pytest.mark.parametrize("search_steps", [1, 6])
     def test_auto_tau_queries_each_latent_once(self, monkeypatch, search_steps):
-        cfg = self.CFG._replace(search_steps=search_steps)
+        small_study(monkeypatch, search_steps=search_steps)
+        cfg = self.CFG
         cal, store = calibration_store(cfg, seed=3)
         queried = []  # the float32 bytes of every latent queried, one or many per call
         query, query_batch = Datastore.query, Datastore.query_batch
@@ -623,14 +631,15 @@ class TestConformalEvalDriver:
         resolve_tau(store, cal, cfg, "l2", "auto", seed=3)
         # heuristic scale probes, then the search batch
         probe = derive_rng(3, 901).choice(len(store), size=min(200, len(store)), replace=False)
-        expected = ([store.latents[i].tobytes() for i in probe] +
-                    [z.astype(np.float32).tobytes() for z in cal.latents[:cfg.search_batch]])
+        batch = cal.latents[:experiments._SEARCH_BATCH].astype(np.float32)
+        expected = [store.latents[i].tobytes() for i in probe] + [z.tobytes() for z in batch]
         assert sorted(queried) == sorted(expected)
 
     @pytest.mark.parametrize("metric", ["l2", "ip", "cos"])
     def test_search_coverage_matches_per_step_loop(self, monkeypatch, metric):
         # The search batch (40) is a strict prefix of the 60-record store.
-        cfg = self.CFG._replace(cal_steps=60, search_batch=40)
+        small_study(monkeypatch, search_batch=40)
+        cfg = self.CFG._replace(cal_steps=60)
         cal, store = calibration_store(cfg, seed=5)
         searched = {}
 
@@ -659,7 +668,8 @@ class TestConformalEvalDriver:
 
         for name in calls:
             monkeypatch.setattr(experiments, name, counting(name))
-        cfg = self.CFG._replace(search_steps=2)
+        small_study(monkeypatch, search_steps=2)
+        cfg = self.CFG
         records = run_conformal_eval(cfg, ["knn", "split"], ["l2", "cos"], [0.0, 0.1],
                                      "auto", seed=3)
         assert len(records) == 6
@@ -675,8 +685,9 @@ class TestConformalEvalDriver:
         cfg = ConformalEvalConfig(vocab_size=20, latent_dim=4, cal_steps=120, test_steps=60,
                                   k=10)  # the conformal_eval_tau_auto golden, seed 3
         model = new_model(cfg.vocab_size, cfg.latent_dim, seed=3)
-        chain = generate(model, cfg.burn_in + cfg.cal_steps + cfg.test_steps, derive_rng(3, 1))
-        test = chain[cfg.burn_in + cfg.cal_steps:]
+        burn_in = experiments._BURN_IN
+        chain = generate(model, burn_in + cfg.cal_steps + cfg.test_steps, derive_rng(3, 1))
+        test = chain[burn_in + cfg.cal_steps:]
         recomputed = inject_noise(test.latents, 0.0, derive_rng(3, 2))
         assert np.array_equal(recomputed, test.latents)
         assert np.array_equal([step_probs(model, z) for z in recomputed], test.probs)
@@ -702,27 +713,26 @@ class TestConformalEvalDriver:
         sigmas.clear()
 
         monkeypatch.setattr(experiments, "step_probs", None)  # any call would raise TypeError
-        records = run_conformal_eval(cfg, ["split", "knn", "knn_unit"], ["l2", "ip", "cos"],
-                                     [0.0], "auto", seed=3)
+        records = run_conformal_eval(cfg, ["split", "knn"], ["l2", "ip", "cos"], [0.0], "auto",
+                                     seed=3)
         assert records == [r for r in golden if r["noise"] == 0.0]
         assert (3, 1) in streams and (3, 2) not in streams and sigmas == []
 
     @pytest.mark.parametrize("metrics, noises, expected", [
         (["ip", "l2"], [0.1, 0.0], [
             ("knn", "ip", 0.0), ("knn", "l2", 0.0), ("knn", "ip", 0.1), ("knn", "l2", 0.1),
-            ("knn_unit", "-", 0.0), ("knn_unit", "-", 0.1), ("split", "-", 0.0),
-            ("split", "-", 0.1)]),
+            ("split", "-", 0.0), ("split", "-", 0.1)]),
         (["l2", "cos", "l2"], [0.1, 0.0, 0.0], [
             ("knn", "cos", 0.0), ("knn", "l2", 0.0), ("knn", "l2", 0.0),
             ("knn", "cos", 0.0), ("knn", "l2", 0.0), ("knn", "l2", 0.0),
             ("knn", "cos", 0.1), ("knn", "l2", 0.1), ("knn", "l2", 0.1),
-            ("knn_unit", "-", 0.0), ("knn_unit", "-", 0.0), ("knn_unit", "-", 0.1),
             ("split", "-", 0.0), ("split", "-", 0.0), ("split", "-", 0.1)]),
     ], ids=["distinct", "repeated"])
-    def test_shared_pass_matches_one_condition_calls(self, metrics, noises, expected):
-        cfg = self.CFG._replace(search_steps=2)
-        records = run_conformal_eval(cfg, ["split", "knn", "knn_unit"], metrics, noises, "auto",
-                                     seed=4)
+    def test_shared_pass_matches_one_condition_calls(self, monkeypatch, metrics, noises,
+                                                     expected):
+        small_study(monkeypatch, search_steps=2)
+        cfg = self.CFG
+        records = run_conformal_eval(cfg, ["split", "knn"], metrics, noises, "auto", seed=4)
         assert [(r["method"], r["metric"], r["noise"]) for r in records] == expected
         for record in records:
             assert record == run_conformal_condition(cfg, record["method"], record["metric"],
@@ -744,8 +754,9 @@ class TestConformalEvalDriver:
 
     def test_evaluation_reads_only_the_source_arrays(self, monkeypatch, tmp_path):
         """Chains rebuilt from saved arrays, with no model to call, give the same records."""
-        cfg = self.CFG._replace(search_steps=2)
-        methods, metrics, noises = ["split", "knn", "knn_unit"], ["l2", "ip", "cos"], [0.0, 0.1]
+        small_study(monkeypatch, search_steps=2)
+        cfg = self.CFG
+        methods, metrics, noises = ["split", "knn"], ["l2", "ip", "cos"], [0.0, 0.1]
         expected = run_conformal_eval(cfg, methods, metrics, noises, "auto", seed=3)
         cal, views = synthetic_source(cfg, noises, seed=3)
         chains = {"cal": cal, **{f"view{i}": views[noise] for i, noise in enumerate(noises)}}
@@ -764,19 +775,23 @@ class TestConformalEvalDriver:
 
     def test_unknown_method_rejected_before_generation(self, monkeypatch):
         monkeypatch.setattr(experiments, "generate", None)  # any call would raise TypeError
-        with pytest.raises(ValueError, match="unknown method"):
-            run_conformal_eval(self.CFG, ["split", "foo"], ["l2"], [0.0], "auto", seed=0)
+        for methods in (["split", "foo"], ["split", "knn_unit"]):
+            with pytest.raises(ValueError, match="unknown method"):
+                run_conformal_eval(self.CFG, methods, ["l2"], [0.0], "auto", seed=0)
 
-    def test_k_exceeding_store_warns_once_per_condition(self, caplog):
-        cfg = self.CFG._replace(k=50, search_steps=3)
+    def test_k_exceeding_store_warns_once_per_condition(self, monkeypatch, caplog):
+        small_study(monkeypatch, search_steps=3)
+        cfg = self.CFG._replace(k=50)
         with caplog.at_level("WARNING"):
             run_conformal_condition(cfg, "knn", "l2", 0.0, "auto", seed=2)
         warnings = [r for r in caplog.records if "exceeds datastore size" in r.getMessage()]
         assert len(warnings) == 1
 
     @pytest.mark.parametrize("methods, expected", [(["knn", "split"], 1), (["split"], 0)])
-    def test_k_exceeding_store_warns_once_per_call_with_knn(self, caplog, methods, expected):
-        cfg = self.CFG._replace(k=50, search_steps=2)
+    def test_k_exceeding_store_warns_once_per_call_with_knn(self, monkeypatch, caplog, methods,
+                                                            expected):
+        small_study(monkeypatch, search_steps=2)
+        cfg = self.CFG._replace(k=50)
         with caplog.at_level("WARNING"):
             run_conformal_eval(cfg, methods, ["l2", "cos"], [0.0, 0.1], "auto", seed=2)
         warnings = [r for r in caplog.records if "exceeds datastore size" in r.getMessage()]
@@ -809,6 +824,20 @@ class TestConformalEvalDriver:
         assert record["tau"] == 1.0
         fallbacks = [r for r in caplog.records if "tau = 1.0" in r.getMessage()]
         assert len(fallbacks) == 1
+
+    @pytest.mark.parametrize("metric", ["l2", "ip", "cos"])
+    def test_heuristic_tau_is_the_median_key_to_other_rows(self, metric):
+        """Under ip a probe is seldom its own nearest row, so the scale leaves out the
+        probe's own row by id, not the first column of its k + 1 neighbours."""
+        cfg = ConformalEvalConfig(vocab_size=20, latent_dim=4, cal_steps=300, k=10)
+        cal, store = calibration_store(cfg, seed=3)
+        probe = derive_rng(3, 901).choice(len(store), size=200, replace=False)
+        keys = []
+        for row in probe:
+            found, ids = exact_query_oracle(store.latents, store.latents[row], cfg.k + 1, metric)
+            keys.extend(found[ids != row])
+        assert resolve_tau(store, cal, cfg, metric, "heuristic", seed=3) == \
+            np.median(np.abs(keys))
 
 
 class TestMedian:

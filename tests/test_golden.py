@@ -22,7 +22,7 @@ RECORDS_CSV = GOLDEN_DIR / "datastore_records.csv"
 STORE = "<store>"
 
 _EVAL = ["conformal-eval", "--vocab", "20", "--dim", "4", "--k", "10"]
-_ALL = ["--method", "split,knn,knn_unit", "--metric", "l2,ip,cos", "--noise", "0,0.1",
+_ALL = ["--method", "split,knn", "--metric", "l2,ip,cos", "--noise", "0,0.1",
         "--cal-steps", "120", "--test-steps", "60"]
 _ASO = ["aso-sim", "--test", "aso,student_t,bootstrap,permutation,wilcoxon,mann_whitney",
         "--n", "5,12,13,14,50,51", "--tau", "0.05,0.2", "--trials", "3",
@@ -36,14 +36,14 @@ CASES = {
         "--method", "split,knn", "--metric", "l2", "--noise", "0,0.1", "--cal-steps", "120",
         "--test-steps", "60", "--score", "simple", "--tau", "heuristic", "--seed", "6"],
     "conformal_eval_k_exceeds_store": _EVAL + [
-        "--method", "knn,knn_unit", "--metric", "l2,cos", "--noise", "0,0.1",
+        "--method", "knn", "--metric", "l2,cos", "--noise", "0,0.1",
         "--cal-steps", "8", "--test-steps", "30", "--alpha", "0.3", "--tau", "auto",
         "--seed", "7"],
     # The tau search batch (400) is a strict prefix of the 450-record store, and
     # the 300 test steps span several whole chunks of the batched test loop plus
     # a partial one. At this seed the l2 sets mix FULL_SET and sized steps.
     "conformal_eval_search_prefix": _EVAL + [
-        "--method", "split,knn,knn_unit", "--metric", "l2,ip,cos", "--noise", "0,0.1",
+        "--method", "split,knn", "--metric", "l2,ip,cos", "--noise", "0,0.1",
         "--cal-steps", "450", "--test-steps", "300", "--tau", "auto", "--seed", "11"],
     # n 12/13 straddle the exact Mann-Whitney limit, 50/51 the untied Wilcoxon one.
     "aso_sim_type1": _ASO + ["--dist", "normal:0:1.5,laplace:0:1.5"],
